@@ -22,7 +22,6 @@ from .special import (
     digamma,
     erf,
     erfc,
-    SeriesControl,
     kummer_phi,
     hyp_2f2,
     gauss_2f1,
@@ -53,7 +52,6 @@ __all__ = [
     "digamma",
     "erf",
     "erfc",
-    "SeriesControl",
     "kummer_phi",
     "hyp_2f2",
     "gauss_2f1",

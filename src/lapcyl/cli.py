@@ -4,7 +4,8 @@ special functions at a point.
 Exit codes: 0 when every selected positive case passes and every
 selected control fails as designed, 1 when verification disagrees with
 that expectation, 2 for configuration errors (unknown ids, bad flags,
-malformed grid files).  Reports are deterministic byte for byte across
+malformed grid files, `eval` arguments outside a function's domain or
+range).  Reports are deterministic byte for byte across
 runs; wall-clock timings go to a sidecar file, never into the report.
 """
 
@@ -20,7 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from ._exceptions import InvalidParams
+from ._exceptions import InvalidParams, LapcylError
 from .catalog import build_report, evaluate_point, get_case, list_cases, verify
 from .catalog.cases import REGISTRY
 from .catalog.model import ParamPoint
@@ -287,7 +288,7 @@ def _format_value(value):
     value = complex(value)
     if value.imag == 0.0:
         real = value.real
-        if real == int(real) and abs(real) <= 1e15:
+        if abs(real) <= 1e15 and real == int(real):
             return str(int(real))
         return repr(real)
     return repr(value)
@@ -309,7 +310,10 @@ def cmd_eval(args):
     for flag in _EVAL_FLAGS:
         if flag not in names and getattr(args, flag) is not None:
             raise ConfigError(f"eval {args.fn} does not take --{flag}")
-    result = fn(*values)
+    try:
+        result = fn(*values)
+    except (LapcylError, OverflowError) as exc:
+        raise ConfigError(f"eval {args.fn}: {type(exc).__name__}: {exc}") from None
     sys.stdout.write(_format_value(result) + "\n")
     return EXIT_OK
 

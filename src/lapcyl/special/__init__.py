@@ -3,7 +3,7 @@ series, parabolic cylinder function, Appell F1."""
 
 from .gammafn import gamma, reciprocal_gamma, digamma, is_nonpositive_integer
 from .errorfn import erf, erfc
-from .hyper import SeriesControl, DEFAULT_CONTROL, kummer_phi, phi_scaled, hyp_2f2
+from .hyper import kummer_phi, phi_scaled, hyp_2f2
 from .gauss2f1 import gauss_2f1, gauss_2f1_cm, gauss_2f1_at_one
 from .pcf import pcf_d
 from .appell import appell_f1
@@ -15,8 +15,6 @@ __all__ = [
     "is_nonpositive_integer",
     "erf",
     "erfc",
-    "SeriesControl",
-    "DEFAULT_CONTROL",
     "kummer_phi",
     "phi_scaled",
     "hyp_2f2",

@@ -36,8 +36,6 @@ _LANCZOS_C = (
     0.36899182659531622704e-5,
 )
 
-_EULER_GAMMA = 0.57721566490153286061
-
 
 def is_nonpositive_integer(z) -> bool:
     z = complex(z)

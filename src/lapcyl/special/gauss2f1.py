@@ -17,6 +17,11 @@ Regions (array lanes are split by masks and reassembled):
                     the transformed argument has complement 1/w, so the
                     inner call lands in one of the two regions above
 
+Every infinite series here (Maclaurin, connection, logarithmic) is summed
+by the one driver in .hyper, which also holds the stopping rule.  Each
+caller passes its term ratio as the driver's step; the logarithmic series
+also pass their running digamma sums as term weights.
+
 Terminating cases (a or b a nonpositive integer) are evaluated as plain
 polynomials for any w, before everything else.  c at a nonpositive integer
 raises ParameterPole unless the series terminates first.
@@ -24,14 +29,14 @@ raises ParameterPole unless the series terminates first.
 
 from __future__ import annotations
 
-import cmath
+import itertools
 import math
 
 import numpy as np
 
 from .._exceptions import DomainError, NonConvergence, ParameterPole
 from .gammafn import digamma, gamma, reciprocal_gamma
-from .hyper import DEFAULT_CONTROL, SeriesControl
+from .hyper import _sum_series
 
 _EULER_GAMMA = 0.57721566490153286061
 _INT_SNAP = 1e-12
@@ -54,7 +59,7 @@ def _nonpos_int_degree(v: complex):
     return None
 
 
-def _poly_f21(a, b, c, z, degree, _ctl=None):
+def _poly_f21(a, b, c, z, degree):
     """Terminating series sum_{k=0}^{degree}; z may be scalar or ndarray."""
     zc = np.asarray(z, dtype=complex)
     total = np.ones_like(zc)
@@ -71,30 +76,19 @@ def _poly_f21(a, b, c, z, degree, _ctl=None):
     return total
 
 
-def _series_f21(a, b, c, z, ctl: SeriesControl):
+def _series_f21(a, b, c, z):
     """Maclaurin sum for |z| <= 1/2 + margin; z complex ndarray."""
     zc = np.asarray(z, dtype=complex)
-    total = np.ones_like(zc)
-    term = np.ones_like(zc)
-    comp = np.zeros_like(zc)
-    consec = np.zeros(zc.shape, dtype=np.int64)
     try:
-        for k in range(ctl.max_terms):
-            ratio = (a + k) * (b + k) / ((c + k) * (k + 1.0))
-            term = term * ratio * zc
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            small = np.abs(term) <= ctl.rel_tail_tol * np.maximum(np.abs(total), 1e-300)
-            consec = np.where(small, consec + 1, 0)
-            if np.all(consec >= 3):
-                return total
+        total, _ = _sum_series(
+            np.ones_like(zc),
+            lambda t, k: t * ((a + k) * (b + k) / ((c + k) * (k + 1.0))) * zc,
+            what="gauss_2f1 series")
     except ZeroDivisionError:
         raise ParameterPole(
             f"gauss_2f1 lower parameter {c} is a nonpositive integer"
         ) from None
-    raise NonConvergence(f"gauss_2f1 series did not settle within {ctl.max_terms} terms")
+    return total
 
 
 def gauss_2f1_at_one(a, b, c) -> complex:
@@ -121,93 +115,69 @@ def gauss_2f1_at_one(a, b, c) -> complex:
     return gamma(c) * gamma(d) * reciprocal_gamma(c - a) * reciprocal_gamma(c - b)
 
 
-def _connect_generic(a, b, c, w, ctl):
+def _connect_generic(a, b, c, w):
     """A&S 15.3.6 for noninteger c-a-b, argument complement w in (0, 1/2)."""
     d = c - a - b
     p1 = gamma(c) * gamma(d) * reciprocal_gamma(c - a) * reciprocal_gamma(c - b)
     p2 = gamma(c) * gamma(-d) * reciprocal_gamma(a) * reciprocal_gamma(b)
     out = np.zeros(w.shape, dtype=complex)
     if p1 != 0.0:
-        out += p1 * _series_f21(a, b, a + b - c + 1.0, w, ctl)
+        out += p1 * _series_f21(a, b, a + b - c + 1.0, w)
     if p2 != 0.0:
-        out += p2 * np.exp(d * np.log(w)) * _series_f21(c - a, c - b, d + 1.0, w, ctl)
+        out += p2 * np.exp(d * np.log(w)) * _series_f21(c - a, c - b, d + 1.0, w)
     return out
 
 
-def _connect_log_m0(a, b, c, w, ctl):
+def _connect_log_m0(a, b, c, w):
     """A&S 15.3.10: c = a + b, argument complement w in (0, 1/2)."""
-    pref = gamma(c) * reciprocal_gamma(a) * reciprocal_gamma(b)
     logw = np.log(w)
-    coef = np.ones(w.shape, dtype=complex)
-    total = np.zeros(w.shape, dtype=complex)
-    comp = np.zeros(w.shape, dtype=complex)
-    consec = np.zeros(w.shape, dtype=np.int64)
-    psi_n = -_EULER_GAMMA
-    psi_a = digamma(a)
-    psi_b = digamma(b)
-    for n in range(ctl.max_terms):
-        if n > 0:
-            coef = coef * ((a + (n - 1)) * (b + (n - 1)) / (n * n)) * w
+
+    def weights():
+        psi_n, psi_a, psi_b = -_EULER_GAMMA, digamma(a), digamma(b)
+        for n in itertools.count(1):
+            yield (2.0 * psi_n - psi_a - psi_b) - logw
             psi_n += 1.0 / n
             psi_a += 1.0 / (a + (n - 1))
             psi_b += 1.0 / (b + (n - 1))
-        term = coef * ((2.0 * psi_n - psi_a - psi_b) - logw)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        small = np.abs(term) <= ctl.rel_tail_tol * np.maximum(np.abs(total), 1e-300)
-        consec = np.where(small, consec + 1, 0)
-        if np.all(consec >= 3):
-            return pref * total
-    raise NonConvergence("gauss_2f1 logarithmic series (m=0) did not settle")
+
+    total, _ = _sum_series(
+        np.ones(w.shape, dtype=complex),
+        lambda t, k: t * ((a + k) * (b + k) / ((k + 1) * (k + 1))) * w,
+        weights(), what="gauss_2f1 logarithmic series (m=0)")
+    return gamma(c) * reciprocal_gamma(a) * reciprocal_gamma(b) * total
 
 
-def _connect_log_m(a, b, c, m, w, ctl):
+def _connect_log_m(a, b, c, m, w):
     """A&S 15.3.11: c = a + b + m with integer m >= 1, w in (0, 1/2)."""
     # finite part: Gamma(m) Gamma(c) / (Gamma(a+m) Gamma(b+m)) *
     #              sum_{n=0}^{m-1} (a)_n (b)_n / (n! (1-m)_n) w^n
-    finite = np.zeros(w.shape, dtype=complex)
-    term = np.ones(w.shape, dtype=complex)
-    finite += term
-    for n in range(1, m):
-        term = term * ((a + (n - 1)) * (b + (n - 1)) / (n * ((n - 1) + 1.0 - m))) * w
-        finite += term
+    finite = _poly_f21(a, b, 1.0 - m, w, m - 1)
     p_fin = gamma(float(m)) * gamma(c) * reciprocal_gamma(a + m) * reciprocal_gamma(b + m)
 
     # series part with the logarithm
     logw = np.log(w)
-    coef = np.full(w.shape, 1.0 / math.factorial(m), dtype=complex)
-    total = np.zeros(w.shape, dtype=complex)
-    comp = np.zeros(w.shape, dtype=complex)
-    consec = np.zeros(w.shape, dtype=np.int64)
-    psi_n = -_EULER_GAMMA
-    psi_nm = -_EULER_GAMMA + sum(1.0 / j for j in range(1, m + 1))
-    psi_a = digamma(a + m)
-    psi_b = digamma(b + m)
-    for n in range(ctl.max_terms):
-        if n > 0:
-            coef = coef * ((a + m + (n - 1)) * (b + m + (n - 1)) / (n * (n + m))) * w
+
+    def weights():
+        psi_n = -_EULER_GAMMA
+        psi_nm = -_EULER_GAMMA + sum(1.0 / j for j in range(1, m + 1))
+        psi_a = digamma(a + m)
+        psi_b = digamma(b + m)
+        for n in itertools.count(1):
+            yield logw - psi_n - psi_nm + psi_a + psi_b
             psi_n += 1.0 / n
             psi_nm += 1.0 / (n + m)
             psi_a += 1.0 / (a + m + (n - 1))
             psi_b += 1.0 / (b + m + (n - 1))
-        term_n = coef * (logw - psi_n - psi_nm + psi_a + psi_b)
-        y = term_n - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        small = np.abs(term_n) <= ctl.rel_tail_tol * np.maximum(np.abs(total), 1e-300)
-        consec = np.where(small, consec + 1, 0)
-        if np.all(consec >= 3):
-            break
-    else:
-        raise NonConvergence("gauss_2f1 logarithmic series (m>=1) did not settle")
+
+    total, _ = _sum_series(
+        np.full(w.shape, 1.0 / math.factorial(m), dtype=complex),
+        lambda t, k: t * ((a + m + k) * (b + m + k) / ((k + 1) * (k + 1 + m))) * w,
+        weights(), what="gauss_2f1 logarithmic series (m>=1)")
     p_ser = -gamma(c) * reciprocal_gamma(a) * reciprocal_gamma(b) * ((-1.0) ** m)
     return p_fin * finite + p_ser * (w ** m) * total
 
 
-def _f21_w(a, b, c, w, ctl, depth=0):
+def _f21_w(a, b, c, w):
     """Dispatcher over the complement w = 1 - z; w a float64 ndarray >= 0."""
     na = _nonpos_int_degree(a)
     nb = _nonpos_int_degree(b)
@@ -224,25 +194,25 @@ def _f21_w(a, b, c, w, ctl, depth=0):
     if m_one.any():
         out[m_one] = gauss_2f1_at_one(a, b, c)
     if m_ser.any():
-        out[m_ser] = _series_f21(a, b, c, 1.0 - w[m_ser], ctl)
+        out[m_ser] = _series_f21(a, b, c, 1.0 - w[m_ser])
     if m_conn.any():
         wc = w[m_conn]
         mi = _near_int(c - a - b)
         if mi is None:
-            out[m_conn] = _connect_generic(a, b, c, wc, ctl)
+            out[m_conn] = _connect_generic(a, b, c, wc)
         elif mi == 0:
-            out[m_conn] = _connect_log_m0(a, b, c, wc, ctl)
+            out[m_conn] = _connect_log_m0(a, b, c, wc)
         elif mi >= 1:
-            out[m_conn] = _connect_log_m(a, b, c, mi, wc, ctl)
+            out[m_conn] = _connect_log_m(a, b, c, mi, wc)
         else:
             # Euler transformation flips c-a-b to -mi >= 1
-            inner = _f21_w(c - a, c - b, c, wc, ctl, depth + 1)
+            inner = _f21_w(c - a, c - b, c, wc)
             out[m_conn] = np.exp((c - a - b) * np.log(wc)) * inner
     if m_pf.any():
         wp = w[m_pf]
         aa, bb = (a, b) if a.real <= b.real else (b, a)
         pref = np.exp(-aa * np.log(wp))
-        inner = _f21_w(aa, c - bb, c, 1.0 / wp, ctl, depth + 1)
+        inner = _f21_w(aa, c - bb, c, 1.0 / wp)
         out[m_pf] = pref * inner
     return out
 
@@ -255,7 +225,7 @@ def _finish(values, scalar_in):
     return values
 
 
-def gauss_2f1_cm(a, b, c, one_minus_z, control: SeriesControl = DEFAULT_CONTROL):
+def gauss_2f1_cm(a, b, c, one_minus_z):
     """F(a,b;c;z) evaluated from the complement w = 1 - z (w >= 0).
 
     Passing w directly keeps full precision when z is exponentially close
@@ -269,11 +239,11 @@ def gauss_2f1_cm(a, b, c, one_minus_z, control: SeriesControl = DEFAULT_CONTROL)
     w1 = np.atleast_1d(warr)
     if np.any(w1 < 0.0):
         raise DomainError("gauss_2f1 argument beyond 1 (negative complement)")
-    vals = _f21_w(a, b, c, w1, control)
+    vals = _f21_w(a, b, c, w1)
     return _finish(vals.reshape(warr.shape) if not scalar_in else vals, scalar_in)
 
 
-def gauss_2f1(a, b, c, z, control: SeriesControl = DEFAULT_CONTROL):
+def gauss_2f1(a, b, c, z):
     """Gauss hypergeometric F(a,b;c;z) for real z <= 1 (scalar or ndarray).
 
     A scalar complex z is accepted when |z| <= 1/2 (direct series
@@ -298,9 +268,9 @@ def gauss_2f1(a, b, c, z, control: SeriesControl = DEFAULT_CONTROL):
                     raise ParameterPole(
                         f"gauss_2f1 lower parameter {c} is a nonpositive integer"
                     )
-                vals = _series_f21(a, b, c, np.atleast_1d(np.asarray(zc)), control)
+                vals = _series_f21(a, b, c, np.atleast_1d(np.asarray(zc)))
                 return _finish(vals, True)
             raise DomainError("complex gauss_2f1 argument supported only for |z| <= 1/2")
         zarr = zarr.real
     zarr = np.asarray(zarr, dtype=float)
-    return gauss_2f1_cm(a, b, c, 1.0 - zarr, control)
+    return gauss_2f1_cm(a, b, c, 1.0 - zarr)

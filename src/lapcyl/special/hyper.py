@@ -1,94 +1,116 @@
-"""Confluent hypergeometric Phi(a;b;z) and the generalized 2F2 series.
+"""Kummer Phi(a;b;z), the generalized 2F2 series, and the one series
+driver that every hypergeometric sum in this subpackage goes through.
 
-Both are plain Maclaurin series with term-ratio recurrences and Kahan
-compensated accumulation.  The stopping rule is three consecutive terms
-below rel_tail_tol relative to the running sum, which guards against
-stopping inside the pre-asymptotic dip that confluent series show for
-large positive arguments.
+_sum_series adds c_k w_k for k = 0, 1, ..., where the caller supplies c_0
+and the term recurrence c_{k+1} = step(c_k, k), plus optionally a stream of
+weights w_k (the logarithmic Gauss series carry digamma sums there).  The
+accumulation is Kahan compensated.  The sum stops once the last three terms
+of every lane were at most _REL_TAIL_TOL times the running sum, which guards
+against stopping inside the pre-asymptotic dip that confluent series show
+for large positive arguments; _MAX_TERMS terms without settling raise
+NonConvergence.
 
 Phi is also available in a scaled form (value, log_scale) because the
 parabolic cylinder evaluations need Phi at z = x^2/2 with x up to 40,
-where the unscaled sum would overflow double precision.
+where the unscaled sum would overflow double precision.  The driver
+renormalizes by _RESCALE whenever the sum or the term grows past it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .._exceptions import NonConvergence, ParameterPole
 from .gammafn import is_nonpositive_integer
 
+_MAX_TERMS = 10000
+_REL_TAIL_TOL = 1e-16
+_TINY = 1e-300
+_RESCALE = 1e250
+_LOG_RESCALE = math.log(_RESCALE)
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Knobs shared by every series evaluation in this subpackage.
 
-    max_terms: hard iteration cap before NonConvergence.
-    rel_tail_tol: a term is negligible once |term| <= rel_tail_tol * |sum|.
-    recurrence_guard: magnitude at which scaled series renormalize.
+def _sum_series(first, step, weights=None, *, what, rescale=False):
+    """Kahan sum of c_k w_k with c_0 = first and c_{k+1} = step(c_k, k).
+
+    `first` is a complex scalar or a complex ndarray of independent lanes;
+    `weights` is an iterator of w_k (all ones when None); `what` names the
+    series in the NonConvergence message.  A lane whose sum went
+    non-finite counts as settled, so an overflow ends the loop and is left
+    to the caller's finiteness check.  With `rescale` (scalars only) the
+    state is divided by _RESCALE whenever it outgrows it.  Returns
+    (total, log_scale): the sum is total * exp(log_scale).
     """
+    if isinstance(first, np.ndarray):
+        total = comp = np.zeros_like(first)
 
-    max_terms: int = 10000
-    rel_tail_tol: float = 1e-16
-    recurrence_guard: float = 1e250
+        def negligible(term, total):
+            return not np.any(np.abs(term) > _REL_TAIL_TOL * np.maximum(np.abs(total), _TINY))
+    else:
+        total = comp = 0j
+
+        def negligible(term, total):
+            return not abs(term) > _REL_TAIL_TOL * max(abs(total), _TINY)
+    coef = first
+    scale = 0.0
+    streak = 0
+    for k in range(_MAX_TERMS):
+        term = coef if weights is None else coef * next(weights)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if negligible(term, total):
+            streak += 1
+            if streak == 3:
+                return total, scale
+        else:
+            streak = 0
+        if rescale and (abs(total) > _RESCALE or abs(coef) > _RESCALE):
+            total /= _RESCALE
+            coef /= _RESCALE
+            comp /= _RESCALE
+            scale += _LOG_RESCALE
+        coef = step(coef, k)
+    raise NonConvergence(f"{what} did not settle within {_MAX_TERMS} terms")
 
 
-DEFAULT_CONTROL = SeriesControl()
-
-
-def phi_scaled(a, b, z, control: SeriesControl = DEFAULT_CONTROL):
+def phi_scaled(a, b, z):
     """Kummer Phi(a;b;z) as (value, log_scale): Phi = value * exp(log_scale)."""
     a = complex(a)
     b = complex(b)
     z = complex(z)
     if is_nonpositive_integer(b):
         raise ParameterPole(f"kummer_phi denominator parameter {b} is a nonpositive integer")
-    guard = control.recurrence_guard
-    log_guard = math.log(guard)
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    comp = 0.0 + 0.0j
-    scale = 0.0
-    consec = 0
-    for k in range(control.max_terms):
-        term *= (a + k) * z / ((b + k) * (k + 1.0))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) <= control.rel_tail_tol * abs(total):
-            consec += 1
-            if consec >= 3:
-                return total, scale
-        else:
-            consec = 0
-        if abs(total) > guard or abs(term) > guard:
-            total /= guard
-            term /= guard
-            comp /= guard
-            scale += log_guard
-    raise NonConvergence(f"kummer_phi series did not settle within {control.max_terms} terms")
+    return _sum_series(1.0 + 0.0j,
+                       lambda t, k: t * ((a + k) * z / ((b + k) * (k + 1.0))),
+                       rescale=True, what="kummer_phi series")
 
 
-def kummer_phi(a, b, z, control: SeriesControl = DEFAULT_CONTROL) -> complex:
-    """Kummer's confluent hypergeometric function Phi(a;b;z) = 1F1(a;b;z)."""
-    value, scale = phi_scaled(a, b, z, control)
+def kummer_phi(a, b, z) -> complex:
+    """Kummer's confluent hypergeometric function Phi(a;b;z) = 1F1(a;b;z).
+
+    Raises OverflowError when |Phi| exceeds double precision range.
+    """
+    value, scale = phi_scaled(a, b, z)
     if scale == 0.0:
         return value
     try:
-        return value * cmath.exp(scale)
+        value *= cmath.exp(scale)
     except OverflowError:
+        value = cmath.inf
+    if not cmath.isfinite(value):
         raise OverflowError(
             "kummer_phi magnitude exceeds double precision range; "
             "use phi_scaled for the (value, log_scale) form"
-        ) from None
+        )
+    return value
 
 
-def hyp_2f2(a1, a2, b1, b2, z, control: SeriesControl = DEFAULT_CONTROL):
+def hyp_2f2(a1, a2, b1, b2, z):
     """2F2(a1,a2;b1,b2;z) for scalar or ndarray argument (entire in z)."""
     a1 = complex(a1)
     a2 = complex(a2)
@@ -98,29 +120,15 @@ def hyp_2f2(a1, a2, b1, b2, z, control: SeriesControl = DEFAULT_CONTROL):
         if is_nonpositive_integer(b):
             raise ParameterPole(f"hyp_2f2 denominator parameter {b} is a nonpositive integer")
     zarr = np.asarray(z)
-    scalar = zarr.ndim == 0
     zc = np.atleast_1d(zarr).astype(complex)
-    total = np.ones_like(zc)
-    term = np.ones_like(zc)
-    comp = np.zeros_like(zc)
-    consec = np.zeros(zc.shape, dtype=np.int64)
-    floor = np.full(zc.shape, 1e-300)
-    for k in range(control.max_terms):
-        term = term * ((a1 + k) * (a2 + k) / ((b1 + k) * (b2 + k) * (k + 1.0))) * zc
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        small = np.abs(term) <= control.rel_tail_tol * np.maximum(np.abs(total), floor)
-        consec = np.where(small, consec + 1, 0)
-        if np.all(consec >= 3):
-            break
-        if np.max(np.abs(total)) > control.recurrence_guard:
-            raise NonConvergence("hyp_2f2 magnitude guard exceeded")
-    else:
-        raise NonConvergence(f"hyp_2f2 series did not settle within {control.max_terms} terms")
+    # an overflowing sum ends as a non-finite lane, reported just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        total, _ = _sum_series(
+            np.ones_like(zc),
+            lambda t, k: t * ((a1 + k) * (a2 + k) / ((b1 + k) * (b2 + k) * (k + 1.0))) * zc,
+            what="hyp_2f2 series")
     if not np.all(np.isfinite(total)):
         raise NonConvergence("hyp_2f2 produced a non-finite value")
-    if scalar:
+    if zarr.ndim == 0:
         return complex(total[0])
     return total.reshape(zarr.shape)

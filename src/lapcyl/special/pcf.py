@@ -30,7 +30,7 @@ import numpy as np
 
 from .._exceptions import DomainError
 from .gammafn import reciprocal_gamma
-from .hyper import DEFAULT_CONTROL, SeriesControl, phi_scaled
+from .hyper import phi_scaled
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2 = math.sqrt(2.0)
@@ -40,11 +40,11 @@ _MAX_ABS_Z = 40.0
 _SERIES_MAX_REAL_Z = 3.0
 
 
-def _pcf_series(nu: complex, z: complex, control: SeriesControl) -> complex:
+def _pcf_series(nu: complex, z: complex) -> complex:
     half_sq = 0.5 * z * z
     quarter_sq = 0.25 * z * z
-    v_even, s_even = phi_scaled(-0.5 * nu, 0.5, half_sq, control)
-    v_odd, s_odd = phi_scaled(0.5 * (1.0 - nu), 1.5, half_sq, control)
+    v_even, s_even = phi_scaled(-0.5 * nu, 0.5, half_sq)
+    v_odd, s_odd = phi_scaled(0.5 * (1.0 - nu), 1.5, half_sq)
     c_even = _SQRT_PI * reciprocal_gamma(0.5 * (1.0 - nu))
     c_odd = -_SQRT_2 * _SQRT_PI * z * reciprocal_gamma(-0.5 * nu)
     even = c_even * v_even * cmath.exp(s_even - quarter_sq) if c_even != 0.0 else 0.0
@@ -83,7 +83,7 @@ def _pcf_large_real(nu: float, z: float) -> float:
     return d_cur
 
 
-def pcf_d(nu, z, control: SeriesControl = DEFAULT_CONTROL) -> complex:
+def pcf_d(nu, z) -> complex:
     """D_nu(z) for complex order nu and |z| <= 40."""
     nu = complex(nu)
     z = complex(z)
@@ -96,4 +96,4 @@ def pcf_d(nu, z, control: SeriesControl = DEFAULT_CONTROL) -> complex:
         return cmath.exp(-0.25 * z * z)
     if z.imag == 0.0 and nu.imag == 0.0 and z.real >= _SERIES_MAX_REAL_Z:
         return complex(_pcf_large_real(nu.real, z.real))
-    return _pcf_series(nu, z, control)
+    return _pcf_series(nu, z)

@@ -44,6 +44,25 @@ class TestEval:
         res = run_cli("eval", "bessel", "--x", "1")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("args, reason", [
+        (["D", "--nu", "0.5", "--z", "50"], "DomainError"),
+        (["2f1", "--a", "1", "--b", "1", "--c", "2", "--z", "2"], "DomainError"),
+        (["gamma", "--z", "200"], "OverflowError"),
+        (["phi", "--a", "1", "--b", "1", "--z", "710"], "OverflowError"),
+    ])
+    def test_bad_argument_is_reported_cleanly(self, args, reason):
+        res = run_cli("eval", *args)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: eval ")
+        assert reason in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_non_finite_value_prints(self):
+        res = run_cli("eval", "erf", "--x", "nan")
+        assert res.returncode == 0
+        assert res.stdout.strip() == "nan"
+
 
 class TestList:
     def test_lists_whole_catalog(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lapcyl.special import SeriesControl, kummer_phi, phi_scaled, hyp_2f2
+from lapcyl.special import hyper, kummer_phi, phi_scaled, hyp_2f2
 from lapcyl import ParameterPole, NonConvergence
 
 
@@ -83,10 +83,30 @@ def test_parameter_pole():
         hyp_2f2(0.5, 0.5, -1.0, 1.0, 1.0)
 
 
-def test_nonconvergence_with_tiny_budget():
-    ctl = SeriesControl(max_terms=5)
+def test_nonconvergence_with_tiny_budget(monkeypatch):
+    monkeypatch.setattr(hyper, "_MAX_TERMS", 5)
     with pytest.raises(NonConvergence):
-        kummer_phi(0.5, 1.5, 30.0, ctl)
+        kummer_phi(0.5, 1.5, 30.0)
+    with pytest.raises(NonConvergence):
+        hyp_2f2(0.5, 0.5, 1.5, 1.5, np.array([0.1, 30.0]))
+
+
+def test_phi_overflow_raises():
+    # Phi(1;1;z) = e^z leaves double range just below z = 710
+    assert rel_err(kummer_phi(1.0, 1.0, 709.0), math.exp(709.0)) < 1e-12
+    for a, b, z in [(1.0, 1.0, 710.0), (0.25, -1.7, 840.0), (2.5, 2.2, 890.0)]:
+        with pytest.raises(OverflowError):
+            kummer_phi(a, b, z)
+    val, scale = phi_scaled(1.0, 1.0, 710.0)
+    assert rel_err(math.log(val.real) + scale, 710.0) < 1e-14
+
+
+def test_2f2_near_top_of_double_range():
+    # 2F2(1,1;1/2,1/2;z) grows like e^z; 700 is finite, 800 overflows
+    want = 2.2312094989250481e307  # mpmath.hyp2f2 at 40 digits
+    assert rel_err(hyp_2f2(1.0, 1.0, 0.5, 0.5, 700.0), want) < 1e-12
+    with pytest.raises(NonConvergence):
+        hyp_2f2(1.0, 1.0, 0.5, 0.5, np.array([1.0, 800.0]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
