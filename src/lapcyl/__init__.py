@@ -35,7 +35,6 @@ from .quad import (
     QuadratureResult,
     integrate_finite,
     integrate_semi_infinite,
-    laplace_forward,
 )
 
 __version__ = "0.1.0"
@@ -63,6 +62,5 @@ __all__ = [
     "QuadratureResult",
     "integrate_finite",
     "integrate_semi_infinite",
-    "laplace_forward",
     "__version__",
 ]

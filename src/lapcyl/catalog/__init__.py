@@ -2,11 +2,10 @@
 
 from .engine import (
     build_report,
-    eval_lhs,
-    eval_rhs,
     evaluate_point,
     get_case,
     list_cases,
+    point_passes,
     reduction_suite,
     verify,
 )
@@ -19,11 +18,10 @@ __all__ = [
     "PointRecord",
     "VerificationReport",
     "build_report",
-    "eval_lhs",
-    "eval_rhs",
     "evaluate_point",
     "get_case",
     "list_cases",
+    "point_passes",
     "reduction_suite",
     "verify",
 ]

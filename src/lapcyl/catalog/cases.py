@@ -6,7 +6,7 @@ Conventions
   integral piece supplies the original WITHOUT the e^{-pt} kernel,
   which the engine multiplies in.  Direct integrals carry their whole
   integrand.  Constant prefactors are folded into the integrand
-  closures at build time, so a Piece is just (support, f, spec).
+  closures at build time, so a Piece is just (f, spec).
 * Integrands receive (t, d_lo, d_hi) arrays, d_lo/d_hi the exact
   displacements from the endpoints.  Powers of displacements must use
   d_lo/d_hi, never t - endpoint, or accuracy dies at strong endpoint
@@ -157,7 +157,7 @@ def _pcf_block_original(pt):
     def f(t, d_lo, d_hi):
         return c * t ** (nu - 1.0) * (t + a) ** (-nu - 0.5)
 
-    return (Piece((0.0, math.inf), f, _spec(0.0, math.inf, lam_lo=nu - 1.0)),)
+    return (Piece(f, _spec(0.0, math.inf, lam_lo=nu - 1.0)),)
 
 
 def _v_pcf_block(pt):
@@ -192,7 +192,7 @@ def _pcf_block2_original(pt):
     def f(t, d_lo, d_hi):
         return c * t ** (nu - 1.0) * (t + a) ** (0.5 - nu)
 
-    return (Piece((0.0, math.inf), f, _spec(0.0, math.inf, lam_lo=nu - 1.0)),)
+    return (Piece(f, _spec(0.0, math.inf, lam_lo=nu - 1.0)),)
 
 
 _add(IdentityCase(
@@ -220,7 +220,7 @@ def _kum_block_original(pt):
     def f(t, d_lo, d_hi):
         return c * t ** 0.25 * d_hi ** (nu - 1.0)
 
-    return (Piece((0.0, x), f, _spec(0.0, x, lam_lo=0.25, lam_up=nu - 1.0)),)
+    return (Piece(f, _spec(0.0, x, lam_lo=0.25, lam_up=nu - 1.0)),)
 
 
 def _v_kum_block(pt):
@@ -254,7 +254,7 @@ def _kum32_original(pt):
     def f(t, d_lo, d_hi):
         return t ** (nu / 2.0) * d_hi ** (-(1.0 + nu) / 2.0)
 
-    return (Piece((0.0, x), f,
+    return (Piece(f,
                   _spec(0.0, x, lam_lo=nu / 2.0, lam_up=-(1.0 + nu) / 2.0)),)
 
 
@@ -291,7 +291,7 @@ def _kum12_original(pt):
     def f(t, d_lo, d_hi):
         return t ** ((nu - 1.0) / 2.0) * d_hi ** (-nu / 2.0 - 1.0)
 
-    return (Piece((0.0, x), f,
+    return (Piece(f,
                   _spec(0.0, x, lam_lo=(nu - 1.0) / 2.0, lam_up=-nu / 2.0 - 1.0)),)
 
 
@@ -391,8 +391,8 @@ def _t31_original(pt):
     f2, l2 = _t31_f2(pt)
     c2 = 2.0 ** (2.0 + (mu + nu) / 2.0) * _RPI * math.sqrt(x * y) * rg(-mu / 2.0) * rg(-nu / 2.0)
     return (
-        Piece((0.0, x), _times(c1, f1), _spec(0.0, x, lam_lo=l1, lam_up=u1)),
-        Piece((x, math.inf), _times(c2, f2), _spec(x, math.inf, lam_lo=l2)),
+        Piece(_times(c1, f1), _spec(0.0, x, lam_lo=l1, lam_up=u1)),
+        Piece(_times(c2, f2), _spec(x, math.inf, lam_lo=l2)),
     )
 
 
@@ -423,8 +423,8 @@ def _t31k_original(pt):
     f2, l2 = _t31_f2(pt)
     c2 = 2.0 ** (mu / 2.0) * math.sqrt(y) * rg(-mu / 2.0)
     return (
-        Piece((0.0, x), _times(c1, f1), _spec(0.0, x, lam_lo=l1, lam_up=u1)),
-        Piece((x, math.inf), _times(c2, f2), _spec(x, math.inf, lam_lo=l2)),
+        Piece(_times(c1, f1), _spec(0.0, x, lam_lo=l1, lam_up=u1)),
+        Piece(_times(c2, f2), _spec(x, math.inf, lam_lo=l2)),
     )
 
 
@@ -486,8 +486,8 @@ def _t32_original(pt):
     l2 = min(_lam_one(-(2.0 + s) / 2.0, (2.0 + s) / 2.0), _lam_one(-s / 2.0, s / 2.0))
 
     return (
-        Piece((0.0, x), _times(c1, f1), _spec(0.0, x, lam_lo=l1, lam_up=u1)),
-        Piece((x, math.inf), _times(c2, f2), _spec(x, math.inf, lam_lo=l2)),
+        Piece(_times(c1, f1), _spec(0.0, x, lam_lo=l1, lam_up=u1)),
+        Piece(_times(c2, f2), _spec(x, math.inf, lam_lo=l2)),
     )
 
 
@@ -531,8 +531,8 @@ def _c321_original(pt):
         return -math.sqrt(x) / math.pi / (np.sqrt(y + d_lo) * (y + t))
 
     return (
-        Piece((0.0, x), f1, _spec(0.0, x, lam_lo=-0.5)),
-        Piece((x, math.inf), f2, _spec(x, math.inf)),
+        Piece(f1, _spec(0.0, x, lam_lo=-0.5)),
+        Piece(f2, _spec(x, math.inf)),
     )
 
 
@@ -570,8 +570,8 @@ def _c321rep_original(pt):
         return c2 * np.exp(-t) / ((t + x + y) * np.sqrt(t + y))
 
     return (
-        Piece((0.0, x), f1, _spec(0.0, x, lam_lo=-0.5)),
-        Piece((0.0, math.inf), f2, _spec(0.0, math.inf, decay=1.0)),
+        Piece(f1, _spec(0.0, x, lam_lo=-0.5)),
+        Piece(f2, _spec(0.0, math.inf, decay=1.0)),
     )
 
 
@@ -599,8 +599,8 @@ def _t33_original(pt):
     f2, l2 = _t33_f2(pt)
     c2 = 2.0 ** (1.0 + (mu + nu) / 2.0) * _RPI * rg((1.0 - nu) / 2.0) * rg((1.0 - mu) / 2.0)
     return (
-        Piece((0.0, x), _times(c1, f1), _spec(0.0, x, lam_lo=l1, lam_up=u1)),
-        Piece((x, math.inf), _times(c2, f2), _spec(x, math.inf, lam_lo=l2)),
+        Piece(_times(c1, f1), _spec(0.0, x, lam_lo=l1, lam_up=u1)),
+        Piece(_times(c2, f2), _spec(x, math.inf, lam_lo=l2)),
     )
 
 
@@ -639,8 +639,8 @@ def _t33k_original(pt):
     f2, l2 = _t33_f2(pt)
     c2 = 2.0 ** (mu / 2.0) * rg((1.0 - mu) / 2.0)
     return (
-        Piece((0.0, x), _times(c1, f1), _spec(0.0, x, lam_lo=l1, lam_up=u1)),
-        Piece((x, math.inf), _times(c2, f2), _spec(x, math.inf, lam_lo=l2)),
+        Piece(_times(c1, f1), _spec(0.0, x, lam_lo=l1, lam_up=u1)),
+        Piece(_times(c2, f2), _spec(x, math.inf, lam_lo=l2)),
     )
 
 
@@ -693,8 +693,8 @@ def _t34_original(pt):
 
     l2 = _lam_one(-(1.0 + s) / 2.0, (1.0 + s) / 2.0)
     return (
-        Piece((0.0, x), _times(c1, f1), _spec(0.0, x, lam_lo=l1, lam_up=u1)),
-        Piece((x, math.inf), _times(c2, f2), _spec(x, math.inf, lam_lo=l2)),
+        Piece(_times(c1, f1), _spec(0.0, x, lam_lo=l1, lam_up=u1)),
+        Piece(_times(c2, f2), _spec(x, math.inf, lam_lo=l2)),
     )
 
 
@@ -727,8 +727,8 @@ def _c341_original(pt):
         return c2 * t ** (nu / 2.0) * d_lo ** (-(1.0 + nu) / 2.0)
 
     return (
-        Piece((0.0, x), f1, _spec(0.0, x, lam_lo=nu / 2.0, lam_up=-(1.0 + nu) / 2.0)),
-        Piece((x, math.inf), f2, _spec(x, math.inf, lam_lo=-(1.0 + nu) / 2.0)),
+        Piece(f1, _spec(0.0, x, lam_lo=nu / 2.0, lam_up=-(1.0 + nu) / 2.0)),
+        Piece(f2, _spec(x, math.inf, lam_lo=-(1.0 + nu) / 2.0)),
     )
 
 
@@ -771,7 +771,7 @@ def _t35_original(pt):
         F = gauss_2f1_cm(-mu / 2.0, -nu / 2.0, (1.0 - s) / 2.0, cm)
         return c * t ** (-(1.0 + s) / 2.0) * yt ** (mu / 2.0) * xt ** (nu / 2.0) * F
 
-    return (Piece((0.0, math.inf), f, _spec(0.0, math.inf, lam_lo=-(1.0 + s) / 2.0)),)
+    return (Piece(f, _spec(0.0, math.inf, lam_lo=-(1.0 + s) / 2.0)),)
 
 
 def _v_t35(pt):
@@ -813,7 +813,7 @@ def _t36_original(pt):
                  - nu * t / (s * xt) * gauss_2f1_cm(-mu / 2.0, (1.0 - nu) / 2.0, 1.0 - s / 2.0, cm))
         return c * t ** (-1.0 - s / 2.0) * yt ** (mu / 2.0) * xt ** ((1.0 + nu) / 2.0) * brace
 
-    return (Piece((0.0, math.inf), f, _spec(0.0, math.inf, lam_lo=-1.0 - s / 2.0)),)
+    return (Piece(f, _spec(0.0, math.inf, lam_lo=-1.0 - s / 2.0)),)
 
 
 def _v_t36(pt):
@@ -850,7 +850,7 @@ def _c361_original(pt):
         return (math.sqrt(x) * np.sqrt(xt) + math.sqrt(y) * np.sqrt(yt)) / (
             math.pi * (x + y + t) * np.sqrt(xt * yt))
 
-    return (Piece((0.0, math.inf), f, _spec(0.0, math.inf)),)
+    return (Piece(f, _spec(0.0, math.inf)),)
 
 
 _add(IdentityCase(
@@ -879,7 +879,7 @@ def _c361rep_original(pt):
         return c * np.exp(-t) * (math.sqrt(y) * np.sqrt(ty) + math.sqrt(x) * np.sqrt(tx)) / (
             (t + x + y) * np.sqrt(ty * tx))
 
-    return (Piece((0.0, math.inf), f, _spec(0.0, math.inf, decay=1.0)),)
+    return (Piece(f, _spec(0.0, math.inf, decay=1.0)),)
 
 
 _add(IdentityCase(
@@ -905,7 +905,7 @@ def _c361single_original(pt):
     def f(t, d_lo, d_hi):
         return c * np.exp(-t) / (np.sqrt(t) * (t + x))
 
-    return (Piece((0.0, math.inf), f, _spec(0.0, math.inf, lam_lo=-0.5, decay=1.0)),)
+    return (Piece(f, _spec(0.0, math.inf, lam_lo=-0.5, decay=1.0)),)
 
 
 def _v_pos_x(pt):
@@ -944,8 +944,8 @@ def _c361om_original(pt):
         return c2 * np.exp(-t) / (np.sqrt(t) * (t + y))
 
     return (
-        Piece((0.0, math.inf), f1, _spec(0.0, math.inf, lam_lo=-0.5, decay=1.0)),
-        Piece((0.0, x), f2, _spec(0.0, x, lam_lo=-0.5)),
+        Piece(f1, _spec(0.0, math.inf, lam_lo=-0.5, decay=1.0)),
+        Piece(f2, _spec(0.0, x, lam_lo=-0.5)),
     )
 
 
@@ -973,7 +973,7 @@ def _ng69_original(pt):
     def f(t, d_lo, d_hi):
         return c * np.exp(-y * t * t) / (t * t + 1.0)
 
-    return (Piece((0.0, 1.0), f, _spec(0.0, 1.0)),)
+    return (Piece(f, _spec(0.0, 1.0)),)
 
 
 def _v_pos_y(pt):
@@ -1013,7 +1013,7 @@ def _t41_original(pt):
         return (c / (np.sqrt(d_lo * (t + lower)) * np.sqrt(t))
                 * np.cos((2.0 * nu + 1.0) * np.arcsin(np.sqrt(d_lo / (2.0 * t)))))
 
-    return (Piece((lower, math.inf), f, _spec(lower, math.inf, lam_lo=-0.5)),)
+    return (Piece(f, _spec(lower, math.inf, lam_lo=-0.5)),)
 
 
 def _v_t41(pt):
@@ -1043,7 +1043,7 @@ def _neg_t41_original(pt):
         return (1.0 / (math.sqrt(2.0) * np.sqrt(d_lo * (t + a)) * np.sqrt(t))
                 * np.cos((nu + 0.5) * np.arccos(y / (2.0 * t))))
 
-    return (Piece((a, math.inf), f, _spec(a, math.inf, lam_lo=-0.5)),)
+    return (Piece(f, _spec(a, math.inf, lam_lo=-0.5)),)
 
 
 def _v_neg_t41(pt):
@@ -1078,7 +1078,7 @@ def _t42_original(pt):
         F = _masked_2f2(-mu, -nu, -s / 2.0, (1.0 - s) / 2.0, t * t / (4.0 * y))
         return c * t ** (-(1.0 + s)) * np.exp(-t * t / (2.0 * y)) * F
 
-    return (Piece((0.0, math.inf), f,
+    return (Piece(f,
                   _spec(0.0, math.inf, lam_lo=-(1.0 + s), decay=0.5 / math.sqrt(y))),)
 
 
@@ -1159,7 +1159,7 @@ def _s5_integrand(pt, extra_power):
 
 def _s51_original(pt):
     f, decay = _s5_integrand(pt, 0.0)
-    return (Piece((0.0, math.inf), f,
+    return (Piece(f,
                   _spec(0.0, math.inf, lam_lo=-(pt.mu + pt.nu), decay=decay)),)
 
 
@@ -1197,7 +1197,7 @@ def _s52_image(pt, p):
 
 def _s52_original(pt):
     f, decay = _s5_integrand(pt, 1.0)
-    return (Piece((0.0, math.inf), f,
+    return (Piece(f,
                   _spec(0.0, math.inf, lam_lo=-(1.0 + pt.mu + pt.nu), decay=decay)),)
 
 

@@ -62,15 +62,15 @@ class ParamPoint:
 
 @dataclass(frozen=True)
 class Piece:
-    """One integral piece: support, integrand, quadrature description.
+    """One integral piece: integrand and quadrature description.
 
     The integrand is called with (t, d_lo, d_hi) float64 arrays, where
-    d_lo = t - lower and d_hi = upper - t are exact displacements; any
-    constant prefactor is folded in.  For laplace_pair cases the
-    integrand excludes the e^{-pt} kernel, which the engine supplies.
+    d_lo = t - spec.lower and d_hi = spec.upper - t are exact
+    displacements; any constant prefactor is folded in.  For laplace_pair
+    cases the integrand excludes the e^{-pt} kernel, which the engine
+    supplies.
     """
 
-    support: tuple
     integrand: Callable
     spec: QuadratureSpec
 
@@ -114,4 +114,3 @@ class VerificationReport:
     tol: float = math.nan
     verdict: str = "skipped"
     evaluations: int = 0
-    wall_time: float = 0.0

@@ -6,7 +6,10 @@ selected control fails as designed, 1 when verification disagrees with
 that expectation, 2 for configuration errors (unknown ids, bad flags,
 malformed grid files, `eval` arguments outside a function's domain or
 range).  Reports are deterministic byte for byte across
-runs; wall-clock timings go to a sidecar file, never into the report.
+runs and across --jobs; wall-clock timings go to a sidecar file, never
+into the report.  The sidecar holds the total wall time and, under any
+--jobs, each case's compute time: the sum of its points' evaluation
+times.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from ._exceptions import InvalidParams, LapcylError
-from .catalog import build_report, evaluate_point, get_case, list_cases, verify
+from .catalog import build_report, evaluate_point, get_case, list_cases, point_passes
 from .catalog.cases import REGISTRY
 from .catalog.model import ParamPoint
 from .special import (
@@ -130,44 +133,49 @@ def _check_points(case_ids, grids):
 
 
 def _eval_task(task):
+    """One grid point and the seconds it took."""
     cid, pt = task
-    return evaluate_point(cid, pt)
+    start = time.perf_counter()
+    record = evaluate_point(cid, pt)
+    return record, time.perf_counter() - start
 
 
 def _run_verify(cfg: RunConfig):
-    """Returns (reports in registry order, total wall seconds)."""
+    """Returns (reports in registry order, compute seconds per case id,
+    total wall seconds)."""
     case_ids = _select_cases(cfg)
     grids = _load_grid(cfg.grid_path) if cfg.grid_path else {}
     _check_points(case_ids, grids)
 
     start = time.perf_counter()
-    reports = []
-    if cfg.jobs == 1:
-        for cid in case_ids:
-            reports.append(verify(cid, grid=grids.get(cid), tol=cfg.tol))
-    else:
-        tasks = []
-        counts = []
-        for cid in case_ids:
-            pts = grids.get(cid, get_case(cid).default_grid)
-            counts.append((cid, len(pts)))
-            tasks.extend((cid, pt) for pt in pts)
+    tasks = []
+    counts = []
+    for cid in case_ids:
+        pts = grids.get(cid, get_case(cid).default_grid)
+        counts.append((cid, len(pts)))
+        tasks.extend((cid, pt) for pt in pts)
+    if cfg.jobs > 1:
         chunk = max(1, len(tasks) // (4 * cfg.jobs))
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_eval_task, tasks, chunksize=chunk))
-        offset = 0
-        for cid, n in counts:
-            reports.append(build_report(cid, results[offset:offset + n], tol=cfg.tol))
-            offset += n
-    return reports, time.perf_counter() - start
+    else:
+        results = list(map(_eval_task, tasks))
+    reports = []
+    seconds = {}
+    offset = 0
+    for cid, n in counts:
+        done = results[offset:offset + n]
+        reports.append(build_report(cid, [rec for rec, _ in done], tol=cfg.tol))
+        seconds[cid] = sum(secs for _, secs in done)
+        offset += n
+    return reports, seconds, time.perf_counter() - start
 
 
 def _point_rows(reports):
     for rep in reports:
         case = get_case(rep.id)
         for rec in rep.records:
-            ok = rec.rel_error <= rep.tol and rec.converged
-            yield case, rep, rec, "pass" if ok else "fail"
+            yield case, rep, rec, "pass" if point_passes(rec, rep.tol) else "fail"
 
 
 def _render_json(reports):
@@ -183,7 +191,6 @@ def _render_json(reports):
             "rel_error": rec.rel_error,
             "verdict": verdict,
             "evaluations": rec.evaluations,
-            "wall_time_ms": None,
         })
     return json.dumps(rows, indent=2) + "\n"
 
@@ -240,7 +247,7 @@ def cmd_verify(args):
         out=args.out,
         jobs=args.jobs,
     )
-    reports, wall = _run_verify(cfg)
+    reports, seconds, wall = _run_verify(cfg)
     payload = _RENDER[cfg.fmt](reports)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
@@ -248,8 +255,7 @@ def cmd_verify(args):
         timing = {
             "jobs": cfg.jobs,
             "total_ms": wall * 1e3,
-            "cases": {rep.id: (rep.wall_time * 1e3 if cfg.jobs == 1 else None)
-                      for rep in reports},
+            "cases": {cid: secs * 1e3 for cid, secs in seconds.items()},
         }
         with open(cfg.out + ".timing.json", "w", encoding="utf-8") as fh:
             json.dump(timing, fh, indent=2)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "QuadratureResult",
     "integrate_finite",
     "integrate_semi_infinite",
-    "laplace_forward",
 ]
 
 # QUADPACK dqk15 abscissae and weights
@@ -199,16 +198,8 @@ class _Workspace:
             splits += 1
 
 
-def _left_sub(fw, a, m, b, q):
-    """Map u in (0,1) to t in (a, m) clustering at a when q > 1."""
-    width = m - a
-    if q == 1.0:
-        def g(u):
-            d = width * u
-            t = a + d
-            return np.asarray(fw(t, d, b - t), dtype=complex) * width
-        return g
-
+def _left_sub(fw, a, width, b, q):
+    """Map u in (0,1) to t in (a, a + width) clustering at a when q > 1."""
     def g(u):
         d = width * u ** q
         t = a + d
@@ -217,15 +208,8 @@ def _left_sub(fw, a, m, b, q):
     return g
 
 
-def _right_sub(fw, a, m, b, q):
-    width = b - m
-    if q == 1.0:
-        def g(u):
-            d = width * u
-            t = b - d
-            return np.asarray(fw(t, t - a, d), dtype=complex) * width
-        return g
-
+def _right_sub(fw, a, width, b, q):
+    """Map u in (0,1) to t in (b - width, b) clustering at b when q > 1."""
     def g(u):
         d = width * u ** q
         t = b - d
@@ -246,8 +230,8 @@ def integrate_finite(f, spec: QuadratureSpec, *, distance_form: bool = False) ->
     a, b = spec.lower, spec.upper
     m = 0.5 * (a + b)
     ws = _Workspace()
-    ws.add(_left_sub(fw, a, m, b, _power(spec.exponent_at_lower)), 0.0, 1.0)
-    ws.add(_right_sub(fw, a, m, b, _power(spec.exponent_at_upper)), 0.0, 1.0)
+    ws.add(_left_sub(fw, a, m - a, b, _power(spec.exponent_at_lower)), 0.0, 1.0)
+    ws.add(_right_sub(fw, a, b - m, b, _power(spec.exponent_at_upper)), 0.0, 1.0)
     return ws.refine(spec)
 
 
@@ -265,16 +249,7 @@ def integrate_semi_infinite(f, spec: QuadratureSpec, *, distance_form: bool = Fa
     ws = _Workspace()
 
     # first panel with the endpoint substitution
-    q = _power(spec.exponent_at_lower)
-    width = h
-
-    def g_first(u):
-        d = width * u ** q if q != 1.0 else width * u
-        t = a + d
-        jac = width * q * u ** (q - 1.0) if q != 1.0 else width
-        return np.asarray(fw(t, d, math.inf), dtype=complex) * jac
-
-    ws.add(g_first, 0.0, 1.0)
+    ws.add(_left_sub(fw, a, h, math.inf, _power(spec.exponent_at_lower)), 0.0, 1.0)
 
     def g_plain(t):
         return np.asarray(fw(t, t - a, math.inf), dtype=complex)
@@ -311,46 +286,3 @@ def integrate_semi_infinite(f, spec: QuadratureSpec, *, distance_form: bool = Fa
     ws.add(g_tail, 0.0, 1.0)
     return ws.refine(spec)
 
-
-def laplace_forward(f, support_lower, support_upper, p, hints: QuadratureSpec | None = None,
-                    breakpoints=()) -> complex:
-    """Forward Laplace transform of f: integral of e^{-pt} f(t) over the support.
-
-    f is called with an abscissa array and must return array values.
-    Interior breakpoints split the range so that kinks in piecewise
-    originals never sit inside a panel.  hints carries the endpoint
-    exponents (applied at the outer endpoints), extra decay beyond
-    e^{-pt}, and the tolerances.
-    """
-    if not p > 0.0:
-        raise ValueError(f"laplace_forward needs p > 0, got {p}")
-    if hints is None:
-        hints = QuadratureSpec(lower=float(support_lower),
-                               upper=float(support_upper))
-
-    def integrand(t):
-        return np.exp(-p * t) * np.asarray(f(t), dtype=complex)
-
-    points = [float(support_lower)]
-    for bp in breakpoints:
-        bp = float(bp)
-        if not points[-1] < bp < support_upper:
-            raise ValueError(f"breakpoint {bp} outside ({support_lower}, {support_upper})")
-        points.append(bp)
-    points.append(float(support_upper))
-
-    total = 0.0 + 0.0j
-    for i in range(len(points) - 1):
-        lo, hi = points[i], points[i + 1]
-        lam_lo = hints.exponent_at_lower if i == 0 else 0.0
-        if math.isfinite(hi):
-            lam_hi = hints.exponent_at_upper if i == len(points) - 2 else 0.0
-            piece = replace(hints, lower=lo, upper=hi,
-                            exponent_at_lower=lam_lo, exponent_at_upper=lam_hi)
-            total += integrate_finite(integrand, piece).value
-        else:
-            piece = replace(hints, lower=lo, upper=math.inf,
-                            exponent_at_lower=lam_lo, exponent_at_upper=0.0,
-                            decay_rate=hints.decay_rate + p)
-            total += integrate_semi_infinite(integrand, piece).value
-    return total

@@ -7,7 +7,7 @@ reciprocal_gamma returns exactly 0.0 at the poles; the identity catalog
 relies on that to switch off vanishing prefactors instead of special-casing
 them.  digamma feeds the logarithmic branches of the Gauss series and is
 evaluated by upward recurrence into Re z >= 10 followed by the Bernoulli
-asymptotic series.
+asymptotic series.  All three raise DomainError at a non-finite argument.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .._exceptions import PoleError
+from .._exceptions import DomainError, PoleError
 
 _LANCZOS_G = 607.0 / 128.0
 _LANCZOS_C = (
@@ -39,7 +39,14 @@ _LANCZOS_C = (
 
 def is_nonpositive_integer(z) -> bool:
     z = complex(z)
-    return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
+    return z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer()
+
+
+def _finite(z, name) -> complex:
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"{name} needs a finite argument, got {z}")
+    return z
 
 
 def _lanczos_sum(z: complex) -> complex:
@@ -58,7 +65,7 @@ def _gamma_right(z: complex) -> complex:
 
 def gamma(z) -> complex:
     """Complex gamma function.  Raises PoleError at 0, -1, -2, ..."""
-    z = complex(z)
+    z = _finite(z, "gamma")
     if is_nonpositive_integer(z):
         raise PoleError(f"gamma pole at {z}")
     if z.real < 0.5:
@@ -69,7 +76,7 @@ def gamma(z) -> complex:
 
 def reciprocal_gamma(z) -> complex:
     """1/Gamma(z), entire; exactly 0.0 at nonpositive integers."""
-    z = complex(z)
+    z = _finite(z, "reciprocal_gamma")
     if is_nonpositive_integer(z):
         return 0.0 + 0.0j
     if z.real < 0.5:
@@ -79,7 +86,7 @@ def reciprocal_gamma(z) -> complex:
 
 def digamma(z) -> complex:
     """Complex digamma (psi) function.  Raises PoleError at 0, -1, -2, ..."""
-    z = complex(z)
+    z = _finite(z, "digamma")
     if is_nonpositive_integer(z):
         raise PoleError(f"digamma pole at {z}")
     if z.real < 0.5:

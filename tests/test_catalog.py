@@ -13,11 +13,12 @@ from lapcyl import InvalidParams
 from lapcyl.catalog import (
     IdentityCase,
     ParamPoint,
-    eval_lhs,
-    eval_rhs,
+    PointRecord,
+    build_report,
     evaluate_point,
     get_case,
     list_cases,
+    point_passes,
     reduction_suite,
     verify,
 )
@@ -86,12 +87,12 @@ class TestValidity:
     def test_out_of_range_order_rejected(self):
         pt = ParamPoint(orders=(0.5, 1.5), x=1.0, y=1.0, p=1.0)
         with pytest.raises(InvalidParams, match="T31-DIFF-HALF"):
-            eval_lhs("T31-DIFF-HALF", pt)
+            evaluate_point("T31-DIFF-HALF", pt)
 
     def test_half_kind_kummer_window(self):
         pt = ParamPoint(orders=(0.5,), x=1.0, y=1.0, p=1.0)
         with pytest.raises(InvalidParams, match="-1 < nu < 0"):
-            eval_rhs("ILT-KUM-BLOCK-12", pt)
+            evaluate_point("ILT-KUM-BLOCK-12", pt)
 
     def test_empty_grid_is_skipped(self):
         rep = verify("RED-ERFC-REFLECT", grid=())
@@ -122,6 +123,13 @@ class TestModelValidation:
             self._mk(closed_rhs=lambda pt, p: 1.0)
 
 
+def image(cid, pt):
+    """Closed-form side of a case at a point inside its validity region."""
+    case = get_case(cid)
+    assert case.validity(pt) is None, (cid, pt)
+    return case.image(pt, pt.p)
+
+
 class TestImageAlgebra:
     """Cross-case identities among the closed forms, no quadrature."""
 
@@ -130,9 +138,9 @@ class TestImageAlgebra:
         # and the sum image, point by point
         case34 = get_case("T34-NEG-HALF")
         for pt in case34.default_grid:
-            v31 = eval_lhs("T31-DIFF-HALF", pt)
-            v33 = eval_lhs("T33-SUM-HALF", pt)
-            v34 = eval_lhs("T34-NEG-HALF", pt)
+            v31 = image("T31-DIFF-HALF", pt)
+            v33 = image("T33-SUM-HALF", pt)
+            v34 = image("T34-NEG-HALF", pt)
             scale = max(abs(v31), abs(v33), abs(v34), 1e-300)
             assert abs(v34 - 0.5 * (v31 + v33)) <= 1e-12 * scale
 
@@ -141,8 +149,8 @@ class TestImageAlgebra:
         case = get_case(cid)
         for pt in case.default_grid:
             swapped = ParamPoint(orders=(pt.nu, pt.mu), x=pt.y, y=pt.x, p=pt.p)
-            v = eval_lhs(cid, pt)
-            w = eval_lhs(cid, swapped)
+            v = image(cid, pt)
+            w = image(cid, swapped)
             assert abs(v - w) <= 1e-12 * max(abs(v), abs(w), 1e-300)
 
 
@@ -209,6 +217,21 @@ class TestSpotChecks:
 
     def test_eval_sides_agree(self):
         pt = get_case("C361-ERFC-SINGLE").default_grid[1]
-        lhs = eval_lhs("C361-ERFC-SINGLE", pt)
-        rhs = eval_rhs("C361-ERFC-SINGLE", pt)
-        assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
+        rec = evaluate_point("C361-ERFC-SINGLE", pt)
+        assert abs(rec.lhs - rec.rhs) <= 1e-9 * abs(rec.lhs)
+
+
+class TestCaseVerdicts:
+    """A case verdict and its max_rel_error agree with the per-point
+    verdicts in either order of the points."""
+
+    @pytest.mark.parametrize("errors", [(1e-13, math.nan), (math.nan, 1e-13)])
+    def test_nan_point_fails_its_case(self, errors):
+        pt = get_case("RED-ERFC-REFLECT").default_grid[0]
+        records = [PointRecord(params=pt, lhs=1.0, rhs=1.0, rel_error=e,
+                               evaluations=0, converged=True) for e in errors]
+        rep = build_report("RED-ERFC-REFLECT", records)
+        assert [point_passes(r, rep.tol) for r in rep.records] == [
+            not math.isnan(e) for e in errors]
+        assert rep.verdict == "fail"
+        assert math.isnan(rep.max_rel_error)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lapcyl.special import gamma, reciprocal_gamma, digamma, is_nonpositive_integer
-from lapcyl import PoleError
+from lapcyl import DomainError, PoleError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -59,6 +59,14 @@ def test_is_nonpositive_integer():
     assert not is_nonpositive_integer(1.0)
     assert not is_nonpositive_integer(-2.5)
     assert not is_nonpositive_integer(-3.0 + 0.1j)
+    assert not is_nonpositive_integer(-math.inf)
+
+
+@pytest.mark.parametrize("fn", [gamma, reciprocal_gamma, digamma])
+@pytest.mark.parametrize("z", [-math.inf, math.inf, math.nan, complex(1.0, math.inf)])
+def test_non_finite_argument_is_domain_error(fn, z):
+    with pytest.raises(DomainError):
+        fn(z)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

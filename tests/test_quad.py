@@ -11,12 +11,13 @@ from lapcyl.quad import (
     QuadratureSpec,
     integrate_finite,
     integrate_semi_infinite,
-    laplace_forward,
     _NODES,
     _WEIGHTS_K,
     _WEIGHTS_G,
     _GAUSS_IDX,
 )
+from lapcyl.catalog import Piece
+from lapcyl.catalog.engine import _integrate_pieces
 from lapcyl.special import gamma
 
 SQRT_PI = math.sqrt(math.pi)
@@ -175,19 +176,26 @@ def test_nonconvergence_carries_partial():
     assert partial.evaluations > 0
 
 
+def laplace(pieces, p):
+    """The Laplace transform of a piecewise original, through the
+    catalog engine's kernel path."""
+    return _integrate_pieces(pieces, p)[0]
+
+
 def test_laplace_power():
     # L[t^{nu-1}](p) = Gamma(nu) / p^nu
     for nu, p in [(0.5, 1.0), (0.25, 2.0), (1.5, 0.5)]:
-        hints = QuadratureSpec(lower=0.0, upper=math.inf,
-                               exponent_at_lower=nu - 1.0, rel_tol=1e-12)
-        got = laplace_forward(lambda t: t ** (nu - 1.0), 0.0, math.inf, p, hints)
+        spec = QuadratureSpec(lower=0.0, upper=math.inf,
+                              exponent_at_lower=nu - 1.0, rel_tol=1e-12)
+        got = laplace([Piece(lambda t, d_lo, d_hi: t ** (nu - 1.0), spec)], p)
         want = gamma(nu) / p ** nu
         assert rel_err(got, want) < 1e-11, (nu, p)
 
 
 def test_laplace_finite_support():
     # L[1 on [0, x]] = (1 - e^{-px})/p
-    got = laplace_forward(lambda t: np.ones_like(t), 0.0, 2.0, 1.5)
+    spec = QuadratureSpec(lower=0.0, upper=2.0)
+    got = laplace([Piece(lambda t, d_lo, d_hi: np.ones_like(t), spec)], 1.5)
     want = (1.0 - math.exp(-3.0)) / 1.5
     assert rel_err(got, want) < 1e-12
 
@@ -197,23 +205,18 @@ def test_laplace_two_piece_product_transform():
     # here x=1, y=2, p=1 giving e^2 erfc(sqrt 2) erf(1)
     x, y, p = 1.0, 2.0, 1.0
 
-    def original(t):
-        t = np.asarray(t)
-        left = np.sqrt(y) / (np.sqrt(np.abs(t)) * (y + t)) / math.pi
-        right = -np.sqrt(x) / (np.sqrt(np.abs(y + t - x)) * (y + t)) / math.pi
-        return np.where(t < x, left, right)
+    def left(t, d_lo, d_hi):
+        return np.sqrt(y) / (np.sqrt(t) * (y + t)) / math.pi
 
-    hints = QuadratureSpec(lower=0.0, upper=math.inf,
-                           exponent_at_lower=-0.5, rel_tol=1e-11)
-    got = laplace_forward(original, 0.0, math.inf, p, hints, breakpoints=(x,))
-    assert rel_err(got, 0.28331937945439961783) < 1e-9
+    def right(t, d_lo, d_hi):
+        return -np.sqrt(x) / (np.sqrt(y + t - x) * (y + t)) / math.pi
 
-
-def test_laplace_rejects_bad_p():
-    with pytest.raises(ValueError):
-        laplace_forward(lambda t: t, 0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        laplace_forward(lambda t: t, 0.0, 1.0, 1.0, breakpoints=(2.0,))
+    pieces = [
+        Piece(left, QuadratureSpec(lower=0.0, upper=x, exponent_at_lower=-0.5,
+                                   rel_tol=1e-11)),
+        Piece(right, QuadratureSpec(lower=x, upper=math.inf, rel_tol=1e-11)),
+    ]
+    assert rel_err(laplace(pieces, p), 0.28331937945439961783) < 1e-9
 
 
 def test_additivity():
