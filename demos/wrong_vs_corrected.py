@@ -17,7 +17,7 @@ Run:
     python3 demos/wrong_vs_corrected.py
 """
 
-from lapcyl.catalog import evaluate_point, get_case
+from lapcyl.catalog import get_case, verify
 
 PAIRS = (("T41-CORRECTED", "NEG-T41"), ("T42-CORRECTED", "NEG-T42"))
 
@@ -31,10 +31,12 @@ def main():
         print(f"  control:   {bad.label}")
         print(f"  {'point (mu,nu,x,y,p)':34s} {'corrected':>12s} {'published':>12s}")
         worst_good = worst_bad = 0.0
-        for pt in good.default_grid:
-            rg = evaluate_point(good_id, pt)
-            # the control shares the original integral; only its image differs
-            rb = None if bad.validity(pt) else evaluate_point(bad_id, pt)
+        # the control shares the original integral; only its image differs
+        inside = [pt for pt in good.default_grid if bad.validity(pt) is None]
+        published = {rec.params: rec for rec in verify(bad_id, grid=inside).records}
+        for rg in verify(good_id).records:
+            pt = rg.params
+            rb = published.get(pt)
             worst_good = max(worst_good, rg.rel_error)
             tag = f"({pt.mu:g},{pt.nu:g},{pt.x:g},{pt.y:g},{pt.p:g})"
             if rb is None:

@@ -5,6 +5,7 @@ from .engine import (
     evaluate_point,
     get_case,
     list_cases,
+    point_groups,
     point_passes,
     reduction_suite,
     verify,
@@ -21,6 +22,7 @@ __all__ = [
     "evaluate_point",
     "get_case",
     "list_cases",
+    "point_groups",
     "point_passes",
     "reduction_suite",
     "verify",

@@ -42,6 +42,7 @@ from ..special import (
     pcf_d,
     reciprocal_gamma,
 )
+from ..special.pcf import _MAX_ABS_Z as _PCF_MAX_Z
 from .model import IdentityCase, ParamPoint, Piece
 
 __all__ = ["REGISTRY", "registry_order"]
@@ -110,6 +111,15 @@ def _masked_2f2(a1, a2, b1, b2, z):
     return out
 
 
+def _v_pcf_range(pt, *scales):
+    """Reason when an image argument sqrt(2 s p), s = pt.x or pt.y as
+    named, leaves the range of pcf_d."""
+    for name in scales:
+        if math.sqrt(2.0 * getattr(pt, name) * pt.p) > _PCF_MAX_Z:
+            return f"requires sqrt(2{name}p) <= {_PCF_MAX_Z:g}, the range of pcf_d"
+    return None
+
+
 def _grid(orders_list, xy_list, p_list):
     return tuple(
         ParamPoint(orders=o, x=float(xx), y=float(yy), p=float(pp))
@@ -163,7 +173,7 @@ def _pcf_block_original(pt):
 def _v_pcf_block(pt):
     if not (pt.nu > 0.0 and pt.y > 0.0 and pt.p > 0.0):
         return "requires nu > 0, a > 0, p > 0"
-    return None
+    return _v_pcf_range(pt, "y")
 
 
 _add(IdentityCase(
@@ -376,7 +386,7 @@ def _v_thm31(pt):
         return "requires Re nu < 1"
     if not pt.mu < min(1.0 - pt.nu, 2.0 + pt.nu):
         return "requires Re mu < min(1 - nu, 2 + nu)"
-    return None
+    return _v_pcf_range(pt, "x", "y")
 
 
 def _t31_image(pt, p):
@@ -435,7 +445,7 @@ def _v_t31k(pt):
         return "requires Re mu < 0"
     if not (-2.0 < pt.nu < 1.0):
         return "requires -2 < Re nu < 1"
-    return None
+    return _v_pcf_range(pt, "y")
 
 
 _add(IdentityCase(
@@ -500,7 +510,7 @@ def _v_t32(pt):
         return "requires Re mu < min(-nu, 1 + nu)"
     if pt.mu == -1.0:
         return "requires mu != -1 (coefficient pole)"
-    return None
+    return _v_pcf_range(pt, "x", "y")
 
 
 _add(IdentityCase(
@@ -651,7 +661,7 @@ def _v_t33k(pt):
         return "requires -1 < Re nu < 0"
     if not pt.mu < 1.0:
         return "requires Re mu < 1"
-    return None
+    return _v_pcf_range(pt, "y")
 
 
 _add(IdentityCase(
@@ -737,7 +747,7 @@ def _v_c341(pt):
         return "requires x > 0, p > 0"
     if not pt.nu < 1.0:
         return "requires Re nu < 1"
-    return None
+    return _v_pcf_range(pt, "x")
 
 
 _add(IdentityCase(
@@ -779,7 +789,7 @@ def _v_t35(pt):
         return "requires x > 0, y > 0, p > 0"
     if not pt.mu + pt.nu < 1.0:
         return "requires Re(mu + nu) < 1"
-    return None
+    return _v_pcf_range(pt, "x", "y")
 
 
 _add(IdentityCase(
@@ -821,7 +831,7 @@ def _v_t36(pt):
         return "requires x > 0, y > 0, p > 0"
     if not pt.mu + pt.nu < 0.0:
         return "requires Re(mu + nu) < 0 for a convergent original"
-    return None
+    return _v_pcf_range(pt, "x", "y")
 
 
 _add(IdentityCase(

@@ -1,9 +1,15 @@
 """Verification engine: evaluate either side of a case and compare.
 
 The engine owns the e^{-pt} kernel for Laplace pairs: case integrands
-never include it, so the same closure serves every p on a grid.  For
-semi-infinite supports the kernel's decay is added to the piece's own
-decay rate so the marching quadrature knows where the mass dies.
+never include it, so one original serves every p.  The points of a
+Laplace pair that share (orders, x, y) form a group: its original is
+built once and integrated as one vector-valued integral whose component
+j is the original times e^{-p_j t}, so each node evaluates the original
+once for the whole group, and each component keeps its own error
+target.  Every point of the group reports that shared integral's
+evaluations.  For semi-infinite supports the smallest p of the group is
+added to the piece's own decay rate so the marching quadrature knows
+where the mass dies.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ __all__ = [
     "get_case",
     "list_cases",
     "evaluate_point",
+    "point_groups",
     "point_passes",
     "verify",
     "build_report",
@@ -43,26 +50,33 @@ def list_cases():
     return [(c.id, c.kind, c.label, c.tol) for c in REGISTRY.values()]
 
 
-def _integrate_pieces(pieces, p=None, rel_tol=None):
-    """Sum of the pieces' integrals, each against e^{-pt} when p is given.
+def _integrate_pieces(pieces, ps=None, rel_tol=None):
+    """Sum of the pieces' integrals, against e^{-p_j t} for each p_j of
+    ps when given.
 
-    Returns (value, evaluations, converged, error_estimate); the
+    With ps each piece is one vector-valued integral, component j its
+    original times e^{-p_j t}, so the original runs once per node for
+    every p; value, converged and error_estimate are then arrays over
+    ps.  Returns (value, evaluations, converged, error_estimate); the
     estimate is the sum of the per-piece quadrature estimates.
     """
     total = 0.0 + 0.0j
     evaluations = 0
     converged = True
     err_est = 0.0
+    if ps is not None:
+        ps = np.asarray(ps, dtype=float)
     for piece in pieces:
         spec = piece.spec
         if rel_tol is not None:
             spec = replace(spec, rel_tol=float(rel_tol))
         f = piece.integrand
-        if p is not None:
+        if ps is not None:
             def g(t, d_lo, d_hi, _f=f):
-                return np.exp(-p * t) * _f(t, d_lo, d_hi)
+                return np.exp(np.multiply.outer(-ps, t)) * _f(t, d_lo, d_hi)
             if math.isinf(spec.upper):
-                spec = replace(spec, decay_rate=spec.decay_rate + p)
+                # the slowest-decaying component sets the marching width
+                spec = replace(spec, decay_rate=spec.decay_rate + float(ps.min()))
         else:
             g = f
         try:
@@ -72,46 +86,69 @@ def _integrate_pieces(pieces, p=None, rel_tol=None):
                 res = integrate_finite(g, spec, distance_form=True)
         except NonConvergence as exc:
             res = exc.result
-            converged = False
-        total += res.value
+        total = total + res.value
         evaluations += res.evaluations
-        err_est += res.error_estimate
-    return complex(total), evaluations, converged, err_est
+        converged = converged & res.converged
+        err_est = err_est + res.error_estimate
+    return total, evaluations, converged, err_est
 
 
-def _rhs_detail(case: IdentityCase, params: ParamPoint, rel_tol=None):
-    """Integral side with bookkeeping, as returned by _integrate_pieces."""
+def _group_key(case: IdentityCase, params: ParamPoint):
+    # a Laplace pair's original does not depend on p
+    if case.kind == "laplace_pair":
+        return (params.orders, params.x, params.y)
+    return params
+
+
+def point_groups(case_id: str, points):
+    """Indices of the points that share one integral, grouped by
+    (orders, x, y) for a Laplace pair and by the whole point otherwise;
+    groups in order of their first point, indices in grid order."""
+    case = get_case(case_id)
+    groups = {}
+    for i, pt in enumerate(points):
+        groups.setdefault(_group_key(case, pt), []).append(i)
+    return [tuple(idx) for idx in groups.values()]
+
+
+def _rhs_detail(case: IdentityCase, points, rel_tol=None):
+    """Integral side of one group of points with its bookkeeping:
+    (values, evaluations, converged, error_estimates), one entry per
+    point except evaluations, which the group's shared integral spends."""
+    n = len(points)
     if case.closed_rhs is not None:
-        return complex(case.closed_rhs(params, params.p)), 0, True, 0.0
-    p = params.p if case.kind == "laplace_pair" else None
-    return _integrate_pieces(case.original(params), p, rel_tol)
+        return [complex(case.closed_rhs(pt, pt.p)) for pt in points], 0, [True] * n, [0.0] * n
+    ps = [pt.p for pt in points] if case.kind == "laplace_pair" else None
+    value, evaluations, converged, err = _integrate_pieces(case.original(points[0]), ps, rel_tol)
+    return ([complex(v) for v in np.broadcast_to(value, n)], evaluations,
+            [bool(c) for c in np.broadcast_to(converged, n)],
+            [float(e) for e in np.broadcast_to(err, n)])
 
 
 def _rel_error(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), _FLOOR)
 
 
-def evaluate_point(case_id: str, params: ParamPoint) -> PointRecord:
-    """One grid point end to end.
-
-    Module-level on purpose: worker processes receive (case_id, params)
-    and re-resolve the case from their own import-time registry, since
-    the integrand closures themselves do not pickle.
-    """
-    case = get_case(case_id)
+def _check_valid(case: IdentityCase, params: ParamPoint):
     reason = case.validity(params)
     if reason is not None:
         raise InvalidParams(f"{case.id}: {reason}")
-    lhs = complex(case.image(params, params.p))
-    rhs, evaluations, converged, _ = _rhs_detail(case, params)
-    return PointRecord(
-        params=params,
-        lhs=lhs,
-        rhs=rhs,
-        rel_error=_rel_error(lhs, rhs),
-        evaluations=evaluations,
-        converged=converged,
-    )
+
+
+def _evaluate_group(case: IdentityCase, points):
+    """Records of one group of points, in the given order."""
+    lhs = [complex(case.image(pt, pt.p)) for pt in points]
+    rhs, evaluations, converged, _ = _rhs_detail(case, points)
+    return [PointRecord(params=pt, lhs=left, rhs=right, rel_error=_rel_error(left, right),
+                        evaluations=evaluations, converged=conv)
+            for pt, left, right, conv in zip(points, lhs, rhs, converged)]
+
+
+def evaluate_point(case_id: str, params: ParamPoint) -> PointRecord:
+    """One grid point end to end: a group of one."""
+    case = get_case(case_id)
+    _check_valid(case, params)
+    return _evaluate_group(case, (params,))[0]
 
 
 def point_passes(record: PointRecord, tol: float) -> bool:
@@ -123,7 +160,8 @@ def build_report(case_id: str, records, tol=None) -> VerificationReport:
     """Assemble a report from already-computed point records.
 
     The case passes when every point does; max_rel_error is NaN when
-    any point's error is.
+    any point's error is.  Records of one group (see point_groups) carry
+    their shared integral's evaluations, counted once here.
     """
     case = get_case(case_id)
     tol = case.tol if tol is None else float(tol)
@@ -137,19 +175,30 @@ def build_report(case_id: str, records, tol=None) -> VerificationReport:
     errors = [r.rel_error for r in records]
     max_rel = math.nan if any(map(math.isnan, errors)) else max(errors)
     ok = all(point_passes(r, tol) for r in records)
+    groups = point_groups(case.id, [r.params for r in records])
     return VerificationReport(
         id=case.id, kind=case.kind, records=records,
         max_rel_error=max_rel, tol=tol,
         verdict="pass" if ok else "fail",
-        evaluations=sum(r.evaluations for r in records),
+        evaluations=sum(records[idx[0]].evaluations for idx in groups),
     )
 
 
 def verify(case_id: str, grid=None, tol=None) -> VerificationReport:
-    """Run a case over a grid (its default when grid is None)."""
+    """Run a case over a grid (its default when grid is None).
+
+    Every point is checked for validity first; then each group of
+    point_groups is evaluated with one shared integral.  Records keep
+    grid order.
+    """
     case = get_case(case_id)
     points = case.default_grid if grid is None else tuple(grid)
-    records = [evaluate_point(case.id, pt) for pt in points]
+    for pt in points:
+        _check_valid(case, pt)
+    records = [None] * len(points)
+    for idx in point_groups(case.id, points):
+        for i, rec in zip(idx, _evaluate_group(case, [points[i] for i in idx])):
+            records[i] = rec
     return build_report(case.id, records, tol=tol)
 
 

@@ -97,6 +97,10 @@ class IdentityCase:
 
 @dataclass(frozen=True)
 class PointRecord:
+    """One grid point's outcome.  evaluations counts the integrand calls
+    of the integral its group shares (see engine.point_groups), so every
+    record of a group carries the same count."""
+
     params: ParamPoint
     lhs: complex
     rhs: complex

@@ -6,9 +6,12 @@ selected control fails as designed, 1 when verification disagrees with
 that expectation, 2 for configuration errors (unknown ids, bad flags,
 malformed grid files, `eval` arguments outside a function's domain or
 range).  Reports are deterministic byte for byte across
-runs and across --jobs; wall-clock timings go to a sidecar file, never
-into the report.  The sidecar holds the total wall time and, under any
---jobs, each case's compute time: the sum of its points' evaluation
+runs and across --jobs: a task is one group of points that share an
+integral (`point_groups`), evaluated whole in one process, and records
+keep grid order.  A row's `evaluations` is the integrand evaluations of
+its group's shared integral.  Wall-clock timings go to a sidecar file,
+never into the report.  The sidecar holds the total wall time and, under
+any --jobs, each case's compute time: the sum of its groups' evaluation
 times.
 """
 
@@ -25,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from ._exceptions import InvalidParams, LapcylError
-from .catalog import build_report, evaluate_point, get_case, list_cases, point_passes
+from .catalog import build_report, get_case, list_cases, point_groups, point_passes, verify
 from .catalog.cases import REGISTRY
 from .catalog.model import ParamPoint
 from .special import (
@@ -133,11 +136,14 @@ def _check_points(case_ids, grids):
 
 
 def _eval_task(task):
-    """One grid point and the seconds it took."""
-    cid, pt = task
+    """One group of points that share an integral: their records and the
+    seconds they took.  Module-level, and given the case id rather than
+    the case, because pool workers resolve cases from their own registry;
+    integrand closures do not pickle."""
+    cid, pts = task
     start = time.perf_counter()
-    record = evaluate_point(cid, pt)
-    return record, time.perf_counter() - start
+    records = verify(cid, grid=pts).records
+    return records, time.perf_counter() - start
 
 
 def _run_verify(cfg: RunConfig):
@@ -149,25 +155,28 @@ def _run_verify(cfg: RunConfig):
 
     start = time.perf_counter()
     tasks = []
-    counts = []
+    layout = []
     for cid in case_ids:
         pts = grids.get(cid, get_case(cid).default_grid)
-        counts.append((cid, len(pts)))
-        tasks.extend((cid, pt) for pt in pts)
+        groups = point_groups(cid, pts)
+        layout.append((cid, len(pts), groups))
+        tasks.extend((cid, tuple(pts[i] for i in idx)) for idx in groups)
     if cfg.jobs > 1:
         chunk = max(1, len(tasks) // (4 * cfg.jobs))
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_eval_task, tasks, chunksize=chunk))
+            results = iter(list(pool.map(_eval_task, tasks, chunksize=chunk)))
     else:
-        results = list(map(_eval_task, tasks))
+        results = map(_eval_task, tasks)
     reports = []
     seconds = {}
-    offset = 0
-    for cid, n in counts:
-        done = results[offset:offset + n]
-        reports.append(build_report(cid, [rec for rec, _ in done], tol=cfg.tol))
-        seconds[cid] = sum(secs for _, secs in done)
-        offset += n
+    for cid, n, groups in layout:
+        records = [None] * n
+        seconds[cid] = 0.0
+        for idx, (recs, secs) in zip(groups, results):
+            for i, rec in zip(idx, recs):
+                records[i] = rec
+            seconds[cid] += secs
+        reports.append(build_report(cid, records, tol=cfg.tol))
     return reports, seconds, time.perf_counter() - start
 
 

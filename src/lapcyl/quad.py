@@ -11,17 +11,24 @@ next to the endpoint (identity map for lambda >= 0, where the
 substitution would only de-smooth the integrand).  Gauss-Kronrod nodes
 are strictly interior, so the integrand is never evaluated at an endpoint.
 
-Integrands are called with a float64 array of abscissae and must return
-array values (complex or real).  Catalog integrands additionally receive
-the exact displacements from both endpoints (``distance_form=True``),
-which keeps factors like (x-t)^{-3/4} fully accurate when the adaptive
-refinement pushes t within an ulp of x; the public entry points keep the
-plain f(t) signature and wrap it.
+Integrands are called with a float64 array of n abscissae and must return
+array values (complex or real): shape (n,) for one integral, or (m, n)
+for m integrals over the same range that share every integrand call,
+such as one original against m Laplace kernels.  Each of the m
+components keeps its own target max(rel_tol |I_j|, abs_tol), its own
+error estimate and its own converged flag; refinement stops only when
+every component meets its target, and splits first the panel with the
+largest err_j / target_j over its components.  Catalog integrands
+additionally receive the exact displacements from both endpoints
+(``distance_form=True``), which keeps factors like (x-t)^{-3/4} fully
+accurate when the adaptive refinement pushes t within an ulp of x; the
+public entry points keep the plain f(t) signature and wrap it.
 
 Semi-infinite ranges are covered by a substituted first panel, then
-panels of width 1/decay_rate marched until two consecutive panels
-contribute below abs_tol/10, then one final panel mapped through
-t = T + u/(1-u); everything lands in the same refinement queue.
+panels of width 1/decay_rate (the slowest decay over the components)
+marched until two consecutive panels contribute below a tenth of every
+component's target for the running total, then one final panel mapped
+through t = T + u/(1-u); everything lands in the same refinement queue.
 """
 
 from __future__ import annotations
@@ -41,32 +48,33 @@ __all__ = [
     "integrate_semi_infinite",
 ]
 
-# QUADPACK dqk15 abscissae and weights
+# QUADPACK dqk15 abscissae and weights, to full double precision (the
+# tables of scipy.integrate's gk15 rule)
 _XGK = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
     0.0,
 )
 _WGK = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
 )
 _WG = (
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
 )
 
 _NODES = np.array([-x for x in _XGK[:7]] + [0.0] + [x for x in reversed(_XGK[:7])])
@@ -118,6 +126,14 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """One integral's outcome.
+
+    For an integrand that returns an (m, n) array, value, error_estimate
+    and converged are length-m arrays, one entry per component; for a
+    plain (n,) integrand they are scalars.  evaluations counts abscissae,
+    each once however many components the integrand returns.
+    """
+
     value: complex
     error_estimate: float
     evaluations: int
@@ -130,12 +146,38 @@ def _wrap(f, distance_form):
     return lambda t, d_lo, d_hi: f(t)
 
 
-class _Workspace:
-    """Panel queue shared by the finite and semi-infinite drivers."""
+def _gk15(y, h):
+    """K15 value and |K15 - G7| of one component's 15 node values."""
+    if not np.all(np.isfinite(y)):
+        return 0.0 + 0.0j, math.inf
+    k15 = h * np.dot(_WEIGHTS_K, y)
+    g7 = h * np.dot(_WEIGHTS_G, y[_GAUSS_IDX])
+    return k15, abs(k15 - g7)
 
-    def __init__(self):
+
+def _shortfall(toterr, target, met):
+    if np.ndim(met) == 0:
+        return f"error estimate {toterr:.3g}, target {target:.3g}"
+    j = int(np.argmin(met))
+    return f"component {j}: error estimate {toterr[j]:.3g}, target {target[j]:.3g}"
+
+
+class _Workspace:
+    """Panel queue shared by the finite and semi-infinite drivers.
+
+    A plain integrand keeps its bookkeeping on Python numbers.  For an
+    (m, n) integrand each panel holds arrays over the m components, each
+    component summed by the same rule as a plain integral; the queue
+    orders panels by max_j err_j / target_j, with the targets of the
+    estimate that refinement starts from.
+    """
+
+    def __init__(self, spec: QuadratureSpec):
+        self.spec = spec
         self.alive = {}
-        self.heap = []
+        self.heap = None        # built when refinement starts
+        self.weight = None      # 1 / target_j of an (m, n) integrand
+        self.components = None  # m of an (m, n) integrand
         self.next_idx = 0
         self.evaluations = 0
         self.frozen_val = 0.0 + 0.0j
@@ -145,35 +187,74 @@ class _Workspace:
         c = 0.5 * (lo + hi)
         h = 0.5 * (hi - lo)
         y = np.asarray(g(c + h * _NODES), dtype=complex)
-        self.evaluations += y.size
-        if not np.all(np.isfinite(y)):
-            return 0.0 + 0.0j, math.inf
-        k15 = h * np.dot(_WEIGHTS_K, y)
-        g7 = h * np.dot(_WEIGHTS_G, y[_GAUSS_IDX])
-        return k15, abs(k15 - g7)
+        self.evaluations += y.shape[-1]
+        if y.ndim == 1:
+            return _gk15(y, h)
+        self.components = len(y)
+        vals, errs = zip(*(_gk15(row, h) for row in y))
+        return np.array(vals), np.array(errs)
 
     def add(self, g, lo, hi):
         val, err = self.eval_panel(g, lo, hi)
         idx = self.next_idx
         self.next_idx = idx + 1
         self.alive[idx] = (g, lo, hi, val, err)
-        heapq.heappush(self.heap, (-err, idx))
+        if self.heap is not None:
+            heapq.heappush(self.heap, (-self._priority(err), idx))
         return val, err
 
-    def refine(self, spec: QuadratureSpec):
+    def _priority(self, err):
+        if self.weight is None:
+            return err
+        return float(np.max(err * self.weight))
+
+    def _target(self, total):
+        """max(rel_tol |I|, abs_tol), per component for an (m, n) integrand."""
+        rel, floor = self.spec.rel_tol, self.spec.abs_tol
+        if self.components is None:
+            return max(rel * abs(total), floor)
+        return np.maximum(rel * np.abs(total), floor)
+
+    def negligible(self, val, total):
+        """True when every component of a panel value is below a tenth of
+        its target for the running total."""
+        small = abs(val) < 0.1 * self._target(total)
+        return small if self.components is None else bool(small.all())
+
+    def no_estimate(self):
+        """Partial result of an integral that never reached refinement."""
+        m = self.components
+        if m is None:
+            return QuadratureResult(0.0, math.inf, self.evaluations, False)
+        return QuadratureResult(np.zeros(m, complex), np.full(m, math.inf),
+                                self.evaluations, np.zeros(m, bool))
+
+    # an infinite panel error turns a component's total into NaN once the
+    # panel is split, as for a plain integral; numpy would warn about it
+    @np.errstate(invalid="ignore")
+    def refine(self):
+        spec = self.spec
         total = sum(p[3] for p in self.alive.values()) + self.frozen_val
         toterr = sum(p[4] for p in self.alive.values()) + self.frozen_err
+        if self.components is not None:
+            self.weight = 1.0 / self._target(total)
+        self.heap = [(-self._priority(p[4]), idx) for idx, p in self.alive.items()]
+        heapq.heapify(self.heap)
         splits = 0
         while True:
-            target = max(spec.rel_tol * abs(total), spec.abs_tol)
-            if toterr <= target:
-                return QuadratureResult(total, toterr, self.evaluations, True)
-            partial = QuadratureResult(total, toterr, self.evaluations, False)
+            target = self._target(total)
+            if self.components is None:
+                met = done = bool(toterr <= target)
+            else:
+                met = toterr <= target
+                done = bool(met.all())
+            if done:
+                return QuadratureResult(total, toterr, self.evaluations, met)
             if splits >= spec.max_subdivisions:
                 raise NonConvergence(
                     f"quadrature needed more than {spec.max_subdivisions} subdivisions "
-                    f"(error estimate {toterr:.3g}, target {target:.3g})",
-                    result=partial,
+                    f"({_shortfall(toterr, target, met)})",
+                    result=QuadratureResult(total, toterr, self.evaluations, met),
                 )
             # worst live panel; heap entries for split panels are stale
             while self.heap and self.heap[0][1] not in self.alive:
@@ -181,7 +262,7 @@ class _Workspace:
             if not self.heap:
                 raise NonConvergence(
                     "quadrature cannot refine further (all panels at width floor)",
-                    result=partial,
+                    result=QuadratureResult(total, toterr, self.evaluations, met),
                 )
             _, idx = heapq.heappop(self.heap)
             g, lo, hi, val, err = self.alive.pop(idx)
@@ -229,10 +310,10 @@ def integrate_finite(f, spec: QuadratureSpec, *, distance_form: bool = False) ->
     fw = _wrap(f, distance_form)
     a, b = spec.lower, spec.upper
     m = 0.5 * (a + b)
-    ws = _Workspace()
+    ws = _Workspace(spec)
     ws.add(_left_sub(fw, a, m - a, b, _power(spec.exponent_at_lower)), 0.0, 1.0)
     ws.add(_right_sub(fw, a, b - m, b, _power(spec.exponent_at_upper)), 0.0, 1.0)
-    return ws.refine(spec)
+    return ws.refine()
 
 
 def integrate_semi_infinite(f, spec: QuadratureSpec, *, distance_form: bool = False) -> QuadratureResult:
@@ -246,10 +327,10 @@ def integrate_semi_infinite(f, spec: QuadratureSpec, *, distance_form: bool = Fa
     fw = _wrap(f, distance_form)
     a = spec.lower
     h = 1.0 / spec.decay_rate if spec.decay_rate > 0.0 else 1.0
-    ws = _Workspace()
+    ws = _Workspace(spec)
 
     # first panel with the endpoint substitution
-    ws.add(_left_sub(fw, a, h, math.inf, _power(spec.exponent_at_lower)), 0.0, 1.0)
+    total, _ = ws.add(_left_sub(fw, a, h, math.inf, _power(spec.exponent_at_lower)), 0.0, 1.0)
 
     def g_plain(t):
         return np.asarray(fw(t, t - a, math.inf), dtype=complex)
@@ -263,12 +344,13 @@ def integrate_semi_infinite(f, spec: QuadratureSpec, *, distance_form: bool = Fa
             raise NonConvergence(
                 "semi-infinite marching did not find a negligible tail "
                 f"within {max_march} panels; check decay_rate",
-                result=QuadratureResult(0.0, math.inf, ws.evaluations, False),
+                result=ws.no_estimate(),
             )
         val, _ = ws.add(g_plain, edge, edge + h)
+        total = total + val
         edge += h
         k += 1
-        if abs(val) < 0.1 * spec.abs_tol:
+        if ws.negligible(val, total):
             small_streak += 1
         else:
             small_streak = 0
@@ -284,5 +366,5 @@ def integrate_semi_infinite(f, spec: QuadratureSpec, *, distance_form: bool = Fa
         return np.where(v > _TAIL_CLIP, 0.0, vals)
 
     ws.add(g_tail, 0.0, 1.0)
-    return ws.refine(spec)
+    return ws.refine()
 

@@ -6,6 +6,7 @@ the fewest points that can falsify the property.
 """
 
 import math
+import random
 
 import pytest
 
@@ -18,12 +19,15 @@ from lapcyl.catalog import (
     evaluate_point,
     get_case,
     list_cases,
+    point_groups,
     point_passes,
     reduction_suite,
     verify,
 )
 from lapcyl.catalog.cases import REGISTRY
 from lapcyl.catalog.engine import _rhs_detail
+
+LAPLACE_IDS = [r[0] for r in list_cases() if r[1] == "laplace_pair"]
 
 EXPECTED_IDS = [
     "ILT-PCF-BLOCK", "ILT-PCF-BLOCK2", "ILT-KUM-BLOCK", "ILT-KUM-BLOCK-32",
@@ -88,6 +92,14 @@ class TestValidity:
         pt = ParamPoint(orders=(0.5, 1.5), x=1.0, y=1.0, p=1.0)
         with pytest.raises(InvalidParams, match="T31-DIFF-HALF"):
             evaluate_point("T31-DIFF-HALF", pt)
+
+    def test_image_argument_beyond_pcf_range_rejected(self):
+        # sqrt(2 x p) = 44.7 is outside pcf_d's |z| <= 40
+        pt = ParamPoint(orders=(-0.5, -0.5), x=2.0, y=2.0, p=500.0)
+        with pytest.raises(InvalidParams, match="range of pcf_d"):
+            evaluate_point("T31-DIFF-HALF", pt)
+        with pytest.raises(InvalidParams, match="range of pcf_d"):
+            verify("T31-DIFF-HALF", grid=[get_case("T31-DIFF-HALF").default_grid[0], pt])
 
     def test_half_kind_kummer_window(self):
         pt = ParamPoint(orders=(0.5,), x=1.0, y=1.0, p=1.0)
@@ -158,18 +170,19 @@ class TestQuadratureHonesty:
     """Tightening rel_tol by two decades moves the answer by less than
     the error estimate reported at the base tolerance."""
 
-    @pytest.mark.parametrize(
-        "cid",
-        [r[0] for r in list_cases() if r[1] == "laplace_pair"],
-    )
+    @pytest.mark.parametrize("cid", LAPLACE_IDS)
     def test_doubling_precision_within_estimate(self, cid):
+        # on the whole p group of the middle grid point, per component
         case = get_case(cid)
-        pt = case.default_grid[len(case.default_grid) // 2]
-        v1, _, conv1, est1 = _rhs_detail(case, pt)
-        v2, _, conv2, _ = _rhs_detail(case, pt, rel_tol=1e-13)
-        assert conv1 and conv2
-        assert est1 > 0.0
-        assert abs(v1 - v2) <= est1
+        mid = case.default_grid[len(case.default_grid) // 2]
+        group = [pt for pt in case.default_grid
+                 if (pt.orders, pt.x, pt.y) == (mid.orders, mid.x, mid.y)]
+        v1, _, conv1, est1 = _rhs_detail(case, group)
+        v2, _, conv2, _ = _rhs_detail(case, group, rel_tol=1e-13)
+        assert all(conv1) and all(conv2)
+        for a, b, est in zip(v1, v2, est1):
+            assert est > 0.0
+            assert abs(a - b) <= est
 
 
 class TestNegativeControls:
@@ -235,3 +248,49 @@ class TestCaseVerdicts:
             not math.isnan(e) for e in errors]
         assert rep.verdict == "fail"
         assert math.isnan(rep.max_rel_error)
+
+
+class TestSharedIntegrals:
+    """The points of a Laplace pair that share (orders, x, y) share one
+    vector-valued integral."""
+
+    @pytest.mark.parametrize("cid", LAPLACE_IDS)
+    def test_grouped_matches_per_point(self, cid):
+        rep = verify(cid)
+        assert [r.params for r in rep.records] == list(get_case(cid).default_grid)
+        for rec in rep.records:
+            one = evaluate_point(cid, rec.params)
+            assert one.lhs == rec.lhs
+            assert abs(one.rhs - rec.rhs) <= rep.tol / 100.0 * abs(one.rhs), rec.params
+
+    @pytest.mark.parametrize("cid", ["T41-CORRECTED", "ILT-KUM-BLOCK"])
+    def test_shuffled_grid_gives_identical_records(self, cid):
+        grid = list(get_case(cid).default_grid)
+        base = {r.params: r for r in verify(cid).records}
+        random.Random(7).shuffle(grid)
+        shuffled = verify(cid, grid=grid)
+        assert [r.params for r in shuffled.records] == grid
+        for rec in shuffled.records:
+            assert rec == base[rec.params]
+
+    def test_report_counts_each_shared_integral_once(self):
+        case = get_case("T41-CORRECTED")
+        rep = verify(case.id)
+        groups = point_groups(case.id, case.default_grid)
+        assert len(groups) == 9 and all(len(idx) == 3 for idx in groups)
+        shared = []
+        for idx in groups:
+            counts = {rep.records[i].evaluations for i in idx}
+            assert len(counts) == 1
+            shared.append(counts.pop())
+        group = [case.default_grid[i] for i in groups[0]]
+        assert shared[0] == _rhs_detail(case, group)[1]
+        assert rep.evaluations == sum(shared)
+        assert rep.evaluations < sum(r.evaluations for r in rep.records)
+
+    def test_interleaved_groups_keep_grid_order(self):
+        grid = get_case("T41-CORRECTED").default_grid
+        mixed = grid[::2] + grid[1::2]
+        rep = verify("T41-CORRECTED", grid=mixed)
+        assert [r.params for r in rep.records] == list(mixed)
+        assert point_groups("T41-CORRECTED", mixed)[0] == (0, 1, 14)

@@ -179,12 +179,12 @@ class TestDeterminism:
             assert isinstance(ms, float) and ms > 0.0
 
     def test_parallel_matches_serial(self, tmp_path):
+        # T41-CORRECTED integrates three p per (orders, x, y) group
         serial = tmp_path / "serial.json"
         par = tmp_path / "par.json"
-        r1 = run_cli("verify", "--case", "C361-REP", "--case", "C361-NG69",
-                     "--out", str(serial))
-        r2 = run_cli("verify", "--case", "C361-REP", "--case", "C361-NG69",
-                     "--jobs", "2", "--out", str(par))
+        cases = ["--case", "C361-REP", "--case", "C361-NG69", "--case", "T41-CORRECTED"]
+        r1 = run_cli("verify", *cases, "--out", str(serial))
+        r2 = run_cli("verify", *cases, "--jobs", "2", "--out", str(par))
         assert r1.returncode == 0 and r2.returncode == 0
         assert serial.read_bytes() == par.read_bytes()
 
@@ -230,3 +230,13 @@ class TestGridFile:
         res = run_cli("verify", "--case", "ILT-PCF-BLOCK", "--grid", str(grid))
         assert res.returncode == 2
         assert "requires nu > 0" in res.stderr
+
+    def test_image_argument_beyond_pcf_range_exits_two(self, tmp_path):
+        # sqrt(2 x p) = 44.7 passes every order condition but not pcf_d's
+        # |z| <= 40
+        grid = tmp_path / "grid.txt"
+        grid.write_text("T31-DIFF-HALF -0.5 -0.5 2 2 500\n")
+        res = run_cli("verify", "--case", "T31-DIFF-HALF", "--grid", str(grid))
+        assert res.returncode == 2
+        assert "invalid grid point" in res.stderr
+        assert "Traceback" not in res.stderr

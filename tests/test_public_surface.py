@@ -27,7 +27,7 @@ SURFACE = {
         "IdentityCase", "ParamPoint", "Piece", "PointRecord",
         "VerificationReport",
         "build_report", "evaluate_point", "get_case", "list_cases",
-        "point_passes", "reduction_suite", "verify",
+        "point_groups", "point_passes", "reduction_suite", "verify",
     ],
 }
 

@@ -35,6 +35,13 @@ def test_kronrod_rule_degree():
         assert abs(got - exact) < 5e-14, k
 
 
+def test_weight_sums_are_two():
+    # full-precision tables: the 15-digit ones missed 2 by 6e-15 (K15)
+    # and 9e-16 (G7)
+    assert abs(math.fsum(_WEIGHTS_K) - 2.0) <= 4.5e-16
+    assert abs(math.fsum(_WEIGHTS_G) - 2.0) <= 4.5e-16
+
+
 def test_gauss_rule_degree():
     # embedded 7-point Gauss is exact through degree 13
     for k in range(14):
@@ -178,8 +185,8 @@ def test_nonconvergence_carries_partial():
 
 def laplace(pieces, p):
     """The Laplace transform of a piecewise original, through the
-    catalog engine's kernel path."""
-    return _integrate_pieces(pieces, p)[0]
+    catalog engine's kernel path (a group of one p)."""
+    return _integrate_pieces(pieces, (p,))[0][0]
 
 
 def test_laplace_power():
@@ -248,3 +255,113 @@ def test_determinism():
     b = integrate_finite(f, spec)
     assert a.value == b.value
     assert a.evaluations == b.evaluations
+
+
+# ---------------------------------------------------------- (m, n) integrands
+
+def _kernels(ps):
+    """e^{-p_j t} / sqrt(t) for each p_j: an (m, n) Laplace-type integrand."""
+    ps = np.asarray(ps, dtype=float)
+    return lambda t, d_lo, d_hi: np.exp(np.multiply.outer(-ps, t)) / np.sqrt(d_lo)
+
+
+def _kernel_spec(ps, **kw):
+    return QuadratureSpec(lower=0.0, upper=math.inf, exponent_at_lower=-0.5,
+                          decay_rate=min(ps), **kw)
+
+
+def test_vector_components_meet_their_own_targets():
+    # a 1e6 component must not loosen the target of a 1 component: each
+    # keeps max(rel_tol |I_j|, abs_tol)
+    spec = QuadratureSpec(lower=0.0, upper=1.0, rel_tol=1e-10)
+
+    def f(t, d_lo, d_hi):
+        return np.stack([1e6 * np.exp(t), np.cos(40.0 * t)])
+
+    res = integrate_finite(f, spec, distance_form=True)
+    want = [1e6 * (math.e - 1.0), math.sin(40.0) / 40.0]
+    assert res.value.shape == (2,) and res.converged.tolist() == [True, True]
+    for j in range(2):
+        assert res.error_estimate[j] <= 1e-10 * abs(res.value[j])
+        assert rel_err(res.value[j], want[j]) < 1e-10, j
+
+
+@pytest.mark.parametrize("ps", [(0.5, 1.0, 3.0), (2.0, 0.25)])
+def test_vector_matches_scalar_integrals(ps):
+    rel_tol = 1e-11
+    res = integrate_semi_infinite(_kernels(ps), _kernel_spec(ps, rel_tol=rel_tol),
+                                  distance_form=True)
+    assert res.converged.all()
+    for j, p in enumerate(ps):
+        one = integrate_semi_infinite(_kernels((p,)), _kernel_spec((p,), rel_tol=rel_tol),
+                                      distance_form=True)
+        assert rel_err(res.value[j], one.value[0]) <= 10.0 * rel_tol, p
+        assert rel_err(res.value[j], SQRT_PI / math.sqrt(p)) <= 10.0 * rel_tol, p
+    # a finite range too: int_0^2 e^{-p t} dt
+    spec = QuadratureSpec(lower=0.0, upper=2.0, rel_tol=rel_tol)
+    g = lambda t: np.exp(np.multiply.outer(-np.asarray(ps), t))
+    res = integrate_finite(g, spec)
+    for j, p in enumerate(ps):
+        one = integrate_finite(lambda t: np.exp(-p * t), spec)
+        assert rel_err(res.value[j], one.value) <= 10.0 * rel_tol, p
+
+
+def test_vector_evaluates_each_node_once():
+    ps = (0.5, 1.0, 3.0)
+    calls = []
+
+    def f(t, d_lo, d_hi):
+        calls.append(t.size)
+        return _kernels(ps)(t, d_lo, d_hi)
+
+    res = integrate_semi_infinite(f, _kernel_spec(ps), distance_form=True)
+    assert res.evaluations == sum(calls) == 15 * len(calls)
+
+
+def test_permuted_components_are_bit_identical():
+    ps = [0.5, 1.0, 3.0, 7.5]
+    base = integrate_semi_infinite(_kernels(ps), _kernel_spec(ps), distance_form=True)
+    for perm in ([3, 2, 1, 0], [1, 3, 0, 2]):
+        res = integrate_semi_infinite(_kernels([ps[i] for i in perm]), _kernel_spec(ps),
+                                      distance_form=True)
+        assert res.evaluations == base.evaluations
+        for j, i in enumerate(perm):
+            assert res.value[j] == base.value[i]
+            assert res.error_estimate[j] == base.error_estimate[i]
+            assert res.converged[j] == base.converged[i]
+
+
+def test_one_component_matches_plain_integral():
+    # a (1, n) integrand is summed by the same rule as a plain one
+    spec = QuadratureSpec(lower=0.0, upper=1.0, exponent_at_lower=-0.5)
+    f = lambda t: np.cos(5.0 * t) / np.sqrt(t)
+    plain = integrate_finite(f, spec)
+    one = integrate_finite(lambda t: f(t)[None, :], spec)
+    assert one.value.tolist() == [plain.value]
+    assert one.evaluations == plain.evaluations
+
+
+def test_nan_component_is_the_only_one_not_converged():
+    spec = QuadratureSpec(lower=0.0, upper=1.0, max_subdivisions=40)
+
+    def f(t, d_lo, d_hi):
+        bad = np.where(t > 0.3, np.nan, 1.0)
+        return np.stack([np.exp(t), bad, np.cos(t)])
+
+    with pytest.raises(NonConvergence) as exc:
+        integrate_finite(f, spec, distance_form=True)
+    partial = exc.value.result
+    assert partial.converged.tolist() == [True, False, True]
+    assert rel_err(partial.value[0], math.e - 1.0) < 1e-12
+    assert rel_err(partial.value[2], math.sin(1.0)) < 1e-12
+
+
+def test_marching_stops_relative_to_target():
+    # with a vanishing abs_tol the march ends where panels fall below a
+    # tenth of rel_tol |I|, not where they fall below abs_tol
+    spec = QuadratureSpec(lower=0.0, upper=math.inf, decay_rate=1.0,
+                          rel_tol=1e-13, abs_tol=1e-250)
+    res = integrate_semi_infinite(lambda t: np.exp(-t), spec)
+    assert res.converged
+    assert rel_err(res.value, 1.0) < 1e-13
+    assert res.evaluations < 1500
