@@ -2,12 +2,12 @@
 
 from .engine import (
     build_report,
+    check_points,
     evaluate_point,
     get_case,
     list_cases,
     point_groups,
     point_passes,
-    reduction_suite,
     verify,
 )
 from .model import IdentityCase, ParamPoint, Piece, PointRecord, VerificationReport
@@ -19,11 +19,11 @@ __all__ = [
     "PointRecord",
     "VerificationReport",
     "build_report",
+    "check_points",
     "evaluate_point",
     "get_case",
     "list_cases",
     "point_groups",
     "point_passes",
-    "reduction_suite",
     "verify",
 ]

@@ -42,10 +42,9 @@ from ..special import (
     pcf_d,
     reciprocal_gamma,
 )
-from ..special.pcf import _MAX_ABS_Z as _PCF_MAX_Z
 from .model import IdentityCase, ParamPoint, Piece
 
-__all__ = ["REGISTRY", "registry_order"]
+__all__ = ["REGISTRY"]
 
 rg = reciprocal_gamma
 _RPI = math.sqrt(math.pi)
@@ -111,15 +110,6 @@ def _masked_2f2(a1, a2, b1, b2, z):
     return out
 
 
-def _v_pcf_range(pt, *scales):
-    """Reason when an image argument sqrt(2 s p), s = pt.x or pt.y as
-    named, leaves the range of pcf_d."""
-    for name in scales:
-        if math.sqrt(2.0 * getattr(pt, name) * pt.p) > _PCF_MAX_Z:
-            return f"requires sqrt(2{name}p) <= {_PCF_MAX_Z:g}, the range of pcf_d"
-    return None
-
-
 def _grid(orders_list, xy_list, p_list):
     return tuple(
         ParamPoint(orders=o, x=float(xx), y=float(yy), p=float(pp))
@@ -147,16 +137,12 @@ def _add(case: IdentityCase):
     REGISTRY[case.id] = case
 
 
-def registry_order():
-    return tuple(REGISTRY)
-
-
 # ----------------------------------------------------------------------
 # Building-block transforms
 # ----------------------------------------------------------------------
 
-def _pcf_block_image(pt, p):
-    a = pt.y
+def _pcf_block_image(pt):
+    a, p = pt.y, pt.p
     return gamma(pt.nu) * math.exp(0.5 * a * p) * pcf_d(-2.0 * pt.nu, math.sqrt(2.0 * a * p))
 
 
@@ -173,7 +159,7 @@ def _pcf_block_original(pt):
 def _v_pcf_block(pt):
     if not (pt.nu > 0.0 and pt.y > 0.0 and pt.p > 0.0):
         return "requires nu > 0, a > 0, p > 0"
-    return _v_pcf_range(pt, "y")
+    return None
 
 
 _add(IdentityCase(
@@ -189,8 +175,8 @@ _add(IdentityCase(
 ))
 
 
-def _pcf_block2_image(pt, p):
-    a = pt.y
+def _pcf_block2_image(pt):
+    a, p = pt.y, pt.p
     return gamma(pt.nu) * math.exp(0.5 * a * p) / math.sqrt(p) * pcf_d(
         1.0 - 2.0 * pt.nu, math.sqrt(2.0 * a * p))
 
@@ -218,8 +204,8 @@ _add(IdentityCase(
 ))
 
 
-def _kum_block_image(pt, p):
-    x = pt.x
+def _kum_block_image(pt):
+    x, p = pt.x, pt.p
     return math.exp(-x * p) * kummer_phi(pt.nu, pt.nu + 1.25, x * p)
 
 
@@ -252,8 +238,8 @@ _add(IdentityCase(
 ))
 
 
-def _kum32_image(pt, p):
-    nu, x = pt.nu, pt.x
+def _kum32_image(pt):
+    nu, x, p = pt.nu, pt.x, pt.p
     return (math.sqrt(x) * 2.0 / _RPI * gamma(1.0 + nu / 2.0) * gamma((1.0 - nu) / 2.0)
             * math.exp(-x * p) * kummer_phi((1.0 - nu) / 2.0, 1.5, p * x))
 
@@ -289,8 +275,8 @@ _add(IdentityCase(
 ))
 
 
-def _kum12_image(pt, p):
-    nu, x = pt.nu, pt.x
+def _kum12_image(pt):
+    nu, x, p = pt.nu, pt.x, pt.p
     return (x ** -0.5 / _RPI * gamma((1.0 + nu) / 2.0) * gamma(-nu / 2.0)
             * math.exp(-x * p) * kummer_phi(-nu / 2.0, 0.5, x * p))
 
@@ -386,12 +372,12 @@ def _v_thm31(pt):
         return "requires Re nu < 1"
     if not pt.mu < min(1.0 - pt.nu, 2.0 + pt.nu):
         return "requires Re mu < min(1 - nu, 2 + nu)"
-    return _v_pcf_range(pt, "x", "y")
+    return None
 
 
-def _t31_image(pt, p):
-    dmu, dplus, dminus = _pcf_pair(pt.mu, pt.nu, pt.x, pt.y, p)
-    return math.exp(0.5 * p * (pt.y - pt.x)) / math.sqrt(p) * dmu * (dminus - dplus)
+def _t31_image(pt):
+    dmu, dplus, dminus = _pcf_pair(pt.mu, pt.nu, pt.x, pt.y, pt.p)
+    return math.exp(0.5 * pt.p * (pt.y - pt.x)) / math.sqrt(pt.p) * dmu * (dminus - dplus)
 
 
 def _t31_original(pt):
@@ -420,8 +406,8 @@ _add(IdentityCase(
 ))
 
 
-def _t31k_image(pt, p):
-    mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
+def _t31k_image(pt):
+    mu, nu, x, y, p = pt.mu, pt.nu, pt.x, pt.y, pt.p
     return (math.exp(0.5 * p * y - p * x) * pcf_d(mu, math.sqrt(2.0 * y * p))
             * kummer_phi((1.0 - nu) / 2.0, 1.5, p * x))
 
@@ -445,7 +431,7 @@ def _v_t31k(pt):
         return "requires Re mu < 0"
     if not (-2.0 < pt.nu < 1.0):
         return "requires -2 < Re nu < 1"
-    return _v_pcf_range(pt, "y")
+    return None
 
 
 _add(IdentityCase(
@@ -461,9 +447,9 @@ _add(IdentityCase(
 ))
 
 
-def _t32_image(pt, p):
-    dmu, dplus, dminus = _pcf_pair(pt.mu, pt.nu, pt.x, pt.y, p)
-    return math.exp(0.5 * p * (pt.y - pt.x)) * dmu * (dminus - dplus)
+def _t32_image(pt):
+    dmu, dplus, dminus = _pcf_pair(pt.mu, pt.nu, pt.x, pt.y, pt.p)
+    return math.exp(0.5 * pt.p * (pt.y - pt.x)) * dmu * (dminus - dplus)
 
 
 def _t32_original(pt):
@@ -510,7 +496,7 @@ def _v_t32(pt):
         return "requires Re mu < min(-nu, 1 + nu)"
     if pt.mu == -1.0:
         return "requires mu != -1 (coefficient pole)"
-    return _v_pcf_range(pt, "x", "y")
+    return None
 
 
 _add(IdentityCase(
@@ -526,8 +512,8 @@ _add(IdentityCase(
 ))
 
 
-def _c321_image(pt, p):
-    x, y = pt.x, pt.y
+def _c321_image(pt):
+    x, y, p = pt.x, pt.y, pt.p
     return math.exp(p * y) * erfc(math.sqrt(y * p)) * erf(math.sqrt(x * p))
 
 
@@ -564,7 +550,7 @@ _add(IdentityCase(
 ))
 
 
-def _c321rep_image(pt, p):
+def _c321rep_image(pt):
     return erfc(pt.a) * erf(pt.b)
 
 
@@ -597,9 +583,9 @@ _add(IdentityCase(
 ))
 
 
-def _t33_image(pt, p):
-    dmu, dplus, dminus = _pcf_pair(pt.mu, pt.nu, pt.x, pt.y, p)
-    return math.exp(0.5 * p * (pt.y - pt.x)) / math.sqrt(p) * dmu * (dminus + dplus)
+def _t33_image(pt):
+    dmu, dplus, dminus = _pcf_pair(pt.mu, pt.nu, pt.x, pt.y, pt.p)
+    return math.exp(0.5 * pt.p * (pt.y - pt.x)) / math.sqrt(pt.p) * dmu * (dminus + dplus)
 
 
 def _t33_original(pt):
@@ -626,8 +612,8 @@ _add(IdentityCase(
 ))
 
 
-def _t33k_image(pt, p):
-    mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
+def _t33k_image(pt):
+    mu, nu, x, y, p = pt.mu, pt.nu, pt.x, pt.y, pt.p
     return (math.exp(0.5 * p * y - p * x) / math.sqrt(p) * pcf_d(mu, math.sqrt(2.0 * y * p))
             * kummer_phi(-nu / 2.0, 0.5, p * x))
 
@@ -661,7 +647,7 @@ def _v_t33k(pt):
         return "requires -1 < Re nu < 0"
     if not pt.mu < 1.0:
         return "requires Re mu < 1"
-    return _v_pcf_range(pt, "y")
+    return None
 
 
 _add(IdentityCase(
@@ -677,9 +663,9 @@ _add(IdentityCase(
 ))
 
 
-def _t34_image(pt, p):
-    dmu, dplus, dminus = _pcf_pair(pt.mu, pt.nu, pt.x, pt.y, p)
-    return math.exp(0.5 * p * (pt.y - pt.x)) / math.sqrt(p) * dmu * dminus
+def _t34_image(pt):
+    dmu, dplus, dminus = _pcf_pair(pt.mu, pt.nu, pt.x, pt.y, pt.p)
+    return math.exp(0.5 * pt.p * (pt.y - pt.x)) / math.sqrt(pt.p) * dmu * dminus
 
 
 def _t34_original(pt):
@@ -720,8 +706,8 @@ _add(IdentityCase(
 ))
 
 
-def _c341_image(pt, p):
-    x = pt.x
+def _c341_image(pt):
+    x, p = pt.x, pt.p
     return math.exp(-0.5 * p * x) / math.sqrt(p) * pcf_d(pt.nu, -math.sqrt(2.0 * x * p))
 
 
@@ -747,7 +733,7 @@ def _v_c341(pt):
         return "requires x > 0, p > 0"
     if not pt.nu < 1.0:
         return "requires Re nu < 1"
-    return _v_pcf_range(pt, "x")
+    return None
 
 
 _add(IdentityCase(
@@ -763,8 +749,8 @@ _add(IdentityCase(
 ))
 
 
-def _t35_image(pt, p):
-    mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
+def _t35_image(pt):
+    mu, nu, x, y, p = pt.mu, pt.nu, pt.x, pt.y, pt.p
     return (math.exp(0.5 * p * (y + x)) / math.sqrt(p)
             * pcf_d(mu, math.sqrt(2.0 * y * p)) * pcf_d(nu, math.sqrt(2.0 * x * p)))
 
@@ -789,7 +775,7 @@ def _v_t35(pt):
         return "requires x > 0, y > 0, p > 0"
     if not pt.mu + pt.nu < 1.0:
         return "requires Re(mu + nu) < 1"
-    return _v_pcf_range(pt, "x", "y")
+    return None
 
 
 _add(IdentityCase(
@@ -804,8 +790,8 @@ _add(IdentityCase(
 ))
 
 
-def _t36_image(pt, p):
-    mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
+def _t36_image(pt):
+    mu, nu, x, y, p = pt.mu, pt.nu, pt.x, pt.y, pt.p
     return (math.exp(0.5 * p * (y + x))
             * pcf_d(mu, math.sqrt(2.0 * y * p)) * pcf_d(nu, math.sqrt(2.0 * x * p)))
 
@@ -831,7 +817,7 @@ def _v_t36(pt):
         return "requires x > 0, y > 0, p > 0"
     if not pt.mu + pt.nu < 0.0:
         return "requires Re(mu + nu) < 0 for a convergent original"
-    return _v_pcf_range(pt, "x", "y")
+    return None
 
 
 _add(IdentityCase(
@@ -846,8 +832,8 @@ _add(IdentityCase(
 ))
 
 
-def _c361_image(pt, p):
-    x, y = pt.x, pt.y
+def _c361_image(pt):
+    x, y, p = pt.x, pt.y, pt.p
     return math.exp(p * (x + y)) * erfc(math.sqrt(y * p)) * erfc(math.sqrt(x * p))
 
 
@@ -875,7 +861,7 @@ _add(IdentityCase(
 ))
 
 
-def _c361rep_image(pt, p):
+def _c361rep_image(pt):
     return erfc(pt.a) * erfc(pt.b)
 
 
@@ -904,7 +890,7 @@ _add(IdentityCase(
 ))
 
 
-def _c361single_image(pt, p):
+def _c361single_image(pt):
     return erfc(pt.b)
 
 
@@ -937,7 +923,7 @@ _add(IdentityCase(
 ))
 
 
-def _c361om_image(pt, p):
+def _c361om_image(pt):
     return 1.0 - erf(pt.a) * erf(pt.b)
 
 
@@ -971,7 +957,7 @@ _add(IdentityCase(
 ))
 
 
-def _ng69_image(pt, p):
+def _ng69_image(pt):
     e = erf(pt.a)
     return 1.0 - e * e
 
@@ -1009,8 +995,8 @@ _add(IdentityCase(
 # The two corrected transforms and their published-but-wrong originals
 # ----------------------------------------------------------------------
 
-def _t41_image(pt, p):
-    z = pt.a * math.sqrt(p)
+def _t41_image(pt):
+    z = pt.a * math.sqrt(pt.p)
     return pcf_d(pt.nu, z) * pcf_d(-pt.nu - 1.0, z)
 
 
@@ -1092,14 +1078,14 @@ def _t42_original(pt):
                   _spec(0.0, math.inf, lam_lo=-(1.0 + s), decay=0.5 / math.sqrt(y))),)
 
 
-def _t42_image(pt, p):
-    z = pt.a * p
-    return math.exp(0.5 * pt.y * p * p) * pcf_d(pt.mu, z) * pcf_d(pt.nu, z)
+def _t42_image(pt):
+    z = pt.a * pt.p
+    return math.exp(0.5 * pt.y * pt.p * pt.p) * pcf_d(pt.mu, z) * pcf_d(pt.nu, z)
 
 
-def _neg_t42_image(pt, p):
-    z = pt.a * p
-    return math.exp(0.25 * pt.y * p * p) * pcf_d(pt.mu, z) * pcf_d(pt.nu, z)
+def _neg_t42_image(pt):
+    z = pt.a * pt.p
+    return math.exp(0.25 * pt.y * pt.p * pt.p) * pcf_d(pt.mu, z) * pcf_d(pt.nu, z)
 
 
 def _v_t42(pt):
@@ -1145,7 +1131,7 @@ def _zc_parts(x, y):
     return (x / (x + y)) ** 2
 
 
-def _s51_image(pt, p):
+def _s51_image(pt):
     mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
     s = mu + nu
     cm = _zc_parts(x, y)
@@ -1197,7 +1183,7 @@ _add(IdentityCase(
 ))
 
 
-def _s52_image(pt, p):
+def _s52_image(pt):
     mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
     s = mu + nu
     cm = _zc_parts(x, y)
@@ -1243,12 +1229,12 @@ def _v_none(pt):
     return None
 
 
-def _red_sum_diff_lhs(pt, p):
+def _red_sum_diff_lhs(pt):
     z = pt.x
     return pcf_d(pt.nu, -z) - pcf_d(pt.nu, z)
 
 
-def _red_sum_diff_rhs(pt, p):
+def _red_sum_diff_rhs(pt):
     nu, z = pt.nu, pt.x
     return (z * 2.0 ** ((nu + 3.0) / 2.0) * _RPI * rg(-nu / 2.0)
             * math.exp(-z * z / 4.0) * kummer_phi((1.0 - nu) / 2.0, 1.5, z * z / 2.0))
@@ -1269,12 +1255,12 @@ _add(IdentityCase(
 ))
 
 
-def _red_sum_add_lhs(pt, p):
+def _red_sum_add_lhs(pt):
     z = pt.x
     return pcf_d(pt.nu, -z) + pcf_d(pt.nu, z)
 
 
-def _red_sum_add_rhs(pt, p):
+def _red_sum_add_rhs(pt):
     nu, z = pt.nu, pt.x
     return (2.0 ** ((nu + 2.0) / 2.0) * _RPI * rg((1.0 - nu) / 2.0)
             * math.exp(-z * z / 4.0) * kummer_phi(-nu / 2.0, 0.5, z * z / 2.0))
@@ -1292,11 +1278,11 @@ _add(IdentityCase(
 ))
 
 
-def _red_rec_lhs(pt, p):
+def _red_rec_lhs(pt):
     return pt.x * pcf_d(pt.nu, pt.x)
 
 
-def _red_rec_rhs(pt, p):
+def _red_rec_rhs(pt):
     nu, z = pt.nu, pt.x
     return pcf_d(nu + 1.0, z) + nu * pcf_d(nu - 1.0, z)
 
@@ -1318,12 +1304,12 @@ def _f21_grid(points):
     return tuple(ParamPoint(orders=(a, b), x=c, y=z, p=1.0) for (a, b, c, z) in points)
 
 
-def _red_euler_lhs(pt, p):
+def _red_euler_lhs(pt):
     a, b = pt.orders
     return gauss_2f1(a, b, pt.x, pt.y)
 
 
-def _red_euler_rhs(pt, p):
+def _red_euler_rhs(pt):
     a, b = pt.orders
     c, z = pt.x, pt.y
     return (1.0 - z) ** (c - a - b) * gauss_2f1(c - a, c - b, c, z)
@@ -1342,7 +1328,7 @@ _add(IdentityCase(
 ))
 
 
-def _red_pfaff_rhs(pt, p):
+def _red_pfaff_rhs(pt):
     a, b = pt.orders
     c, z = pt.x, pt.y
     return (1.0 - z) ** (-a) * gauss_2f1(a, c - b, c, z / (z - 1.0))
@@ -1361,7 +1347,7 @@ _add(IdentityCase(
 ))
 
 
-def _red_connect_rhs(pt, p):
+def _red_connect_rhs(pt):
     a, b = pt.orders
     c, z = pt.x, pt.y
     w = 1.0 - z
@@ -1384,7 +1370,7 @@ _add(IdentityCase(
 ))
 
 
-def _red_quad_rhs(pt, p):
+def _red_quad_rhs(pt):
     a, b = pt.orders
     c, z = pt.x, pt.y
     w = 0.5 * (1.0 - math.sqrt(1.0 - z))
@@ -1405,14 +1391,14 @@ _add(IdentityCase(
 ))
 
 
-def _red_contig_lhs(pt, p):
+def _red_contig_lhs(pt):
     a, b = pt.orders
     c, z = pt.x, pt.y
     return ((c - a) * gauss_2f1(a - 1.0, b, c, z)
             + (2.0 * a - c + (b - a) * z) * gauss_2f1(a, b, c, z))
 
 
-def _red_contig_rhs(pt, p):
+def _red_contig_rhs(pt):
     a, b = pt.orders
     c, z = pt.x, pt.y
     return a * (1.0 - z) * gauss_2f1(a + 1.0, b, c, z)
@@ -1431,13 +1417,13 @@ _add(IdentityCase(
 ))
 
 
-def _red_appell_lhs(pt, p):
+def _red_appell_lhs(pt):
     a, b1 = pt.orders
     b2, z1, z2 = pt.x, pt.y, pt.p
     return appell_f1(a, b1, b2, b1 + b2, z1, z2)
 
 
-def _red_appell_rhs(pt, p):
+def _red_appell_rhs(pt):
     a, b1 = pt.orders
     b2, z1, z2 = pt.x, pt.y, pt.p
     return (1.0 - z2) ** (-a) * gauss_2f1(a, b1, b1 + b2, (z1 - z2) / (1.0 - z2))
@@ -1468,14 +1454,20 @@ _GAUSS_SUM_TARGETS = {
 }
 
 
-def _red_gauss_sum_lhs(pt, p):
+def _red_gauss_sum_lhs(pt):
     a, b = pt.orders
     return gauss_2f1_at_one(a, b, pt.x)
 
 
-def _red_gauss_sum_rhs(pt, p):
+def _red_gauss_sum_rhs(pt):
     a, b = pt.orders
     return _GAUSS_SUM_TARGETS[(a, b, pt.x)]
+
+
+def _v_gauss_sum(pt):
+    if (*pt.orders, pt.x) not in _GAUSS_SUM_TARGETS:
+        return f"requires (a, b, c) with a frozen target, one of {sorted(_GAUSS_SUM_TARGETS)}"
+    return None
 
 
 _add(IdentityCase(
@@ -1484,19 +1476,19 @@ _add(IdentityCase(
     label="2F1 at z=1 against independently frozen gamma-ratio values",
     image=_red_gauss_sum_lhs,
     closed_rhs=_red_gauss_sum_rhs,
-    validity=_v_none,
+    validity=_v_gauss_sum,
     default_grid=tuple(ParamPoint(orders=(a, b), x=c, y=1.0, p=1.0)
                        for (a, b, c) in sorted(_GAUSS_SUM_TARGETS)),
     tol=1e-10,
 ))
 
 
-def _red_erfc_lhs(pt, p):
+def _red_erfc_lhs(pt):
     z = pt.x
     return erfc(-z) - erfc(z)
 
 
-def _red_erfc_rhs(pt, p):
+def _red_erfc_rhs(pt):
     return 2.0 * erf(pt.x)
 
 

@@ -10,6 +10,10 @@ target.  Every point of the group reports that shared integral's
 evaluations.  For semi-infinite supports the smallest p of the group is
 added to the piece's own decay rate so the marching quadrature knows
 where the mass dies.
+
+Whether a point can be evaluated is decided here, before any integral:
+a case's validity predicate states its identity's hypotheses, and a
+closed form that a special function cannot evaluate is InvalidParams too.
 """
 
 from __future__ import annotations
@@ -19,20 +23,20 @@ from dataclasses import replace
 
 import numpy as np
 
-from .._exceptions import InvalidParams, NonConvergence
+from .._exceptions import DomainError, InvalidParams, NonConvergence, PoleError
 from ..quad import integrate_finite, integrate_semi_infinite
-from .cases import REGISTRY, registry_order
+from .cases import REGISTRY
 from .model import IdentityCase, ParamPoint, PointRecord, VerificationReport
 
 __all__ = [
     "get_case",
     "list_cases",
+    "check_points",
     "evaluate_point",
     "point_groups",
     "point_passes",
     "verify",
     "build_report",
-    "reduction_suite",
 ]
 
 _FLOOR = 1e-300
@@ -50,7 +54,7 @@ def list_cases():
     return [(c.id, c.kind, c.label, c.tol) for c in REGISTRY.values()]
 
 
-def _integrate_pieces(pieces, ps=None, rel_tol=None):
+def _integrate_pieces(pieces, ps=None):
     """Sum of the pieces' integrals, against e^{-p_j t} for each p_j of
     ps when given.
 
@@ -68,8 +72,6 @@ def _integrate_pieces(pieces, ps=None, rel_tol=None):
         ps = np.asarray(ps, dtype=float)
     for piece in pieces:
         spec = piece.spec
-        if rel_tol is not None:
-            spec = replace(spec, rel_tol=float(rel_tol))
         f = piece.integrand
         if ps is not None:
             def g(t, d_lo, d_hi, _f=f):
@@ -111,15 +113,13 @@ def point_groups(case_id: str, points):
     return [tuple(idx) for idx in groups.values()]
 
 
-def _rhs_detail(case: IdentityCase, points, rel_tol=None):
+def _rhs_detail(case: IdentityCase, points):
     """Integral side of one group of points with its bookkeeping:
     (values, evaluations, converged, error_estimates), one entry per
     point except evaluations, which the group's shared integral spends."""
     n = len(points)
-    if case.closed_rhs is not None:
-        return [complex(case.closed_rhs(pt, pt.p)) for pt in points], 0, [True] * n, [0.0] * n
     ps = [pt.p for pt in points] if case.kind == "laplace_pair" else None
-    value, evaluations, converged, err = _integrate_pieces(case.original(points[0]), ps, rel_tol)
+    value, evaluations, converged, err = _integrate_pieces(case.original(points[0]), ps)
     return ([complex(v) for v in np.broadcast_to(value, n)], evaluations,
             [bool(c) for c in np.broadcast_to(converged, n)],
             [float(e) for e in np.broadcast_to(err, n)])
@@ -129,26 +129,33 @@ def _rel_error(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), _FLOOR)
 
 
-def _check_valid(case: IdentityCase, params: ParamPoint):
-    reason = case.validity(params)
-    if reason is not None:
-        raise InvalidParams(f"{case.id}: {reason}")
+def check_points(case_id: str, points):
+    """Raise InvalidParams at the first point that fails the case's
+    validity predicate, the identity's own hypotheses."""
+    case = get_case(case_id)
+    for pt in points:
+        reason = case.validity(pt)
+        if reason is not None:
+            raise InvalidParams(f"invalid grid point for {case.id}: {reason}")
 
 
-def _evaluate_group(case: IdentityCase, points):
-    """Records of one group of points, in the given order."""
-    lhs = [complex(case.image(pt, pt.p)) for pt in points]
-    rhs, evaluations, converged, _ = _rhs_detail(case, points)
-    return [PointRecord(params=pt, lhs=left, rhs=right, rel_error=_rel_error(left, right),
-                        evaluations=evaluations, converged=conv)
-            for pt, left, right, conv in zip(points, lhs, rhs, converged)]
+def _closed_forms(case: IdentityCase, points):
+    """Both closed forms of every point: image values, and closed_rhs
+    values for a reduction (None for the others).  A special function
+    that cannot evaluate a point, outside its domain, at a pole or
+    beyond double range, makes the point invalid."""
+    try:
+        lhs = [complex(case.image(pt)) for pt in points]
+        rhs = [None if case.closed_rhs is None else complex(case.closed_rhs(pt)) for pt in points]
+    except (DomainError, PoleError, OverflowError) as exc:
+        raise InvalidParams(
+            f"invalid grid point for {case.id}: {type(exc).__name__}: {exc}") from None
+    return lhs, rhs
 
 
 def evaluate_point(case_id: str, params: ParamPoint) -> PointRecord:
     """One grid point end to end: a group of one."""
-    case = get_case(case_id)
-    _check_valid(case, params)
-    return _evaluate_group(case, (params,))[0]
+    return verify(case_id, grid=(params,)).records[0]
 
 
 def point_passes(record: PointRecord, tol: float) -> bool:
@@ -187,22 +194,22 @@ def build_report(case_id: str, records, tol=None) -> VerificationReport:
 def verify(case_id: str, grid=None, tol=None) -> VerificationReport:
     """Run a case over a grid (its default when grid is None).
 
-    Every point is checked for validity first; then each group of
-    point_groups is evaluated with one shared integral.  Records keep
-    grid order.
+    Every point passes check_points and has both closed forms evaluated
+    before any integral; then each group of point_groups is evaluated
+    with one shared integral.  Records keep grid order.
     """
     case = get_case(case_id)
     points = case.default_grid if grid is None else tuple(grid)
-    for pt in points:
-        _check_valid(case, pt)
-    records = [None] * len(points)
-    for idx in point_groups(case.id, points):
-        for i, rec in zip(idx, _evaluate_group(case, [points[i] for i in idx])):
-            records[i] = rec
+    check_points(case.id, points)
+    lhs, rhs = _closed_forms(case, points)
+    evaluations = [0] * len(points)
+    converged = [True] * len(points)
+    if case.original is not None:
+        for idx in point_groups(case.id, points):
+            values, evals, conv, _ = _rhs_detail(case, [points[i] for i in idx])
+            for i, value, c in zip(idx, values, conv):
+                rhs[i], evaluations[i], converged[i] = value, evals, c
+    records = [PointRecord(params=pt, lhs=left, rhs=right, rel_error=_rel_error(left, right),
+                           evaluations=e, converged=c)
+               for pt, left, right, e, c in zip(points, lhs, rhs, evaluations, converged)]
     return build_report(case.id, records, tol=tol)
-
-
-def reduction_suite():
-    """Verify every reduction case; the closed-vs-closed sanity layer."""
-    return [verify(cid) for cid in registry_order()
-            if REGISTRY[cid].kind == "reduction"]

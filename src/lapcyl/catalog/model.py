@@ -80,12 +80,12 @@ class IdentityCase:
     id: str
     kind: str
     label: str
-    image: Callable                       # (ParamPoint, p) -> complex
+    image: Callable                       # ParamPoint -> complex, at its own p
     validity: Callable                    # ParamPoint -> None | reason string
     default_grid: tuple
     tol: float
     original: Optional[Callable] = None   # ParamPoint -> tuple of Piece
-    closed_rhs: Optional[Callable] = None  # (ParamPoint, p) -> complex, reductions
+    closed_rhs: Optional[Callable] = None  # ParamPoint -> complex, reductions
     negative_control: bool = False
 
     def __post_init__(self):

@@ -5,14 +5,16 @@ Exit codes: 0 when every selected positive case passes and every
 selected control fails as designed, 1 when verification disagrees with
 that expectation, 2 for configuration errors (unknown ids, bad flags,
 malformed grid files, `eval` arguments outside a function's domain or
-range).  Reports are deterministic byte for byte across
-runs and across --jobs: a task is one group of points that share an
-integral (`point_groups`), evaluated whole in one process, and records
-keep grid order.  A row's `evaluations` is the integrand evaluations of
-its group's shared integral.  Wall-clock timings go to a sidecar file,
-never into the report.  The sidecar holds the total wall time and, under
-any --jobs, each case's compute time: the sum of its groups' evaluation
-times.
+range) and for grid points a case cannot evaluate.  Every point's
+validity predicate is checked before any task runs; a closed form that
+a special function cannot evaluate stops the run when its group runs.
+Reports are deterministic byte for byte across runs and across --jobs:
+a task is one group of points that share an integral (`point_groups`),
+evaluated whole in one process, and records keep grid order.  A row's
+`evaluations` is the integrand evaluations of its group's shared
+integral.  Wall-clock timings go to a sidecar file, never into the
+report.  The sidecar holds the total wall time and, under any --jobs,
+each case's compute time: the sum of its groups' evaluation times.
 """
 
 from __future__ import annotations
@@ -25,12 +27,18 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from ._exceptions import InvalidParams, LapcylError
-from .catalog import build_report, get_case, list_cases, point_groups, point_passes, verify
-from .catalog.cases import REGISTRY
-from .catalog.model import ParamPoint
+from .catalog import (
+    build_report,
+    check_points,
+    get_case,
+    list_cases,
+    point_groups,
+    point_passes,
+    verify,
+)
+from .catalog.model import KINDS, ParamPoint
 from .special import (
     appell_f1,
     erf,
@@ -47,43 +55,20 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 
-_FORMATS = ("json", "csv", "text")
-
 
 class ConfigError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one `verify` invocation depends on."""
-
-    patterns: tuple = ()
-    select_all: bool = False
-    tol: float | None = None
-    grid_path: str | None = None
-    fmt: str = "json"
-    out: str | None = None
-    jobs: int = 1
-
-    def __post_init__(self):
-        if not self.patterns and not self.select_all:
-            raise ConfigError("select cases with --case or pass --all")
-        if self.tol is not None and not self.tol > 0.0:
-            raise ConfigError(f"--tol must be positive, got {self.tol}")
-        if self.fmt not in _FORMATS:
-            raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.jobs < 1:
-            raise ConfigError(f"--jobs must be at least 1, got {self.jobs}")
-
-
-def _select_cases(cfg: RunConfig):
-    """Resolve patterns against the registry, keeping registry order."""
+def _select_cases(args):
+    """Resolve --case patterns against the registry, keeping registry order."""
     ids = [row[0] for row in list_cases()]
-    if cfg.select_all:
+    if args.all:
         return ids
+    if not args.case:
+        raise ConfigError("select cases with --case or pass --all")
     chosen = []
-    for pat in cfg.patterns:
+    for pat in args.case:
         hits = [cid for cid in ids if fnmatch.fnmatchcase(cid, pat)]
         if not hits:
             raise ConfigError(f"no case matches {pat!r}")
@@ -114,8 +99,10 @@ def _load_grid(path):
             raise ConfigError(
                 f"{path}:{lineno}: expected `id mu nu x y p`, got {len(tokens)} fields")
         cid = tokens[0]
-        if cid not in REGISTRY:
-            raise ConfigError(f"{path}:{lineno}: unknown case id {cid!r}")
+        try:
+            get_case(cid)
+        except InvalidParams as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
         try:
             mu, nu, x, y, p = (float(tok) for tok in tokens[1:])
         except ValueError:
@@ -123,16 +110,6 @@ def _load_grid(path):
         table.setdefault(cid, []).append(
             ParamPoint(orders=(mu, nu), x=x, y=y, p=p))
     return {cid: tuple(pts) for cid, pts in table.items()}
-
-
-def _check_points(case_ids, grids):
-    """Reject invalid parameter points before any integral runs."""
-    for cid in case_ids:
-        case = get_case(cid)
-        for pt in grids.get(cid, case.default_grid):
-            reason = case.validity(pt)
-            if reason is not None:
-                raise ConfigError(f"invalid grid point for {cid}: {reason}")
 
 
 def _eval_task(task):
@@ -146,24 +123,25 @@ def _eval_task(task):
     return records, time.perf_counter() - start
 
 
-def _run_verify(cfg: RunConfig):
+def _run_verify(args):
     """Returns (reports in registry order, compute seconds per case id,
     total wall seconds)."""
-    case_ids = _select_cases(cfg)
-    grids = _load_grid(cfg.grid_path) if cfg.grid_path else {}
-    _check_points(case_ids, grids)
+    case_ids = _select_cases(args)
+    grids = _load_grid(args.grid) if args.grid else {}
+    points = {cid: grids.get(cid, get_case(cid).default_grid) for cid in case_ids}
+    for cid, pts in points.items():
+        check_points(cid, pts)
 
     start = time.perf_counter()
     tasks = []
     layout = []
-    for cid in case_ids:
-        pts = grids.get(cid, get_case(cid).default_grid)
+    for cid, pts in points.items():
         groups = point_groups(cid, pts)
         layout.append((cid, len(pts), groups))
         tasks.extend((cid, tuple(pts[i] for i in idx)) for idx in groups)
-    if cfg.jobs > 1:
-        chunk = max(1, len(tasks) // (4 * cfg.jobs))
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    if args.jobs > 1:
+        chunk = max(1, len(tasks) // (4 * args.jobs))
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = iter(list(pool.map(_eval_task, tasks, chunksize=chunk)))
     else:
         results = map(_eval_task, tasks)
@@ -176,7 +154,7 @@ def _run_verify(cfg: RunConfig):
             for i, rec in zip(idx, recs):
                 records[i] = rec
             seconds[cid] += secs
-        reports.append(build_report(cid, records, tol=cfg.tol))
+        reports.append(build_report(cid, records, tol=args.tol))
     return reports, seconds, time.perf_counter() - start
 
 
@@ -247,26 +225,17 @@ def _exit_status(reports):
 
 
 def cmd_verify(args):
-    cfg = RunConfig(
-        patterns=tuple(args.case or ()),
-        select_all=args.all,
-        tol=args.tol,
-        grid_path=args.grid,
-        fmt=args.format,
-        out=args.out,
-        jobs=args.jobs,
-    )
-    reports, seconds, wall = _run_verify(cfg)
-    payload = _RENDER[cfg.fmt](reports)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+    reports, seconds, wall = _run_verify(args)
+    payload = _RENDER[args.format](reports)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
         timing = {
-            "jobs": cfg.jobs,
+            "jobs": args.jobs,
             "total_ms": wall * 1e3,
             "cases": {cid: secs * 1e3 for cid, secs in seconds.items()},
         }
-        with open(cfg.out + ".timing.json", "w", encoding="utf-8") as fh:
+        with open(args.out + ".timing.json", "w", encoding="utf-8") as fh:
             json.dump(timing, fh, indent=2)
             fh.write("\n")
     else:
@@ -310,12 +279,7 @@ def _format_value(value):
 
 
 def cmd_eval(args):
-    try:
-        names, fn = _EVAL_FNS[args.fn]
-    except KeyError:
-        raise ConfigError(
-            f"unknown function {args.fn!r}; choose from {', '.join(sorted(_EVAL_FNS))}"
-        ) from None
+    names, fn = _EVAL_FNS[args.fn]
     values = []
     for name in names:
         value = getattr(args, name)
@@ -333,6 +297,16 @@ def cmd_eval(args):
     return EXIT_OK
 
 
+def _positive(kind):
+    """argparse type: a number of the given kind above zero."""
+    def positive(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    return positive
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lapcyl",
@@ -341,26 +315,26 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list", help="print the catalog")
-    p_list.add_argument("--kind", choices=("laplace_pair", "direct_integral", "reduction"))
+    p_list.add_argument("--kind", choices=KINDS)
     p_list.set_defaults(func=cmd_list)
 
     p_verify = sub.add_parser("verify", help="run the verification harness")
     p_verify.add_argument("--case", action="append", metavar="GLOB",
                           help="case id or glob; repeatable")
     p_verify.add_argument("--all", action="store_true", help="select every case")
-    p_verify.add_argument("--tol", type=float, default=None,
+    p_verify.add_argument("--tol", type=_positive(float), default=None,
                           help="override the per-case tolerance")
     p_verify.add_argument("--grid", metavar="PATH", default=None,
                           help="grid override file with rows `id mu nu x y p`")
-    p_verify.add_argument("--format", choices=_FORMATS, default="json")
+    p_verify.add_argument("--format", choices=tuple(_RENDER), default="json")
     p_verify.add_argument("--out", metavar="PATH", default=None,
                           help="write the report here plus timings to PATH.timing.json")
-    p_verify.add_argument("--jobs", type=int, default=1,
+    p_verify.add_argument("--jobs", type=_positive(int), default=1,
                           help="worker processes for grid evaluation")
     p_verify.set_defaults(func=cmd_verify)
 
     p_eval = sub.add_parser("eval", help="evaluate one function at a point")
-    p_eval.add_argument("fn", metavar="FN",
+    p_eval.add_argument("fn", metavar="FN", choices=sorted(_EVAL_FNS),
                         help="one of " + ", ".join(sorted(_EVAL_FNS)))
     for flag in _EVAL_FLAGS:
         p_eval.add_argument("--" + flag, type=float, default=None)
@@ -374,10 +348,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvalidParams as exc:
+    except (ConfigError, InvalidParams) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

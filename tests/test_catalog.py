@@ -5,6 +5,7 @@ The full grid battery lives in test_acceptance; here each check touches
 the fewest points that can falsify the property.
 """
 
+import dataclasses
 import math
 import random
 
@@ -21,7 +22,6 @@ from lapcyl.catalog import (
     list_cases,
     point_groups,
     point_passes,
-    reduction_suite,
     verify,
 )
 from lapcyl.catalog.cases import REGISTRY
@@ -96,10 +96,15 @@ class TestValidity:
     def test_image_argument_beyond_pcf_range_rejected(self):
         # sqrt(2 x p) = 44.7 is outside pcf_d's |z| <= 40
         pt = ParamPoint(orders=(-0.5, -0.5), x=2.0, y=2.0, p=500.0)
-        with pytest.raises(InvalidParams, match="range of pcf_d"):
+        with pytest.raises(InvalidParams, match="above the supported range"):
             evaluate_point("T31-DIFF-HALF", pt)
-        with pytest.raises(InvalidParams, match="range of pcf_d"):
+        with pytest.raises(InvalidParams, match="above the supported range"):
             verify("T31-DIFF-HALF", grid=[get_case("T31-DIFF-HALF").default_grid[0], pt])
+
+    def test_gauss_sum_without_frozen_target_rejected(self):
+        pt = ParamPoint(orders=(0.1, 0.2), x=1.5, y=1.0, p=1.0)
+        with pytest.raises(InvalidParams, match="frozen target"):
+            evaluate_point("RED-GAUSS-SUM", pt)
 
     def test_half_kind_kummer_window(self):
         pt = ParamPoint(orders=(0.5,), x=1.0, y=1.0, p=1.0)
@@ -117,7 +122,7 @@ class TestModelValidation:
     def _mk(self, **kw):
         base = dict(
             id="X", kind="laplace_pair", label="x",
-            image=lambda pt, p: 1.0, validity=lambda pt: None,
+            image=lambda pt: 1.0, validity=lambda pt: None,
             default_grid=(), tol=1e-8,
             original=lambda pt: (),
         )
@@ -132,14 +137,14 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             self._mk(original=None)
         with pytest.raises(ValueError):
-            self._mk(closed_rhs=lambda pt, p: 1.0)
+            self._mk(closed_rhs=lambda pt: 1.0)
 
 
 def image(cid, pt):
     """Closed-form side of a case at a point inside its validity region."""
     case = get_case(cid)
     assert case.validity(pt) is None, (cid, pt)
-    return case.image(pt, pt.p)
+    return case.image(pt)
 
 
 class TestImageAlgebra:
@@ -177,8 +182,11 @@ class TestQuadratureHonesty:
         mid = case.default_grid[len(case.default_grid) // 2]
         group = [pt for pt in case.default_grid
                  if (pt.orders, pt.x, pt.y) == (mid.orders, mid.x, mid.y)]
+        tight = dataclasses.replace(case, original=lambda pt: tuple(
+            dataclasses.replace(pc, spec=dataclasses.replace(pc.spec, rel_tol=1e-13))
+            for pc in case.original(pt)))
         v1, _, conv1, est1 = _rhs_detail(case, group)
-        v2, _, conv2, _ = _rhs_detail(case, group, rel_tol=1e-13)
+        v2, _, conv2, _ = _rhs_detail(tight, group)
         assert all(conv1) and all(conv2)
         for a, b, est in zip(v1, v2, est1):
             assert est > 0.0
@@ -212,13 +220,6 @@ class TestSpotChecks:
         rep = verify(cid)
         assert rep.verdict == "pass"
         assert rep.max_rel_error <= rep.tol
-
-    def test_reduction_suite_all_pass(self):
-        reports = reduction_suite()
-        assert [r.id for r in reports] == [
-            cid for cid, kind, _, _ in list_cases() if kind == "reduction"
-        ]
-        assert all(r.verdict == "pass" for r in reports)
 
     def test_point_record_fields(self):
         pt = get_case("C361-ERFC-SINGLE").default_grid[0]

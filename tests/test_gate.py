@@ -1,0 +1,81 @@
+"""Grid points that satisfy their case's validity predicate but that a
+special function cannot evaluate: outside pcf_d's or gauss_2f1's
+domain, or beyond double range in kummer_phi or math.exp.  The engine
+rejects each as an invalid point before any quadrature runs, and the
+CLI exits 2 on it without a traceback under any --jobs.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+from lapcyl import InvalidParams
+from lapcyl.catalog import ParamPoint, engine, get_case, verify
+
+# `id mu nu x y p`, as in a --grid file, and the error the closed form raises
+ROWS = [
+    ("ILT-KUM-BLOCK 0 0.5 1 1 720", "OverflowError"),
+    ("ILT-KUM-BLOCK-32 0 -0.5 1 1 720", "OverflowError"),
+    ("ILT-KUM-BLOCK-12 0 -0.5 1 1 720", "OverflowError"),
+    ("T31-KUMMER -0.5 -0.5 1 0.5 720", "OverflowError"),
+    ("T33-KUMMER -0.6 -0.45 1 0.5 720", "OverflowError"),
+    ("C321-ERF-MIX 0 0 1 1 800", "OverflowError"),
+    ("T35-POS-HALF -0.5 -0.5 3 3 250", "OverflowError"),
+    ("T36-POS -0.5 -0.5 3 3 250", "OverflowError"),
+    ("C361-ERFC2 0 0 1 1 400", "OverflowError"),
+    ("T41-CORRECTED 0 0.25 400 400 5", "DomainError"),
+    ("NEG-T41 0 0.25 4 4 500", "DomainError"),
+    ("T42-CORRECTED -0.5 -0.5 4 4 19.5", "OverflowError"),
+    ("NEG-T42 -0.5 -0.5 4 4 21", "DomainError"),
+    ("RED-SUM-DIFF 0 0.5 50 50 1", "DomainError"),
+    ("RED-2F1-EULER 0.3 0.7 1.1 1.5 1", "DomainError"),
+]
+
+
+def parse(row):
+    cid, *values = row.split()
+    mu, nu, x, y, p = map(float, values)
+    return cid, ParamPoint(orders=(mu, nu), x=x, y=y, p=p)
+
+
+@pytest.mark.parametrize("row, error", ROWS)
+def test_engine_rejects_before_any_quadrature(row, error, monkeypatch):
+    cid, pt = parse(row)
+    case = get_case(cid)
+    assert case.validity(pt) is None
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran before the closed forms were checked")
+
+    monkeypatch.setattr(engine, "integrate_finite", no_quadrature)
+    monkeypatch.setattr(engine, "integrate_semi_infinite", no_quadrature)
+    # a valid point first: its group would integrate before the bad one's
+    with pytest.raises(InvalidParams) as info:
+        verify(cid, grid=[case.default_grid[0], pt])
+    assert str(info.value).startswith(f"invalid grid point for {cid}: {error}: ")
+
+
+def run_grid(tmp_path, row, jobs):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(row + "\n")
+    cmd = [sys.executable, "-m", "lapcyl.cli", "verify", "--case", row.split()[0],
+           "--grid", str(grid), "--jobs", str(jobs)]
+    return subprocess.run(cmd, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("row, error", ROWS)
+def test_cli_exits_two(tmp_path, row, error, jobs):
+    res = run_grid(tmp_path, row, jobs)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert f"invalid grid point for {row.split()[0]}: {error}: " in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_gauss_sum_without_frozen_target_exits_two(tmp_path):
+    res = run_grid(tmp_path, "RED-GAUSS-SUM 0.1 0.2 1.5 1 1", 1)
+    assert res.returncode == 2
+    assert "invalid grid point for RED-GAUSS-SUM: requires" in res.stderr
+    assert "Traceback" not in res.stderr

@@ -26,8 +26,8 @@ SURFACE = {
     "lapcyl.catalog": [
         "IdentityCase", "ParamPoint", "Piece", "PointRecord",
         "VerificationReport",
-        "build_report", "evaluate_point", "get_case", "list_cases",
-        "point_groups", "point_passes", "reduction_suite", "verify",
+        "build_report", "check_points", "evaluate_point", "get_case",
+        "list_cases", "point_groups", "point_passes", "verify",
     ],
 }
 
