@@ -97,9 +97,10 @@ class IdentityCase:
 
 @dataclass(frozen=True)
 class PointRecord:
-    """One grid point's outcome.  evaluations counts the integrand calls
-    of the integral its group shares (see engine.point_groups), so every
-    record of a group carries the same count."""
+    """One grid point's outcome.  evaluations counts the abscissae at
+    which the integral its group shares (see engine.point_groups)
+    evaluated its integrand, so every record of a group carries the same
+    count."""
 
     params: ParamPoint
     lhs: complex

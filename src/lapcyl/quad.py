@@ -2,8 +2,6 @@
 
 The building block is the nested 7/15 pair: the 15-point Kronrod value is
 the estimate, |K15 - G7| the (deliberately conservative) panel error.
-Worst panel first, split in half, deterministic tie-break by creation
-order, so repeated runs produce bit-identical results.
 
 Endpoint singularities t^lambda with -1 < lambda < 0 are removed by the
 power substitution t = a + (m-a) u^{1/(1+lambda)} on the half interval
@@ -11,24 +9,43 @@ next to the endpoint (identity map for lambda >= 0, where the
 substitution would only de-smooth the integrand).  Gauss-Kronrod nodes
 are strictly interior, so the integrand is never evaluated at an endpoint.
 
-Integrands are called with a float64 array of n abscissae and must return
-array values (complex or real): shape (n,) for one integral, or (m, n)
-for m integrals over the same range that share every integrand call,
-such as one original against m Laplace kernels.  Each of the m
-components keeps its own target max(rel_tol |I_j|, abs_tol), its own
-error estimate and its own converged flag; refinement stops only when
-every component meets its target, and splits first the panel with the
-largest err_j / target_j over its components.  Catalog integrands
-additionally receive the exact displacements from both endpoints
-(``distance_form=True``), which keeps factors like (x-t)^{-3/4} fully
-accurate when the adaptive refinement pushes t within an ulp of x; the
-public entry points keep the plain f(t) signature and wrap it.
+Integrands are called with a float64 array of n abscissae, the 15 nodes
+of each of several panels, and must return array values (complex or
+real): shape (n,) for one integral, or (m, n) for m integrals over the
+same range that share every integrand call, such as one original against
+m Laplace kernels.  Each of the m components keeps its own target
+max(rel_tol |I_j|, abs_tol), its own error estimate and its own converged
+flag; refinement stops only when every component meets its target.
+Catalog integrands additionally receive the exact displacements from both
+endpoints (``distance_form=True``), which keeps factors like (x-t)^{-3/4}
+fully accurate when the adaptive refinement pushes t within an ulp of x;
+the public entry points keep the plain f(t) signature and wrap it.
+
+The workspace holds arrays only: a plain (n,) integrand is the m = 1 case,
+unwrapped to scalars in the result.  One matmul applies K15 and G7 to a
+whole (m, k, 15) block of node values, k panels of m components.
+
+Refinement runs in rounds, after scipy.integrate.quad_vec.  A round pops
+the panels with the largest max_j err_j / target_j (targets of the
+estimate that refinement starts from; ties go to the older panel) until
+the popped error would bring every component to its target, at most
+_ROUND_SPLITS of them, and halves each.  The children are evaluated with
+one integrand call per integrand closure, closures and panels in pop
+order, so repeated runs produce bit-identical results.
 
 Semi-infinite ranges are covered by a substituted first panel, then
-panels of width 1/decay_rate (the slowest decay over the components)
-marched until two consecutive panels contribute below a tenth of every
-component's target for the running total, then one final panel mapped
-through t = T + u/(1-u); everything lands in the same refinement queue.
+panels of width 1/decay_rate (the slowest decay over the components),
+marched _MARCH_BLOCK panels per integrand call until two consecutive
+panels contribute below a tenth of every component's target for the
+running total (tested panel by panel along the block), then one final
+panel from the end of that block, mapped through t = T + u/(1-u);
+everything lands in the same refinement queue.
+
+The reported error estimate of component j is at least 50 eps |I_j|, a
+rounding floor after the 50 epmach resabs of QUADPACK's dqk15: |K15 - G7|
+of a panel resolved to the last bit says nothing about the rounding in
+the panel sums.  Since rel_tol >= 1e-13 > 50 eps, the floor never changes
+a converged flag.
 """
 
 from __future__ import annotations
@@ -81,9 +98,18 @@ _NODES = np.array([-x for x in _XGK[:7]] + [0.0] + [x for x in reversed(_XGK[:7]
 _WEIGHTS_K = np.array(list(_WGK[:7]) + [_WGK[7]] + list(reversed(_WGK[:7])))
 _GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WEIGHTS_G = np.array([_WG[0], _WG[1], _WG[2], _WG[3], _WG[2], _WG[1], _WG[0]])
+# K15 and G7 as the two columns of one matrix: a block of node values
+# times it gives every panel's K15 and G7 sums in one matmul
+_RULES = np.zeros((15, 2))
+_RULES[:, 0] = _WEIGHTS_K
+_RULES[_GAUSS_IDX, 1] = _WEIGHTS_G
 
 _MIN_PANEL_WIDTH = 1e-15
 _TAIL_CLIP = 1.0 - 1e-12
+_ROUND_SPLITS = 16      # most panels halved in one refinement round
+_MARCH_BLOCK = 8        # semi-infinite march panels per integrand call
+_MAX_MARCH = 100000
+_ROUNDING = 50.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -130,8 +156,9 @@ class QuadratureResult:
 
     For an integrand that returns an (m, n) array, value, error_estimate
     and converged are length-m arrays, one entry per component; for a
-    plain (n,) integrand they are scalars.  evaluations counts abscissae,
-    each once however many components the integrand returns.
+    plain (n,) integrand they are scalars.  An error estimate is never
+    below 50 eps |value|.  evaluations counts abscissae, each once however
+    many components the integrand returns.
     """
 
     value: complex
@@ -146,137 +173,147 @@ def _wrap(f, distance_form):
     return lambda t, d_lo, d_hi: f(t)
 
 
-def _gk15(y, h):
-    """K15 value and |K15 - G7| of one component's 15 node values."""
-    if not np.all(np.isfinite(y)):
-        return 0.0 + 0.0j, math.inf
-    k15 = h * np.dot(_WEIGHTS_K, y)
-    g7 = h * np.dot(_WEIGHTS_G, y[_GAUSS_IDX])
-    return k15, abs(k15 - g7)
-
-
-def _shortfall(toterr, target, met):
-    if np.ndim(met) == 0:
-        return f"error estimate {toterr:.3g}, target {target:.3g}"
-    j = int(np.argmin(met))
-    return f"component {j}: error estimate {toterr[j]:.3g}, target {target[j]:.3g}"
-
-
 class _Workspace:
-    """Panel queue shared by the finite and semi-infinite drivers.
+    """Panel store and refinement queue shared by the finite and
+    semi-infinite drivers.
 
-    A plain integrand keeps its bookkeeping on Python numbers.  For an
-    (m, n) integrand each panel holds arrays over the m components, each
-    component summed by the same rule as a plain integral; the queue
-    orders panels by max_j err_j / target_j, with the targets of the
-    estimate that refinement starts from.
+    Every integrand counts as an (m, n) one: each panel holds its K15
+    values and |K15 - G7| errors as length-m arrays, and totals, errors
+    and targets are length-m arrays too.  The queue orders panels by
+    max_j err_j / target_j, with the targets of the estimate that
+    refinement starts from.
     """
 
     def __init__(self, spec: QuadratureSpec):
         self.spec = spec
-        self.alive = {}
-        self.heap = None        # built when refinement starts
-        self.weight = None      # 1 / target_j of an (m, n) integrand
-        self.components = None  # m of an (m, n) integrand
+        self.panels = {}        # creation index -> (g, lo, hi, value, error)
         self.next_idx = 0
         self.evaluations = 0
-        self.frozen_val = 0.0 + 0.0j
+        self.plain = None       # the integrand returns (n,), set on its first call
+        self.frozen_val = 0.0
         self.frozen_err = 0.0
 
-    def eval_panel(self, g, lo, hi):
-        c = 0.5 * (lo + hi)
-        h = 0.5 * (hi - lo)
-        y = np.asarray(g(c + h * _NODES), dtype=complex)
-        self.evaluations += y.shape[-1]
-        if y.ndim == 1:
-            return _gk15(y, h)
-        self.components = len(y)
-        vals, errs = zip(*(_gk15(row, h) for row in y))
-        return np.array(vals), np.array(errs)
-
     def add(self, g, lo, hi):
-        val, err = self.eval_panel(g, lo, hi)
-        idx = self.next_idx
-        self.next_idx = idx + 1
-        self.alive[idx] = (g, lo, hi, val, err)
-        if self.heap is not None:
-            heapq.heappush(self.heap, (-self._priority(err), idx))
+        """Evaluate the k panels [lo_i, hi_i] (sequences of floats) with one
+        call of g and store them; returns their (m, k) values and errors.
+        A panel with a non-finite node value counts as value 0, error inf."""
+        c = np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
+        h = np.array([0.5 * (b - a) for a, b in zip(lo, hi)])
+        t = (c[:, None] + h[:, None] * _NODES).ravel()
+        y = np.asarray(g(t), dtype=complex)
+        self.evaluations += t.size
+        if self.plain is None:
+            self.plain = y.ndim == 1
+        rules = (y.reshape(-1, len(lo), _NODES.size) @ _RULES) * h[:, None]
+        val = rules[..., 0]
+        if np.isfinite(val).all():
+            err = np.abs(val - rules[..., 1])
+        else:
+            # every K15 weight is positive, so a non-finite node shows in val
+            finite = np.isfinite(val)
+            with np.errstate(invalid="ignore"):
+                err = np.where(finite, np.abs(val - rules[..., 1]), math.inf)
+            val = np.where(finite, val, 0.0)
+        first = self.next_idx
+        self.next_idx = first + len(lo)
+        for idx, a, b, v, e in zip(range(first, self.next_idx), lo, hi, val.T, err.T):
+            self.panels[idx] = (g, a, b, v, e)
         return val, err
 
-    def _priority(self, err):
-        if self.weight is None:
-            return err
-        return float(np.max(err * self.weight))
-
     def _target(self, total):
-        """max(rel_tol |I|, abs_tol), per component for an (m, n) integrand."""
-        rel, floor = self.spec.rel_tol, self.spec.abs_tol
-        if self.components is None:
-            return max(rel * abs(total), floor)
-        return np.maximum(rel * np.abs(total), floor)
+        """max(rel_tol |I_j|, abs_tol) over the components (any shape)."""
+        return np.maximum(self.spec.rel_tol * np.abs(total), self.spec.abs_tol)
 
-    def negligible(self, val, total):
-        """True when every component of a panel value is below a tenth of
-        its target for the running total."""
-        small = abs(val) < 0.1 * self._target(total)
-        return small if self.components is None else bool(small.all())
+    def march(self, total, vals):
+        """Running totals after each panel of a march block, and per panel
+        whether every component is below a tenth of its target for the
+        running total.  Returns (total after the block, list of flags)."""
+        run = np.cumsum(np.concatenate([total[:, None], vals], axis=1), axis=1)[:, 1:]
+        small = (np.abs(vals) < 0.1 * self._target(run)).all(axis=0)
+        return run[:, -1], small.tolist()
+
+    def _result(self, total, toterr, met):
+        err = np.maximum(toterr, _ROUNDING * np.abs(total))
+        if self.plain:
+            return QuadratureResult(complex(total[0]), float(err[0]), self.evaluations,
+                                    bool(met[0]))
+        return QuadratureResult(total, err, self.evaluations, met)
 
     def no_estimate(self):
         """Partial result of an integral that never reached refinement."""
-        m = self.components
-        if m is None:
-            return QuadratureResult(0.0, math.inf, self.evaluations, False)
-        return QuadratureResult(np.zeros(m, complex), np.full(m, math.inf),
-                                self.evaluations, np.zeros(m, bool))
+        m = len(next(iter(self.panels.values()))[3])
+        return self._result(np.zeros(m, complex), np.full(m, math.inf), np.zeros(m, bool))
 
-    # an infinite panel error turns a component's total into NaN once the
-    # panel is split, as for a plain integral; numpy would warn about it
+    def _nonconvergence(self, reason, total, toterr):
+        """NonConvergence with the partial result and the shortfall of the
+        first component that misses its target."""
+        target = self._target(total)
+        met = toterr <= target
+        j = int(np.argmin(met))
+        where = "" if self.plain else f"component {j}: "
+        return NonConvergence(
+            f"{reason} ({where}error estimate {toterr[j]:.3g}, target {target[j]:.3g})",
+            result=self._result(total, toterr, met))
+
+    # an infinite panel error turns a component's total error into NaN once
+    # the panel is split; numpy would warn about it
     @np.errstate(invalid="ignore")
     def refine(self):
         spec = self.spec
-        total = sum(p[3] for p in self.alive.values()) + self.frozen_val
-        toterr = sum(p[4] for p in self.alive.values()) + self.frozen_err
-        if self.components is not None:
-            self.weight = 1.0 / self._target(total)
-        self.heap = [(-self._priority(p[4]), idx) for idx, p in self.alive.items()]
-        heapq.heapify(self.heap)
+        panels = self.panels
+        vals = np.array([p[3] for p in panels.values()])
+        errs = np.array([p[4] for p in panels.values()])
+        total = vals.sum(axis=0) + self.frozen_val
+        toterr = errs.sum(axis=0) + self.frozen_err
+        weight = (1.0 / self._target(total))[:, None]
+        heap = list(zip((-(errs * weight.T).max(axis=1)).tolist(), panels))
+        heapq.heapify(heap)
         splits = 0
         while True:
-            target = self._target(total)
-            if self.components is None:
-                met = done = bool(toterr <= target)
-            else:
-                met = toterr <= target
-                done = bool(met.all())
-            if done:
-                return QuadratureResult(total, toterr, self.evaluations, met)
+            excess = toterr - self._target(total)
+            if excess.max() <= 0.0:
+                return self._result(total, toterr, excess <= 0.0)
             if splits >= spec.max_subdivisions:
-                raise NonConvergence(
-                    f"quadrature needed more than {spec.max_subdivisions} subdivisions "
-                    f"({_shortfall(toterr, target, met)})",
-                    result=QuadratureResult(total, toterr, self.evaluations, met),
-                )
-            # worst live panel; heap entries for split panels are stale
-            while self.heap and self.heap[0][1] not in self.alive:
-                heapq.heappop(self.heap)
-            if not self.heap:
-                raise NonConvergence(
-                    "quadrature cannot refine further (all panels at width floor)",
-                    result=QuadratureResult(total, toterr, self.evaluations, met),
-                )
-            _, idx = heapq.heappop(self.heap)
-            g, lo, hi, val, err = self.alive.pop(idx)
-            if hi - lo <= _MIN_PANEL_WIDTH * max(1.0, abs(lo), abs(hi)):
-                # too narrow to split; keep its contribution, stop refining it
-                self.frozen_val += val
-                self.frozen_err += err
-                continue
-            mid = 0.5 * (lo + hi)
-            v1, e1 = self.add(g, lo, mid)
-            v2, e2 = self.add(g, mid, hi)
-            total += v1 + v2 - val
-            toterr += e1 + e2 - err
-            splits += 1
+                raise self._nonconvergence(
+                    f"quadrature needed more than {spec.max_subdivisions} subdivisions",
+                    total, toterr)
+            # one round: the worst panels until their error covers every
+            # component's excess over its target
+            budget = min(_ROUND_SPLITS, spec.max_subdivisions - splits)
+            halves = {}         # closure -> (lows, highs) of the children
+            old_vals = []
+            old_err = 0.0
+            while heap and len(old_vals) < budget:
+                _, idx = heapq.heappop(heap)
+                g, lo, hi, val, err = panels.pop(idx)
+                if hi - lo <= _MIN_PANEL_WIDTH * max(1.0, abs(lo), abs(hi)):
+                    # too narrow to split; keep its contribution, stop refining it
+                    self.frozen_val += val
+                    self.frozen_err += err
+                    continue
+                mid = 0.5 * (lo + hi)
+                lows, highs = halves.setdefault(g, ([], []))
+                lows += (lo, mid)
+                highs += (mid, hi)
+                old_vals.append(val)
+                old_err = old_err + err
+                if (old_err >= excess).all():
+                    break
+            if not old_vals:
+                raise self._nonconvergence(
+                    "quadrature cannot refine further, all panels at width floor",
+                    total, toterr)
+            new_val = new_err = 0.0
+            for g, (lows, highs) in halves.items():
+                first = self.next_idx
+                val, err = self.add(g, lows, highs)
+                new_val = new_val + val.sum(axis=1)
+                new_err = new_err + err.sum(axis=1)
+                for i, priority in enumerate((err * weight).max(axis=0).tolist(), first):
+                    heapq.heappush(heap, (-priority, i))
+            total = total + (new_val - sum(old_vals))
+            toterr = toterr + (new_err - old_err)
+            splits += len(old_vals)
 
 
 def _left_sub(fw, a, width, b, q):
@@ -311,8 +348,8 @@ def integrate_finite(f, spec: QuadratureSpec, *, distance_form: bool = False) ->
     a, b = spec.lower, spec.upper
     m = 0.5 * (a + b)
     ws = _Workspace(spec)
-    ws.add(_left_sub(fw, a, m - a, b, _power(spec.exponent_at_lower)), 0.0, 1.0)
-    ws.add(_right_sub(fw, a, b - m, b, _power(spec.exponent_at_upper)), 0.0, 1.0)
+    ws.add(_left_sub(fw, a, m - a, b, _power(spec.exponent_at_lower)), (0.0,), (1.0,))
+    ws.add(_right_sub(fw, a, b - m, b, _power(spec.exponent_at_upper)), (0.0,), (1.0,))
     return ws.refine()
 
 
@@ -330,32 +367,35 @@ def integrate_semi_infinite(f, spec: QuadratureSpec, *, distance_form: bool = Fa
     ws = _Workspace(spec)
 
     # first panel with the endpoint substitution
-    total, _ = ws.add(_left_sub(fw, a, h, math.inf, _power(spec.exponent_at_lower)), 0.0, 1.0)
+    vals, _ = ws.add(_left_sub(fw, a, h, math.inf, _power(spec.exponent_at_lower)),
+                     (0.0,), (1.0,))
+    total = vals[:, 0]
 
     def g_plain(t):
         return np.asarray(fw(t, t - a, math.inf), dtype=complex)
 
+    edges = [a + h]
+    marched = 0
     small_streak = 0
-    k = 1
-    max_march = 100000
-    edge = a + h
     while small_streak < 2:
-        if k > max_march:
+        if marched >= _MAX_MARCH:
             raise NonConvergence(
                 "semi-infinite marching did not find a negligible tail "
-                f"within {max_march} panels; check decay_rate",
+                f"within {_MAX_MARCH} panels; check decay_rate",
                 result=ws.no_estimate(),
             )
-        val, _ = ws.add(g_plain, edge, edge + h)
-        total = total + val
-        edge += h
-        k += 1
-        if ws.negligible(val, total):
-            small_streak += 1
-        else:
-            small_streak = 0
+        edges = edges[-1:]
+        for _ in range(_MARCH_BLOCK):
+            edges.append(edges[-1] + h)
+        vals, _ = ws.add(g_plain, edges[:-1], edges[1:])
+        marched += _MARCH_BLOCK
+        total, small = ws.march(total, vals)
+        for s in small:
+            small_streak = small_streak + 1 if s else 0
+            if small_streak == 2:
+                break
 
-    tail_start = edge
+    tail_start = edges[-1]
 
     def g_tail(v):
         v = np.asarray(v)
@@ -365,6 +405,5 @@ def integrate_semi_infinite(f, spec: QuadratureSpec, *, distance_form: bool = Fa
         vals = np.asarray(fw(t, t - a, math.inf), dtype=complex) / (one_minus * one_minus)
         return np.where(v > _TAIL_CLIP, 0.0, vals)
 
-    ws.add(g_tail, 0.0, 1.0)
+    ws.add(g_tail, (0.0,), (1.0,))
     return ws.refine()
-

@@ -24,11 +24,13 @@ also pass their running digamma sums as term weights.
 
 Terminating cases (a or b a nonpositive integer) are evaluated as plain
 polynomials for any w, before everything else.  c at a nonpositive integer
-raises ParameterPole unless the series terminates first.
+raises ParameterPole unless the series terminates first.  A non-finite
+parameter or argument raises DomainError.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
@@ -40,6 +42,14 @@ from .hyper import _sum_series
 
 _EULER_GAMMA = 0.57721566490153286061
 _INT_SNAP = 1e-12
+
+
+def _params(a, b, c):
+    """a, b, c as complex numbers, all finite."""
+    a, b, c = complex(a), complex(b), complex(c)
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c)):
+        raise DomainError(f"gauss_2f1 needs finite parameters, got a={a}, b={b}, c={c}")
+    return a, b, c
 
 
 def _near_int(v: complex):
@@ -97,9 +107,7 @@ def gauss_2f1_at_one(a, b, c) -> complex:
     Terminating cases go through the Chu-Vandermonde polynomial; otherwise
     Re(c-a-b) > 0 is required for the limit to exist.
     """
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
+    a, b, c = _params(a, b, c)
     na = _nonpos_int_degree(a)
     nb = _nonpos_int_degree(b)
     if na is not None or nb is not None:
@@ -231,13 +239,13 @@ def gauss_2f1_cm(a, b, c, one_minus_z):
     Passing w directly keeps full precision when z is exponentially close
     to 1, which is where the catalog's endpoint-singular integrands live.
     """
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
+    a, b, c = _params(a, b, c)
     warr = np.asarray(one_minus_z, dtype=float)
     scalar_in = warr.ndim == 0
     w1 = np.atleast_1d(warr)
-    if np.any(w1 < 0.0):
+    if not np.isfinite(w1).all():
+        raise DomainError("gauss_2f1 needs a finite argument")
+    if (w1 < 0.0).any():
         raise DomainError("gauss_2f1 argument beyond 1 (negative complement)")
     vals = _f21_w(a, b, c, w1)
     return _finish(vals.reshape(warr.shape) if not scalar_in else vals, scalar_in)
@@ -251,9 +259,7 @@ def gauss_2f1(a, b, c, z):
     DomainError, z = 1 requires Re(c-a-b) > 0 unless the series
     terminates.
     """
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
+    a, b, c = _params(a, b, c)
     zarr = np.asarray(z)
     if np.iscomplexobj(zarr):
         if np.any(np.atleast_1d(zarr).imag != 0.0):

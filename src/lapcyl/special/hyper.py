@@ -48,7 +48,7 @@ def _sum_series(first, step, weights=None, *, what, rescale=False):
         total = comp = np.zeros_like(first)
 
         def negligible(term, total):
-            return not np.any(np.abs(term) > _REL_TAIL_TOL * np.maximum(np.abs(total), _TINY))
+            return not (np.abs(term) > _REL_TAIL_TOL * np.maximum(np.abs(total), _TINY)).any()
     else:
         total = comp = 0j
 

@@ -50,6 +50,8 @@ class TestEval:
         (["gamma", "--z", "200"], "OverflowError"),
         (["phi", "--a", "1", "--b", "1", "--z", "710"], "OverflowError"),
         (["gamma", "--z=-inf"], "DomainError"),
+        (["2f1", "--a", "nan", "--b", "1", "--c", "2", "--z", "0.3"], "DomainError"),
+        (["2f1", "--a", "0.5", "--b", "1", "--c", "2", "--z", "nan"], "DomainError"),
     ])
     def test_bad_argument_is_reported_cleanly(self, args, reason):
         res = run_cli("eval", *args)

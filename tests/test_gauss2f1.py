@@ -119,6 +119,26 @@ def test_domain_errors():
         gauss_2f1(0.3, 0.7, 1.1, 0.3 + 0.45j)  # complex z only inside |z| <= 1/2
 
 
+@pytest.mark.parametrize("w", [math.nan, math.inf, [0.3, math.nan, 0.8]])
+def test_non_finite_complement_is_a_domain_error(w):
+    # a NaN complement matches no region mask; its lane was left unfilled
+    with pytest.raises(DomainError):
+        gauss_2f1_cm(0.5, 1.0, 2.0, np.asarray(w))
+    with pytest.raises(DomainError):
+        gauss_2f1(0.5, 1.0, 2.0, 1.0 - np.asarray(w))
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (math.nan, 1.0, 2.0), (0.5, math.inf, 2.0), (0.5, 1.0, math.inf),
+    (0.5, 1.0, complex(2.0, math.nan)),
+])
+def test_non_finite_parameter_is_a_domain_error(a, b, c):
+    for call in (lambda: gauss_2f1(a, b, c, 0.3), lambda: gauss_2f1_cm(a, b, c, 0.7),
+                 lambda: gauss_2f1_at_one(a, b, c)):
+        with pytest.raises(DomainError, match="finite parameters"):
+            call()
+
+
 def test_complex_argument_in_disc():
     # frozen, 25-digit oracle
     got = gauss_2f1(0.3, 0.7, 1.1, 0.2 + 0.3j)

@@ -15,6 +15,7 @@ from lapcyl.quad import (
     _WEIGHTS_K,
     _WEIGHTS_G,
     _GAUSS_IDX,
+    _MARCH_BLOCK,
 )
 from lapcyl.catalog import Piece
 from lapcyl.catalog.engine import _integrate_pieces
@@ -315,7 +316,10 @@ def test_vector_evaluates_each_node_once():
         return _kernels(ps)(t, d_lo, d_hi)
 
     res = integrate_semi_infinite(f, _kernel_spec(ps), distance_form=True)
-    assert res.evaluations == sum(calls) == 15 * len(calls)
+    # each call carries whole panels, several of them in most calls
+    assert all(n > 0 and n % 15 == 0 for n in calls)
+    assert res.evaluations == sum(calls)
+    assert len(calls) < sum(calls) // 15
 
 
 def test_permuted_components_are_bit_identical():
@@ -365,3 +369,71 @@ def test_marching_stops_relative_to_target():
     assert res.converged
     assert rel_err(res.value, 1.0) < 1e-13
     assert res.evaluations < 1500
+
+
+# ------------------------------------------------------------ batched calls
+
+def test_round_children_arrive_in_one_call_per_closure():
+    # cos(60 t) needs both initial panels halved in the first round; the
+    # left half's and the right half's substitutions are separate
+    # closures, so that round costs two calls of two panels each
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return np.cos(60.0 * t)
+
+    res = integrate_finite(f, QuadratureSpec(lower=0.0, upper=1.0))
+    assert res.converged
+    assert rel_err(res.value, math.sin(60.0) / 60.0) < 1e-10
+    assert [t.size for t in calls[:4]] == [15, 15, 30, 30]
+    halves = [bool(t.max() < 0.5) for t in calls]
+    assert all(t.max() < 0.5 or t.min() > 0.5 for t in calls)
+    assert halves[2:4] == [True, False]
+    assert max(t.size for t in calls) >= 60
+    assert len(calls) < res.evaluations // 15
+
+
+def test_march_evaluates_in_blocks():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return np.exp(-t)
+
+    spec = QuadratureSpec(lower=0.0, upper=math.inf, decay_rate=1.0)
+    res = integrate_semi_infinite(f, spec)
+    assert rel_err(res.value, 1.0) < 1e-12
+    # the substituted first panel on [0, 1], then blocks of unit panels
+    assert calls[0].size == 15 and calls[0].max() < 1.0
+    block = calls[1]
+    assert block.size == 15 * _MARCH_BLOCK
+    assert 1.0 < block.min() and _MARCH_BLOCK < block.max() < _MARCH_BLOCK + 1.0
+    assert calls[2].size == 15 * _MARCH_BLOCK and calls[2].min() > block.max()
+
+
+def test_estimate_has_a_rounding_floor():
+    floor = 50.0 * np.finfo(float).eps
+    # exp(-s t) is integrated to the last bit; |K15 - G7| alone would
+    # claim an error below one ulp of the value
+    for s in (2.0, 4.0, 8.0):
+        spec = QuadratureSpec(lower=0.0, upper=math.inf, decay_rate=s,
+                              rel_tol=1e-11, abs_tol=1e-15)
+        res = integrate_semi_infinite(lambda t: np.exp(-s * t), spec)
+        assert res.converged
+        assert res.error_estimate == floor * abs(res.value)
+    # the floor is below every target, so converged is the unfloored rule
+    rel_tol, abs_tol = 1e-13, 1e-250
+    spec = QuadratureSpec(lower=0.0, upper=1.0, rel_tol=rel_tol, abs_tol=abs_tol,
+                          max_subdivisions=60)
+
+    def f(t, d_lo, d_hi):
+        return np.stack([np.exp(t), np.cos(t), 1.0 / np.sqrt(np.abs(t - 0.3))])
+
+    with pytest.raises(NonConvergence) as exc:
+        integrate_finite(f, spec, distance_form=True)
+    res = exc.value.result
+    assert res.converged.tolist() == [True, True, False]
+    assert (res.error_estimate >= floor * np.abs(res.value)).all()
+    target = np.maximum(rel_tol * np.abs(res.value), abs_tol)
+    assert res.converged.tolist() == (res.error_estimate <= target).tolist()
