@@ -25,13 +25,13 @@ The workspace holds arrays only: a plain (n,) integrand is the m = 1 case,
 unwrapped to scalars in the result.  One matmul applies K15 and G7 to a
 whole (m, k, 15) block of node values, k panels of m components.
 
-Refinement runs in rounds, after scipy.integrate.quad_vec.  A round pops
-the panels with the largest max_j err_j / target_j (targets of the
-estimate that refinement starts from; ties go to the older panel) until
-the popped error would bring every component to its target, at most
-_ROUND_SPLITS of them, and halves each.  The children are evaluated with
-one integrand call per integrand closure, closures and panels in pop
-order, so repeated runs produce bit-identical results.
+Refinement halves one panel per step, as QUADPACK's dqagse bisects: the
+panel with the largest max_j err_j / target_j (targets of the estimate
+that refinement starts from; ties go to the older panel), whose two
+children arrive in one integrand call.  A panel too narrow to halve keeps
+its contribution and leaves the queue.  An infinite panel error keeps its
+component's estimate infinite, never NaN, until no panel carries one.
+Repeated runs produce bit-identical results.
 
 Semi-infinite ranges are covered by a substituted first panel, then
 panels of width 1/decay_rate (the slowest decay over the components),
@@ -106,7 +106,6 @@ _RULES[_GAUSS_IDX, 1] = _WEIGHTS_G
 
 _MIN_PANEL_WIDTH = 1e-15
 _TAIL_CLIP = 1.0 - 1e-12
-_ROUND_SPLITS = 16      # most panels halved in one refinement round
 _MARCH_BLOCK = 8        # semi-infinite march panels per integrand call
 _MAX_MARCH = 100000
 _ROUNDING = 50.0 * np.finfo(float).eps
@@ -186,12 +185,9 @@ class _Workspace:
 
     def __init__(self, spec: QuadratureSpec):
         self.spec = spec
-        self.panels = {}        # creation index -> (g, lo, hi, value, error)
-        self.next_idx = 0
+        self.panels = []        # every panel made, split ones too: (g, lo, hi, value, error)
         self.evaluations = 0
         self.plain = None       # the integrand returns (n,), set on its first call
-        self.frozen_val = 0.0
-        self.frozen_err = 0.0
 
     def add(self, g, lo, hi):
         """Evaluate the k panels [lo_i, hi_i] (sequences of floats) with one
@@ -201,23 +197,20 @@ class _Workspace:
         h = np.array([0.5 * (b - a) for a, b in zip(lo, hi)])
         t = (c[:, None] + h[:, None] * _NODES).ravel()
         y = np.asarray(g(t), dtype=complex)
+        # a non-finite node value is handled below; numpy would only warn
+        with np.errstate(invalid="ignore"):
+            rules = (y.reshape(-1, len(lo), _NODES.size) @ _RULES) * h[:, None]
+            err = np.abs(rules[..., 0] - rules[..., 1])
         self.evaluations += t.size
         if self.plain is None:
             self.plain = y.ndim == 1
-        rules = (y.reshape(-1, len(lo), _NODES.size) @ _RULES) * h[:, None]
         val = rules[..., 0]
-        if np.isfinite(val).all():
-            err = np.abs(val - rules[..., 1])
-        else:
-            # every K15 weight is positive, so a non-finite node shows in val
-            finite = np.isfinite(val)
-            with np.errstate(invalid="ignore"):
-                err = np.where(finite, np.abs(val - rules[..., 1]), math.inf)
+        # every K15 weight is positive, so a non-finite node shows in val
+        finite = np.isfinite(val)
+        if not finite.all():
+            err = np.where(finite, err, math.inf)
             val = np.where(finite, val, 0.0)
-        first = self.next_idx
-        self.next_idx = first + len(lo)
-        for idx, a, b, v, e in zip(range(first, self.next_idx), lo, hi, val.T, err.T):
-            self.panels[idx] = (g, a, b, v, e)
+        self.panels += [(g, a, b, v, e) for a, b, v, e in zip(lo, hi, val.T, err.T)]
         return val, err
 
     def _target(self, total):
@@ -241,7 +234,7 @@ class _Workspace:
 
     def no_estimate(self):
         """Partial result of an integral that never reached refinement."""
-        m = len(next(iter(self.panels.values()))[3])
+        m = len(self.panels[0][3])
         return self._result(np.zeros(m, complex), np.full(m, math.inf), np.zeros(m, bool))
 
     def _nonconvergence(self, reason, total, toterr):
@@ -255,65 +248,53 @@ class _Workspace:
             f"{reason} ({where}error estimate {toterr[j]:.3g}, target {target[j]:.3g})",
             result=self._result(total, toterr, met))
 
-    # an infinite panel error turns a component's total error into NaN once
-    # the panel is split; numpy would warn about it
-    @np.errstate(invalid="ignore")
     def refine(self):
         spec = self.spec
         panels = self.panels
-        vals = np.array([p[3] for p in panels.values()])
-        errs = np.array([p[4] for p in panels.values()])
-        total = vals.sum(axis=0) + self.frozen_val
-        toterr = errs.sum(axis=0) + self.frozen_err
+        vals = np.array([p[3] for p in panels])
+        errs = np.array([p[4] for p in panels])
+        total = vals.sum(axis=0)
+        toterr = errs.sum(axis=0)
         weight = (1.0 / self._target(total))[:, None]
-        heap = list(zip((-(errs * weight.T).max(axis=1)).tolist(), panels))
+        heap = list(zip((-(errs * weight.T).max(axis=1)).tolist(), range(len(panels))))
         heapq.heapify(heap)
+        frozen_err = 0.0        # errors of the panels too narrow to split
         splits = 0
         while True:
-            excess = toterr - self._target(total)
-            if excess.max() <= 0.0:
-                return self._result(total, toterr, excess <= 0.0)
+            met = toterr <= self._target(total)
+            if met.all():
+                return self._result(total, toterr, met)
             if splits >= spec.max_subdivisions:
                 raise self._nonconvergence(
                     f"quadrature needed more than {spec.max_subdivisions} subdivisions",
                     total, toterr)
-            # one round: the worst panels until their error covers every
-            # component's excess over its target
-            budget = min(_ROUND_SPLITS, spec.max_subdivisions - splits)
-            halves = {}         # closure -> (lows, highs) of the children
-            old_vals = []
-            old_err = 0.0
-            while heap and len(old_vals) < budget:
-                _, idx = heapq.heappop(heap)
-                g, lo, hi, val, err = panels.pop(idx)
-                if hi - lo <= _MIN_PANEL_WIDTH * max(1.0, abs(lo), abs(hi)):
-                    # too narrow to split; keep its contribution, stop refining it
-                    self.frozen_val += val
-                    self.frozen_err += err
-                    continue
-                mid = 0.5 * (lo + hi)
-                lows, highs = halves.setdefault(g, ([], []))
-                lows += (lo, mid)
-                highs += (mid, hi)
-                old_vals.append(val)
-                old_err = old_err + err
-                if (old_err >= excess).all():
+            # the worst panel wide enough to halve; a narrower one keeps its
+            # contribution and stops being refined
+            while True:
+                if not heap:
+                    raise self._nonconvergence(
+                        "quadrature cannot refine further, all panels at width floor",
+                        total, toterr)
+                g, lo, hi, val, err = panels[heapq.heappop(heap)[1]]
+                if hi - lo > _MIN_PANEL_WIDTH * max(1.0, abs(lo), abs(hi)):
                     break
-            if not old_vals:
-                raise self._nonconvergence(
-                    "quadrature cannot refine further, all panels at width floor",
-                    total, toterr)
-            new_val = new_err = 0.0
-            for g, (lows, highs) in halves.items():
-                first = self.next_idx
-                val, err = self.add(g, lows, highs)
-                new_val = new_val + val.sum(axis=1)
-                new_err = new_err + err.sum(axis=1)
-                for i, priority in enumerate((err * weight).max(axis=0).tolist(), first):
-                    heapq.heappush(heap, (-priority, i))
-            total = total + (new_val - sum(old_vals))
-            toterr = toterr + (new_err - old_err)
-            splits += len(old_vals)
+                frozen_err = frozen_err + err
+            mid = 0.5 * (lo + hi)
+            first = len(panels)
+            new_val, new_err = self.add(g, (lo, mid), (mid, hi))
+            for i, priority in enumerate((new_err * weight).max(axis=0).tolist(), first):
+                heapq.heappush(heap, (-priority, i))
+            total = total + (new_val.sum(axis=1) - val)
+            grown = new_err.sum(axis=1)
+            if math.inf not in err.tolist():
+                toterr = toterr + (grown - err)
+            elif (np.isinf(err) <= np.isinf(grown)).all():
+                # each infinite error lives on in a child (inf - inf is NaN)
+                toterr = toterr + (grown - np.where(np.isinf(err), 0.0, err))
+            else:
+                # an infinite error is gone: sum the held errors afresh
+                toterr = np.sum([panels[i][4] for _, i in heap], axis=0) + frozen_err
+            splits += 1
 
 
 def _left_sub(fw, a, width, b, q):
@@ -322,7 +303,9 @@ def _left_sub(fw, a, width, b, q):
         d = width * u ** q
         t = a + d
         jac = width * q * u ** (q - 1.0)
-        return np.asarray(fw(t, d, b - t), dtype=complex) * jac
+        y = np.asarray(fw(t, d, b - t), dtype=complex)
+        with np.errstate(invalid="ignore"):     # complex inf * jac is NaN
+            return y * jac
     return g
 
 
@@ -332,7 +315,9 @@ def _right_sub(fw, a, width, b, q):
         d = width * u ** q
         t = b - d
         jac = width * q * u ** (q - 1.0)
-        return np.asarray(fw(t, t - a, d), dtype=complex) * jac
+        y = np.asarray(fw(t, t - a, d), dtype=complex)
+        with np.errstate(invalid="ignore"):     # complex inf * jac is NaN
+            return y * jac
     return g
 
 

@@ -11,19 +11,14 @@ import numpy as np
 
 from .._exceptions import DomainError
 from ..quad import QuadratureSpec, integrate_finite
-from .gammafn import gamma, reciprocal_gamma
+from .gammafn import _finite, gamma, reciprocal_gamma
 
 __all__ = ["appell_f1"]
 
 
 def appell_f1(a, b1, b2, c, z1, z2) -> complex:
     """F1(a; b1, b2; c; z1, z2), the first Appell hypergeometric function."""
-    a = complex(a)
-    b1 = complex(b1)
-    b2 = complex(b2)
-    c = complex(c)
-    z1 = complex(z1)
-    z2 = complex(z2)
+    a, b1, b2, c, z1, z2 = (_finite(v, "appell_f1") for v in (a, b1, b2, c, z1, z2))
     if not (c.real > a.real > 0.0):
         raise DomainError(
             f"appell_f1 integral form needs Re c > Re a > 0, got a={a}, c={c}")

@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-from .._exceptions import NonConvergence, ParameterPole
-from .gammafn import is_nonpositive_integer
+from .._exceptions import DomainError, NonConvergence, ParameterPole
+from .gammafn import _finite, is_nonpositive_integer
 
 _MAX_TERMS = 10000
 _REL_TAIL_TOL = 1e-16
@@ -80,9 +80,7 @@ def _sum_series(first, step, weights=None, *, what, rescale=False):
 
 def phi_scaled(a, b, z):
     """Kummer Phi(a;b;z) as (value, log_scale): Phi = value * exp(log_scale)."""
-    a = complex(a)
-    b = complex(b)
-    z = complex(z)
+    a, b, z = (_finite(v, "kummer_phi") for v in (a, b, z))
     if is_nonpositive_integer(b):
         raise ParameterPole(f"kummer_phi denominator parameter {b} is a nonpositive integer")
     return _sum_series(1.0 + 0.0j,
@@ -112,15 +110,14 @@ def kummer_phi(a, b, z) -> complex:
 
 def hyp_2f2(a1, a2, b1, b2, z):
     """2F2(a1,a2;b1,b2;z) for scalar or ndarray argument (entire in z)."""
-    a1 = complex(a1)
-    a2 = complex(a2)
-    b1 = complex(b1)
-    b2 = complex(b2)
+    a1, a2, b1, b2 = (_finite(v, "hyp_2f2") for v in (a1, a2, b1, b2))
     for b in (b1, b2):
         if is_nonpositive_integer(b):
             raise ParameterPole(f"hyp_2f2 denominator parameter {b} is a nonpositive integer")
     zarr = np.asarray(z)
     zc = np.atleast_1d(zarr).astype(complex)
+    if not np.isfinite(zc).all():
+        raise DomainError("hyp_2f2 needs a finite argument")
     # an overflowing sum ends as a non-finite lane, reported just below
     with np.errstate(over="ignore", invalid="ignore"):
         total, _ = _sum_series(

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .._exceptions import DomainError
-from .gammafn import reciprocal_gamma
+from .gammafn import _finite, reciprocal_gamma
 from .hyper import phi_scaled
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -85,8 +85,7 @@ def _pcf_large_real(nu: float, z: float) -> float:
 
 def pcf_d(nu, z) -> complex:
     """D_nu(z) for complex order nu and |z| <= 40."""
-    nu = complex(nu)
-    z = complex(z)
+    nu, z = _finite(nu, "pcf_d"), _finite(z, "pcf_d")
     if abs(z) > _MAX_ABS_Z:
         raise DomainError(
             f"pcf_d argument magnitude {abs(z):.3g} above the supported range {_MAX_ABS_Z}"

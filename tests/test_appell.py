@@ -1,8 +1,10 @@
 """Appell F1 (Euler-integral implementation)."""
 
+import math
+
 import pytest
 
-from lapcyl.special import appell_f1, gauss_2f1
+from lapcyl.special import appell, appell_f1, gauss_2f1
 from lapcyl import DomainError
 
 
@@ -44,3 +46,19 @@ def test_domain_errors():
         appell_f1(-0.2, 0.3, 0.7, 1.0, 0.2, 0.3)  # Re a > 0 fails
     with pytest.raises(DomainError):
         appell_f1(0.4, 0.3, 0.7, 1.0, 1.2, 0.3)  # argument on the cut
+
+
+@pytest.mark.parametrize("args", [
+    (0.5, 0.3, 0.3, 1.5, math.nan, 0.1),
+    (0.5, 0.3, 0.3, 1.5, 0.1, -math.inf),
+    (0.5, math.nan, 0.3, 1.5, 0.1, 0.1),
+    (0.5, 0.3, 0.3, math.inf, 0.1, 0.1),
+])
+def test_non_finite_input_is_a_domain_error(args, monkeypatch):
+    # a NaN argument used to run the quadrature's whole subdivision budget
+    def no_quadrature(*a, **k):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(appell, "integrate_finite", no_quadrature)
+    with pytest.raises(DomainError, match="finite"):
+        appell_f1(*args)

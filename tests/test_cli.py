@@ -52,6 +52,13 @@ class TestEval:
         (["gamma", "--z=-inf"], "DomainError"),
         (["2f1", "--a", "nan", "--b", "1", "--c", "2", "--z", "0.3"], "DomainError"),
         (["2f1", "--a", "0.5", "--b", "1", "--c", "2", "--z", "nan"], "DomainError"),
+        (["D", "--nu", "0.5", "--z", "nan"], "DomainError"),
+        (["phi", "--a", "nan", "--b", "1", "--z", "1"], "DomainError"),
+        (["phi", "--a", "1", "--b", "1", "--z", "nan"], "DomainError"),
+        (["2f2", "--a1", "1", "--a2", "1", "--b1", "2", "--b2", "2", "--z", "nan"],
+         "DomainError"),
+        (["f1", "--a", "0.5", "--b1", "0.3", "--b2", "0.3", "--c", "1.5", "--z1", "nan",
+          "--z2", "0.1"], "DomainError"),
     ])
     def test_bad_argument_is_reported_cleanly(self, args, reason):
         res = run_cli("eval", *args)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lapcyl.special import hyper, kummer_phi, phi_scaled, hyp_2f2
-from lapcyl import ParameterPole, NonConvergence
+from lapcyl import DomainError, ParameterPole, NonConvergence
 
 
 def rel_err(got, want):
@@ -107,6 +107,20 @@ def test_2f2_near_top_of_double_range():
     assert rel_err(hyp_2f2(1.0, 1.0, 0.5, 0.5, 700.0), want) < 1e-12
     with pytest.raises(NonConvergence):
         hyp_2f2(1.0, 1.0, 0.5, 0.5, np.array([1.0, 800.0]))
+
+
+def test_non_finite_input_is_a_domain_error():
+    for a, b, z in [(math.nan, 1.0, 1.0), (1.0, 1.0, math.nan), (1.0, math.inf, 1.0)]:
+        with pytest.raises(DomainError):
+            kummer_phi(a, b, z)
+        with pytest.raises(DomainError):
+            phi_scaled(a, b, z)
+    # a non-finite lane used to end in NonConvergence, not a domain error
+    for z in (math.nan, np.array([0.5, math.nan]), np.array([1.0, -math.inf])):
+        with pytest.raises(DomainError):
+            hyp_2f2(1.0, 1.0, 2.0, 2.0, z)
+    with pytest.raises(DomainError):
+        hyp_2f2(1.0, math.nan, 2.0, 2.0, 0.5)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -99,6 +100,31 @@ def test_domain_cap():
         pcf_d(0.5, 41.0)
     with pytest.raises(DomainError):
         pcf_d(0.5, -45.0)
+
+
+@pytest.mark.parametrize("nu, z", [
+    (0.5, math.nan), (math.nan, 1.0), (0.5, math.inf), (-math.inf, 5.0),
+    (0.5, complex(1.0, math.nan)),
+])
+def test_non_finite_input_is_a_domain_error(nu, z):
+    # abs(nan) > 40 is False, so a NaN argument used to return nan
+    with pytest.raises(DomainError, match="finite"):
+        pcf_d(nu, z)
+
+
+# Known defect, pinned as a strict xfail so that fixing it shows up here.
+_ENDPOINT_UNDERFLOW = (
+    "ROADMAP item 1: as frac(nu) nears 1 the integral route's endpoint "
+    "substitution underflows, t ** (-nu) times its Jacobian is inf * 0, and "
+    "the quadrature raises NonConvergence")
+
+
+@pytest.mark.xfail(strict=True, reason=_ENDPOINT_UNDERFLOW)
+@pytest.mark.parametrize("nu, z", [(0.995, 5.0), (0.999, 3.5), (1.9985, 10.0)])
+def test_integral_route_near_integer_order(nu, z):
+    with mpmath.workdps(30):
+        want = complex(mpmath.pcfd(nu, z))
+    assert rel_err(pcf_d(nu, z), want) < 1e-12
 
 
 def test_conjugate_symmetry():

@@ -373,10 +373,9 @@ def test_marching_stops_relative_to_target():
 
 # ------------------------------------------------------------ batched calls
 
-def test_round_children_arrive_in_one_call_per_closure():
-    # cos(60 t) needs both initial panels halved in the first round; the
-    # left half's and the right half's substitutions are separate
-    # closures, so that round costs two calls of two panels each
+def test_split_children_arrive_in_one_call():
+    # each refinement step halves one panel, and its two children, the
+    # adjacent halves of the split panel, cost one call of two panels
     calls = []
 
     def f(t):
@@ -386,12 +385,15 @@ def test_round_children_arrive_in_one_call_per_closure():
     res = integrate_finite(f, QuadratureSpec(lower=0.0, upper=1.0))
     assert res.converged
     assert rel_err(res.value, math.sin(60.0) / 60.0) < 1e-10
-    assert [t.size for t in calls[:4]] == [15, 15, 30, 30]
-    halves = [bool(t.max() < 0.5) for t in calls]
+    assert [t.size for t in calls[:2]] == [15, 15]
+    assert len(calls) > 10
+    for t in calls[2:]:
+        assert t.size == 30
+        left, right = sorted((t[:15], t[15:]), key=np.min)
+        assert left.max() < right.min()
+        assert math.isclose(np.ptp(left), np.ptp(right), rel_tol=1e-9)
     assert all(t.max() < 0.5 or t.min() > 0.5 for t in calls)
-    assert halves[2:4] == [True, False]
-    assert max(t.size for t in calls) >= 60
-    assert len(calls) < res.evaluations // 15
+    assert res.evaluations == 15 * (2 * len(calls) - 2)
 
 
 def test_march_evaluates_in_blocks():
@@ -437,3 +439,31 @@ def test_estimate_has_a_rounding_floor():
     assert (res.error_estimate >= floor * np.abs(res.value)).all()
     target = np.maximum(rel_tol * np.abs(res.value), abs_tol)
     assert res.converged.tolist() == (res.error_estimate <= target).tolist()
+
+
+def test_infinite_panel_error_never_turns_nan():
+    # a node that lands on the singularity gives its panel an infinite
+    # error; splitting that panel subtracted inf from inf
+    spec = QuadratureSpec(lower=0.0, upper=1.0, rel_tol=1e-10)
+    with np.errstate(divide="ignore"):
+        with pytest.raises(NonConvergence) as exc:
+            integrate_finite(lambda t: 1.0 / np.sqrt(np.abs(t - 0.3)), spec)
+    res = exc.value.result
+    assert res.evaluations == 15 * (2 + 2 * spec.max_subdivisions)
+    assert res.error_estimate == math.inf
+    assert "error estimate inf" in str(exc.value)
+    # a NaN region: every panel beyond t = 0.3 keeps an infinite error
+    with pytest.raises(NonConvergence) as exc:
+        integrate_finite(lambda t: np.where(t > 0.3, np.nan, 1.0), spec)
+    assert exc.value.result.error_estimate == math.inf
+
+
+def test_split_away_infinite_error_converges():
+    # the centre node of the left initial panel is t = 0.25, a NaN there
+    # gives that panel an infinite error; its halves miss the point, so
+    # the estimate turns finite again and the integral converges
+    f = lambda t: np.where(t == 0.25, np.nan, np.cos(t))
+    res = integrate_finite(f, QuadratureSpec(lower=0.0, upper=1.0, rel_tol=1e-12))
+    assert res.converged
+    assert rel_err(res.value, math.sin(1.0)) < 1e-12
+    assert 0.0 < res.error_estimate < 1e-12
