@@ -65,7 +65,6 @@ def _spec(lower, upper, lam_lo=0.0, lam_up=0.0, decay=0.0):
         decay_rate=float(decay),
         rel_tol=_REL,
         abs_tol=_ABS,
-        max_subdivisions=2000,
     )
 
 
@@ -86,13 +85,6 @@ def _lam_inf(explicit, fa, fb):
     estimate conservative when both parameters are positive.
     """
     return explicit + min(0.0, fa, fb)
-
-
-def _times(c, f):
-    def g(t, d_lo, d_hi):
-        return c * f(t, d_lo, d_hi)
-
-    return g
 
 
 def _masked_2f2(a1, a2, b1, b2, z):
@@ -316,8 +308,8 @@ _add(IdentityCase(
 # Two-order product transforms: shared integrand factories
 # ----------------------------------------------------------------------
 
-def _t31_f1(pt):
-    """(0,x) integrand common to the difference/sum/single families."""
+def _t31_f1(pt, c):
+    """(0,x) piece common to the difference/sum/single families, times c."""
     mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
     fa, fb, fc = -mu / 2.0, (1.0 + nu) / 2.0, 1.0 + (nu - mu) / 2.0
 
@@ -325,13 +317,20 @@ def _t31_f1(pt):
         yt = y + t
         cm = x * y / (d_hi * yt)
         F = gauss_2f1_cm(fa, fb, fc, cm)
-        return t ** ((nu - mu) / 2.0) * d_hi ** (-(1.0 + nu) / 2.0) * yt ** (mu / 2.0) * F
+        return c * (t ** ((nu - mu) / 2.0) * d_hi ** (-(1.0 + nu) / 2.0) * yt ** (mu / 2.0) * F)
 
-    return f, (nu - mu) / 2.0, _lam_inf(-(1.0 + nu) / 2.0, fa, fb)
+    return Piece(f, _spec(0.0, x, lam_lo=(nu - mu) / 2.0,
+                          lam_up=_lam_inf(-(1.0 + nu) / 2.0, fa, fb)))
 
 
-def _t31_f2(pt):
-    """(x,inf) integrand with the 3/2-kind hypergeometric kernel."""
+def _t31_lo(pt):
+    """The (0,x) piece that T31, T33 and T34 share, constant included."""
+    mu, nu = pt.mu, pt.nu
+    return _t31_f1(pt, 2.0 ** ((mu - nu) / 2.0) * _RPI * rg(1.0 + (nu - mu) / 2.0) * rg(-nu))
+
+
+def _t31_f2(pt, c):
+    """(x,inf) piece with the 3/2-kind hypergeometric kernel, times c."""
     mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
     s = mu + nu
     fa, fb = (1.0 - mu) / 2.0, (1.0 - nu) / 2.0
@@ -340,14 +339,14 @@ def _t31_f2(pt):
         yd = y + d_lo  # equals y - x + t exactly
         cm = d_lo * (y + t) / (t * yd)
         F = gauss_2f1_cm(fa, fb, 1.5, cm)
-        return (t ** ((nu - 1.0) / 2.0) * d_lo ** (-(1.0 + s) / 2.0)
-                * yd ** ((mu - 1.0) / 2.0) * F)
+        return c * (t ** ((nu - 1.0) / 2.0) * d_lo ** (-(1.0 + s) / 2.0)
+                    * yd ** ((mu - 1.0) / 2.0) * F)
 
-    return f, _lam_one(-(1.0 + s) / 2.0, (1.0 + s) / 2.0)
+    return Piece(f, _spec(x, math.inf, lam_lo=_lam_one(-(1.0 + s) / 2.0, (1.0 + s) / 2.0)))
 
 
-def _t33_f2(pt):
-    """(x,inf) integrand with the 1/2-kind hypergeometric kernel."""
+def _t33_f2(pt, c):
+    """(x,inf) piece with the 1/2-kind hypergeometric kernel, times c."""
     mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
     s = mu + nu
 
@@ -355,9 +354,9 @@ def _t33_f2(pt):
         yd = y + d_lo
         cm = d_lo * (y + t) / (t * yd)
         F = gauss_2f1_cm(-mu / 2.0, -nu / 2.0, 0.5, cm)
-        return t ** (nu / 2.0) * d_lo ** (-(1.0 + s) / 2.0) * yd ** (mu / 2.0) * F
+        return c * (t ** (nu / 2.0) * d_lo ** (-(1.0 + s) / 2.0) * yd ** (mu / 2.0) * F)
 
-    return f, _lam_one(-(1.0 + s) / 2.0, (1.0 + s) / 2.0)
+    return Piece(f, _spec(x, math.inf, lam_lo=_lam_one(-(1.0 + s) / 2.0, (1.0 + s) / 2.0)))
 
 
 def _pcf_pair(mu, nu, x, y, p):
@@ -382,14 +381,8 @@ def _t31_image(pt):
 
 def _t31_original(pt):
     mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
-    f1, l1, u1 = _t31_f1(pt)
-    c1 = 2.0 ** ((mu - nu) / 2.0) * _RPI * rg(1.0 + (nu - mu) / 2.0) * rg(-nu)
-    f2, l2 = _t31_f2(pt)
     c2 = 2.0 ** (2.0 + (mu + nu) / 2.0) * _RPI * math.sqrt(x * y) * rg(-mu / 2.0) * rg(-nu / 2.0)
-    return (
-        Piece(_times(c1, f1), _spec(0.0, x, lam_lo=l1, lam_up=u1)),
-        Piece(_times(c2, f2), _spec(x, math.inf, lam_lo=l2)),
-    )
+    return _t31_lo(pt), _t31_f2(pt, c2)
 
 
 _add(IdentityCase(
@@ -414,14 +407,9 @@ def _t31k_image(pt):
 
 def _t31k_original(pt):
     mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
-    f1, l1, u1 = _t31_f1(pt)
     c1 = 2.0 ** (mu / 2.0 - 1.0) * _RPI / math.sqrt(x) * rg(1.0 + (nu - mu) / 2.0) * rg((1.0 - nu) / 2.0)
-    f2, l2 = _t31_f2(pt)
     c2 = 2.0 ** (mu / 2.0) * math.sqrt(y) * rg(-mu / 2.0)
-    return (
-        Piece(_times(c1, f1), _spec(0.0, x, lam_lo=l1, lam_up=u1)),
-        Piece(_times(c2, f2), _spec(x, math.inf, lam_lo=l2)),
-    )
+    return _t31_f1(pt, c1), _t31_f2(pt, c2)
 
 
 def _v_t31k(pt):
@@ -464,7 +452,8 @@ def _t32_original(pt):
         cm = x * y / (d_hi * yt)
         brace = (gauss_2f1_cm(fa1, fb1, fc1, cm)
                  + mu * t / ((1.0 - mu + nu) * yt) * gauss_2f1_cm(fa1 + 1.0, fb1, fc1 + 1.0, cm))
-        return t ** (-(1.0 + mu - nu) / 2.0) * d_hi ** (-(1.0 + nu) / 2.0) * yt ** ((1.0 + mu) / 2.0) * brace
+        return c1 * (t ** (-(1.0 + mu - nu) / 2.0) * d_hi ** (-(1.0 + nu) / 2.0)
+                     * yt ** ((1.0 + mu) / 2.0) * brace)
 
     l1 = -(1.0 + mu - nu) / 2.0
     u1 = _lam_inf(-(1.0 + nu) / 2.0, fa1, fb1)
@@ -476,14 +465,14 @@ def _t32_original(pt):
         cm = d_lo * (y + t) / (t * yd)
         brace = (gauss_2f1_cm(-mu / 2.0, (1.0 - nu) / 2.0, 1.5, cm)
                  - mu * d_lo / ((1.0 + mu) * yd) * gauss_2f1_cm((2.0 - mu) / 2.0, (1.0 - nu) / 2.0, 1.5, cm))
-        return t ** ((nu - 1.0) / 2.0) * d_lo ** (-(2.0 + s) / 2.0) * yd ** (mu / 2.0) * brace
+        return c2 * (t ** ((nu - 1.0) / 2.0) * d_lo ** (-(2.0 + s) / 2.0) * yd ** (mu / 2.0) * brace)
 
     # second brace term carries an extra d_lo, so its endpoint branch is milder
     l2 = min(_lam_one(-(2.0 + s) / 2.0, (2.0 + s) / 2.0), _lam_one(-s / 2.0, s / 2.0))
 
     return (
-        Piece(_times(c1, f1), _spec(0.0, x, lam_lo=l1, lam_up=u1)),
-        Piece(_times(c2, f2), _spec(x, math.inf, lam_lo=l2)),
+        Piece(f1, _spec(0.0, x, lam_lo=l1, lam_up=u1)),
+        Piece(f2, _spec(x, math.inf, lam_lo=l2)),
     )
 
 
@@ -589,15 +578,9 @@ def _t33_image(pt):
 
 
 def _t33_original(pt):
-    mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
-    f1, l1, u1 = _t31_f1(pt)
-    c1 = 2.0 ** ((mu - nu) / 2.0) * _RPI * rg(1.0 + (nu - mu) / 2.0) * rg(-nu)
-    f2, l2 = _t33_f2(pt)
+    mu, nu = pt.mu, pt.nu
     c2 = 2.0 ** (1.0 + (mu + nu) / 2.0) * _RPI * rg((1.0 - nu) / 2.0) * rg((1.0 - mu) / 2.0)
-    return (
-        Piece(_times(c1, f1), _spec(0.0, x, lam_lo=l1, lam_up=u1)),
-        Piece(_times(c2, f2), _spec(x, math.inf, lam_lo=l2)),
-    )
+    return _t31_lo(pt), _t33_f2(pt, c2)
 
 
 _add(IdentityCase(
@@ -627,17 +610,13 @@ def _t33k_original(pt):
         yt = y + t
         cm = x * y / (d_hi * yt)
         F = gauss_2f1_cm(fa, fb, fc, cm)
-        return t ** ((nu - mu) / 2.0) * d_hi ** (-1.0 - nu / 2.0) * yt ** ((mu - 1.0) / 2.0) * F
+        return c1 * (t ** ((nu - mu) / 2.0) * d_hi ** (-1.0 - nu / 2.0) * yt ** ((mu - 1.0) / 2.0) * F)
 
     l1 = (nu - mu) / 2.0
     u1 = _lam_inf(-1.0 - nu / 2.0, fa, fb)
 
-    f2, l2 = _t33_f2(pt)
     c2 = 2.0 ** (mu / 2.0) * rg((1.0 - mu) / 2.0)
-    return (
-        Piece(_times(c1, f1), _spec(0.0, x, lam_lo=l1, lam_up=u1)),
-        Piece(_times(c2, f2), _spec(x, math.inf, lam_lo=l2)),
-    )
+    return Piece(f1, _spec(0.0, x, lam_lo=l1, lam_up=u1)), _t33_f2(pt, c2)
 
 
 def _v_t33k(pt):
@@ -671,8 +650,6 @@ def _t34_image(pt):
 def _t34_original(pt):
     mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
     s = mu + nu
-    f1, l1, u1 = _t31_f1(pt)
-    c1 = 2.0 ** ((mu - nu) / 2.0) * _RPI * rg(1.0 + (nu - mu) / 2.0) * rg(-nu)
     c2 = 2.0 ** (1.0 + s / 2.0) * _RPI * math.sqrt(x * y) * rg(-mu / 2.0) * rg(-nu / 2.0)
     # ratio between the two bracket kernels; finite because the rg zeros
     # cancel against the explicit gammas on the valid grid
@@ -684,14 +661,11 @@ def _t34_original(pt):
         brace = (gauss_2f1_cm((1.0 - mu) / 2.0, (1.0 - nu) / 2.0, 1.5, cm)
                  + mix * np.sqrt(t * yd / (4.0 * x * y))
                  * gauss_2f1_cm(-mu / 2.0, -nu / 2.0, 0.5, cm))
-        return (t ** ((nu - 1.0) / 2.0) * d_lo ** (-(1.0 + s) / 2.0)
-                * yd ** ((mu - 1.0) / 2.0) * brace)
+        return c2 * (t ** ((nu - 1.0) / 2.0) * d_lo ** (-(1.0 + s) / 2.0)
+                     * yd ** ((mu - 1.0) / 2.0) * brace)
 
     l2 = _lam_one(-(1.0 + s) / 2.0, (1.0 + s) / 2.0)
-    return (
-        Piece(_times(c1, f1), _spec(0.0, x, lam_lo=l1, lam_up=u1)),
-        Piece(_times(c2, f2), _spec(x, math.inf, lam_lo=l2)),
-    )
+    return _t31_lo(pt), Piece(f2, _spec(x, math.inf, lam_lo=l2))
 
 
 _add(IdentityCase(

@@ -141,7 +141,8 @@ def _run_verify(args):
         tasks.extend((cid, tuple(pts[i] for i in idx)) for idx in groups)
     if args.jobs > 1:
         chunk = max(1, len(tasks) // (4 * args.jobs))
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # fork starts every worker at the first submit: no more than tasks
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             results = iter(list(pool.map(_eval_task, tasks, chunksize=chunk)))
     else:
         results = map(_eval_task, tasks)

@@ -9,9 +9,10 @@ Regions (array lanes are split by masks and reassembled):
 
   w == 0            Gauss summation value (requires Re(c-a-b) > 0)
   0 < w < 1/2       linear connection formula in powers of w; when c-a-b
-                    is an integer m the degenerate logarithmic series is
-                    used (m = 0 and m >= 1 directly, m < 0 through the
-                    Euler transformation, which flips m to -m)
+                    is an integer m the degenerate logarithmic series
+                    A&S 15.3.11 is used for m >= 0 (at m = 0 it is
+                    15.3.10), and m < 0 goes through the Euler
+                    transformation, which flips m to -m
   1/2 <= w <= 3/2   Maclaurin series at z = 1 - w, |z| <= 1/2
   w > 3/2           Pfaff transformation (1-z)^{-a} F(a,c-b;c;z/(z-1));
                     the transformed argument has complement 1/w, so the
@@ -62,10 +63,18 @@ def _near_int(v: complex):
     return None
 
 
-def _nonpos_int_degree(v: complex):
-    n = _near_int(v)
+def _terminating_degree(a, b, c):
+    """Degree of the polynomial F reduces to, or None for a true series.
+
+    When a or b is a nonpositive integer the series terminates, at the
+    smaller degree; otherwise c at a nonpositive integer is a pole.
+    """
+    degrees = [-n for n in (_near_int(a), _near_int(b)) if n is not None and n <= 0]
+    if degrees:
+        return min(degrees)
+    n = _near_int(c)
     if n is not None and n <= 0:
-        return -n
+        raise ParameterPole(f"gauss_2f1 lower parameter {c} is a nonpositive integer")
     return None
 
 
@@ -108,13 +117,9 @@ def gauss_2f1_at_one(a, b, c) -> complex:
     Re(c-a-b) > 0 is required for the limit to exist.
     """
     a, b, c = _params(a, b, c)
-    na = _nonpos_int_degree(a)
-    nb = _nonpos_int_degree(b)
-    if na is not None or nb is not None:
-        degree = min(n for n in (na, nb) if n is not None)
+    degree = _terminating_degree(a, b, c)
+    if degree is not None:
         return complex(_poly_f21(a, b, c, 1.0 + 0.0j, degree))
-    if _nonpos_int_degree(c) is not None:
-        raise ParameterPole(f"gauss_2f1 lower parameter {c} is a nonpositive integer")
     d = c - a - b
     if d.real <= 0.0:
         raise DomainError(
@@ -136,33 +141,13 @@ def _connect_generic(a, b, c, w):
     return out
 
 
-def _connect_log_m0(a, b, c, w):
-    """A&S 15.3.10: c = a + b, argument complement w in (0, 1/2)."""
-    logw = np.log(w)
-
-    def weights():
-        psi_n, psi_a, psi_b = -_EULER_GAMMA, digamma(a), digamma(b)
-        for n in itertools.count(1):
-            yield (2.0 * psi_n - psi_a - psi_b) - logw
-            psi_n += 1.0 / n
-            psi_a += 1.0 / (a + (n - 1))
-            psi_b += 1.0 / (b + (n - 1))
-
-    total, _ = _sum_series(
-        np.ones(w.shape, dtype=complex),
-        lambda t, k: t * ((a + k) * (b + k) / ((k + 1) * (k + 1))) * w,
-        weights(), what="gauss_2f1 logarithmic series (m=0)")
-    return gamma(c) * reciprocal_gamma(a) * reciprocal_gamma(b) * total
-
-
 def _connect_log_m(a, b, c, m, w):
-    """A&S 15.3.11: c = a + b + m with integer m >= 1, w in (0, 1/2)."""
-    # finite part: Gamma(m) Gamma(c) / (Gamma(a+m) Gamma(b+m)) *
-    #              sum_{n=0}^{m-1} (a)_n (b)_n / (n! (1-m)_n) w^n
-    finite = _poly_f21(a, b, 1.0 - m, w, m - 1)
-    p_fin = gamma(float(m)) * gamma(c) * reciprocal_gamma(a + m) * reciprocal_gamma(b + m)
+    """A&S 15.3.11: c = a + b + m with integer m >= 0, w in (0, 1/2).
 
-    # series part with the logarithm
+    At m = 0 the finite part is empty and this is A&S 15.3.10, term for
+    term: the series is summed with 15.3.10's sign and weight (psi_nm
+    equals psi_n there), and 15.3.11's -(-1)^m is folded into (-w)^m.
+    """
     logw = np.log(w)
 
     def weights():
@@ -171,7 +156,7 @@ def _connect_log_m(a, b, c, m, w):
         psi_a = digamma(a + m)
         psi_b = digamma(b + m)
         for n in itertools.count(1):
-            yield logw - psi_n - psi_nm + psi_a + psi_b
+            yield ((psi_n + psi_nm - psi_a) - psi_b) - logw
             psi_n += 1.0 / n
             psi_nm += 1.0 / (n + m)
             psi_a += 1.0 / (a + m + (n - 1))
@@ -180,20 +165,22 @@ def _connect_log_m(a, b, c, m, w):
     total, _ = _sum_series(
         np.full(w.shape, 1.0 / math.factorial(m), dtype=complex),
         lambda t, k: t * ((a + m + k) * (b + m + k) / ((k + 1) * (k + 1 + m))) * w,
-        weights(), what="gauss_2f1 logarithmic series (m>=1)")
-    p_ser = -gamma(c) * reciprocal_gamma(a) * reciprocal_gamma(b) * ((-1.0) ** m)
-    return p_fin * finite + p_ser * (w ** m) * total
+        weights(), what="gauss_2f1 logarithmic series")
+    p_ser = gamma(c) * reciprocal_gamma(a) * reciprocal_gamma(b)
+    if m == 0:
+        return p_ser * total
+    # finite part: Gamma(m) Gamma(c) / (Gamma(a+m) Gamma(b+m)) *
+    #              sum_{n=0}^{m-1} (a)_n (b)_n / (n! (1-m)_n) w^n
+    finite = _poly_f21(a, b, 1.0 - m, w, m - 1)
+    p_fin = gamma(float(m)) * gamma(c) * reciprocal_gamma(a + m) * reciprocal_gamma(b + m)
+    return p_fin * finite + p_ser * (-w) ** m * total
 
 
 def _f21_w(a, b, c, w):
     """Dispatcher over the complement w = 1 - z; w a float64 ndarray >= 0."""
-    na = _nonpos_int_degree(a)
-    nb = _nonpos_int_degree(b)
-    if na is not None or nb is not None:
-        degree = min(n for n in (na, nb) if n is not None)
+    degree = _terminating_degree(a, b, c)
+    if degree is not None:
         return _poly_f21(a, b, c, 1.0 - w, degree)
-    if _nonpos_int_degree(c) is not None:
-        raise ParameterPole(f"gauss_2f1 lower parameter {c} is a nonpositive integer")
     out = np.empty(w.shape, dtype=complex)
     m_one = w == 0.0
     m_conn = (w > 0.0) & (w < 0.5)
@@ -208,9 +195,7 @@ def _f21_w(a, b, c, w):
         mi = _near_int(c - a - b)
         if mi is None:
             out[m_conn] = _connect_generic(a, b, c, wc)
-        elif mi == 0:
-            out[m_conn] = _connect_log_m0(a, b, c, wc)
-        elif mi >= 1:
+        elif mi >= 0:
             out[m_conn] = _connect_log_m(a, b, c, mi, wc)
         else:
             # Euler transformation flips c-a-b to -mi >= 1
@@ -265,15 +250,9 @@ def gauss_2f1(a, b, c, z):
         if np.any(np.atleast_1d(zarr).imag != 0.0):
             if zarr.ndim == 0 and abs(complex(zarr)) <= 0.5:
                 zc = complex(zarr)
-                na = _nonpos_int_degree(a)
-                nb = _nonpos_int_degree(b)
-                if na is not None or nb is not None:
-                    degree = min(n for n in (na, nb) if n is not None)
+                degree = _terminating_degree(a, b, c)
+                if degree is not None:
                     return _finish(np.atleast_1d(_poly_f21(a, b, c, zc, degree)), True)
-                if _nonpos_int_degree(c) is not None:
-                    raise ParameterPole(
-                        f"gauss_2f1 lower parameter {c} is a nonpositive integer"
-                    )
                 vals = _series_f21(a, b, c, np.atleast_1d(np.asarray(zc)))
                 return _finish(vals, True)
             raise DomainError("complex gauss_2f1 argument supported only for |z| <= 1/2")

@@ -2,7 +2,8 @@
 
 Every invocation goes through `python -m lapcyl.cli` so the argument
 parsing, exit codes, and report bytes are exercised exactly as a user
-sees them.
+sees them.  The pool-size check is the exception: it calls `main`
+in-process with a fake executor, so that it starts no worker.
 """
 
 import csv
@@ -196,6 +197,36 @@ class TestDeterminism:
         r2 = run_cli("verify", *cases, "--jobs", "2", "--out", str(par))
         assert r1.returncode == 0 and r2.returncode == 0
         assert serial.read_bytes() == par.read_bytes()
+
+
+class TestPoolSize:
+    def test_workers_capped_at_task_count(self, tmp_path, monkeypatch):
+        from lapcyl import cli
+
+        seen = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                seen.append(chunksize)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        out = tmp_path / "r.json"
+        # C361-NG69's default grid is 4 groups
+        assert cli.main(["verify", "--case", "C361-NG69", "--jobs", "64",
+                         "--out", str(out)]) == 0
+        assert seen == [4, 1]
+        timing = json.loads((tmp_path / "r.json.timing.json").read_text())
+        assert timing["jobs"] == 64
 
 
 class TestGridFile:

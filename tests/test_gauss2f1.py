@@ -112,6 +112,28 @@ def test_parameter_pole():
     assert rel_err(got, want) < 1e-14
 
 
+TERMINATING_OR_POLE = [
+    # entry point, its argument, the polynomial's value at that argument
+    (gauss_2f1, 0.3, 1.15785),
+    (gauss_2f1, 0.2 + 0.1j,
+     1.0 + (-2.0) * 0.7 / (-3.0) * (0.2 + 0.1j)
+     + ((-2.0) * (-1.0) * 0.7 * 1.7) / ((-3.0) * (-2.0) * 2.0) * (0.2 + 0.1j) ** 2),
+    (gauss_2f1_cm, 0.7, 1.15785),
+    (lambda a, b, c, _: gauss_2f1_at_one(a, b, c), None, 1.665),
+]
+
+
+@pytest.mark.parametrize("fn, arg, poly", TERMINATING_OR_POLE,
+                         ids=["real", "disc", "complement", "at_one"])
+def test_one_pole_rule_at_every_entry_point(fn, arg, poly):
+    for a, b in ((0.5, 0.7), (-4.0, 0.7)):
+        with pytest.raises(ParameterPole):
+            fn(a, b, -3.0, arg)
+    # a numerator that terminates before c's pole gives the polynomial
+    for a, b in ((-2.0, 0.7), (0.7, -2.0)):
+        assert rel_err(fn(a, b, -3.0, arg), poly) < 1e-14
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         gauss_2f1_cm(0.3, 0.7, 1.1, -0.2)  # w < 0 is the cut
