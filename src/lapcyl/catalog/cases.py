@@ -11,6 +11,12 @@ Conventions
   displacements from the endpoints.  Powers of displacements must use
   d_lo/d_hi, never t - endpoint, or accuracy dies at strong endpoint
   exponents.
+* The two-order 2F1 originals of T31-T34 and their Kummer corollaries
+  are term lists: each term (c, A, B, G, (a, b, c')) stands for
+  c t^A d^B Y^G 2F1(a, b; c'; 1 - cm), d the distance to x.  `_lo_piece`
+  and `_hi_piece` build the (0,x) and (x,inf) integrands from them and
+  derive the endpoint hints from the same numbers, so no exponent is
+  written twice.
 * Parameter packing: two-order cases read (mu, nu) from orders and use
   x, y, p literally.  Error-function cases use a = sqrt(y), b = sqrt(x).
   Single-parameter transforms mirror their lone scale into both x and y
@@ -66,25 +72,6 @@ def _spec(lower, upper, lam_lo=0.0, lam_up=0.0, decay=0.0):
         rel_tol=_REL,
         abs_tol=_ABS,
     )
-
-
-def _lam_one(explicit, cab):
-    """Endpoint exponent where a 2F1 argument tends to 1.
-
-    The complement scales like the displacement d, so F contributes an
-    extra d^{cab} branch when Re(c-a-b) < 0 (a log factor at cab = 0,
-    which plain adaptive refinement absorbs).
-    """
-    return explicit + min(0.0, cab)
-
-
-def _lam_inf(explicit, fa, fb):
-    """Endpoint exponent where a 2F1 argument tends to -infinity.
-
-    |F| ~ |w|^{-min(Re a, Re b)} with |w| ~ 1/d; the 0 keeps the
-    estimate conservative when both parameters are positive.
-    """
-    return explicit + min(0.0, fa, fb)
 
 
 def _masked_2f2(a1, a2, b1, b2, z):
@@ -305,58 +292,71 @@ _add(IdentityCase(
 
 
 # ----------------------------------------------------------------------
-# Two-order product transforms: shared integrand factories
+# Two-order product transforms: term-list builders
 # ----------------------------------------------------------------------
 
-def _t31_f1(pt, c):
-    """(0,x) piece common to the difference/sum/single families, times c."""
-    mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
-    fa, fb, fc = -mu / 2.0, (1.0 + nu) / 2.0, 1.0 + (nu - mu) / 2.0
+def _term_sum(terms, t, d, yd, cm):
+    """Sum of c t^A d^B Y^G 2F1(a, b; c'; 1 - cm) over the terms, from the first."""
+    total = None
+    for c, A, B, G, (fa, fb, fc) in terms:
+        term = c * (t ** A * d ** B * yd ** G * gauss_2f1_cm(fa, fb, fc, cm))
+        total = term if total is None else total + term
+    return total
+
+
+def _lo_piece(pt, terms):
+    """(0,x) piece at d = x - t, Y = y + t, cm = xy/(dY).  The 2F1 argument
+    tends to -infinity at x, where |F| ~ d^{min(a, b)}; the 0 keeps the hint
+    conservative when both parameters are positive."""
+    x, y = pt.x, pt.y
 
     def f(t, d_lo, d_hi):
         yt = y + t
-        cm = x * y / (d_hi * yt)
-        F = gauss_2f1_cm(fa, fb, fc, cm)
-        return c * (t ** ((nu - mu) / 2.0) * d_hi ** (-(1.0 + nu) / 2.0) * yt ** (mu / 2.0) * F)
+        return _term_sum(terms, t, d_hi, yt, x * y / (d_hi * yt))
 
-    return Piece(f, _spec(0.0, x, lam_lo=(nu - mu) / 2.0,
-                          lam_up=_lam_inf(-(1.0 + nu) / 2.0, fa, fb)))
+    return Piece(f, _spec(0.0, x, lam_lo=min(A for _, A, _, _, _ in terms),
+                          lam_up=min(B + min(0.0, fa, fb) for _, _, B, _, (fa, fb, _) in terms)))
+
+
+def _hi_piece(pt, terms):
+    """(x,inf) piece at d = t - x, Y = y + d, cm = d(y+t)/(tY).  The 2F1
+    argument tends to 1 at x and cm scales like d, so F adds a d^{c'-a-b}
+    branch when c'-a-b < 0 (a log factor at 0, which refinement absorbs)."""
+    y = pt.y
+
+    def f(t, d_lo, d_hi):
+        yd = y + d_lo  # equals y - x + t exactly
+        return _term_sum(terms, t, d_lo, yd, d_lo * (y + t) / (t * yd))
+
+    return Piece(f, _spec(pt.x, math.inf, lam_lo=min(
+        B + min(0.0, fc - fa - fb) for _, _, B, _, (fa, fb, fc) in terms)))
+
+
+def _t31_lo_term(pt, c):
+    """(0,x) kernel common to the difference/sum/single families, times c."""
+    mu, nu = pt.mu, pt.nu
+    return (c, (nu - mu) / 2.0, -(1.0 + nu) / 2.0, mu / 2.0,
+            (-mu / 2.0, (1.0 + nu) / 2.0, 1.0 + (nu - mu) / 2.0))
 
 
 def _t31_lo(pt):
     """The (0,x) piece that T31, T33 and T34 share, constant included."""
     mu, nu = pt.mu, pt.nu
-    return _t31_f1(pt, 2.0 ** ((mu - nu) / 2.0) * _RPI * rg(1.0 + (nu - mu) / 2.0) * rg(-nu))
+    return _lo_piece(pt, [_t31_lo_term(
+        pt, 2.0 ** ((mu - nu) / 2.0) * _RPI * rg(1.0 + (nu - mu) / 2.0) * rg(-nu))])
 
 
-def _t31_f2(pt, c):
-    """(x,inf) piece with the 3/2-kind hypergeometric kernel, times c."""
-    mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
-    s = mu + nu
-    fa, fb = (1.0 - mu) / 2.0, (1.0 - nu) / 2.0
-
-    def f(t, d_lo, d_hi):
-        yd = y + d_lo  # equals y - x + t exactly
-        cm = d_lo * (y + t) / (t * yd)
-        F = gauss_2f1_cm(fa, fb, 1.5, cm)
-        return c * (t ** ((nu - 1.0) / 2.0) * d_lo ** (-(1.0 + s) / 2.0)
-                    * yd ** ((mu - 1.0) / 2.0) * F)
-
-    return Piece(f, _spec(x, math.inf, lam_lo=_lam_one(-(1.0 + s) / 2.0, (1.0 + s) / 2.0)))
+def _hi32_term(pt, c):
+    """(x,inf) kernel with the 3/2-kind hypergeometric function, times c."""
+    mu, nu = pt.mu, pt.nu
+    return (c, (nu - 1.0) / 2.0, -(1.0 + (mu + nu)) / 2.0, (mu - 1.0) / 2.0,
+            ((1.0 - mu) / 2.0, (1.0 - nu) / 2.0, 1.5))
 
 
-def _t33_f2(pt, c):
-    """(x,inf) piece with the 1/2-kind hypergeometric kernel, times c."""
-    mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
-    s = mu + nu
-
-    def f(t, d_lo, d_hi):
-        yd = y + d_lo
-        cm = d_lo * (y + t) / (t * yd)
-        F = gauss_2f1_cm(-mu / 2.0, -nu / 2.0, 0.5, cm)
-        return c * (t ** (nu / 2.0) * d_lo ** (-(1.0 + s) / 2.0) * yd ** (mu / 2.0) * F)
-
-    return Piece(f, _spec(x, math.inf, lam_lo=_lam_one(-(1.0 + s) / 2.0, (1.0 + s) / 2.0)))
+def _hi12_term(pt, c):
+    """(x,inf) kernel with the 1/2-kind hypergeometric function, times c."""
+    mu, nu = pt.mu, pt.nu
+    return (c, nu / 2.0, -(1.0 + (mu + nu)) / 2.0, mu / 2.0, (-mu / 2.0, -nu / 2.0, 0.5))
 
 
 def _pcf_pair(mu, nu, x, y, p):
@@ -382,7 +382,7 @@ def _t31_image(pt):
 def _t31_original(pt):
     mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
     c2 = 2.0 ** (2.0 + (mu + nu) / 2.0) * _RPI * math.sqrt(x * y) * rg(-mu / 2.0) * rg(-nu / 2.0)
-    return _t31_lo(pt), _t31_f2(pt, c2)
+    return _t31_lo(pt), _hi_piece(pt, [_hi32_term(pt, c2)])
 
 
 _add(IdentityCase(
@@ -409,7 +409,7 @@ def _t31k_original(pt):
     mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
     c1 = 2.0 ** (mu / 2.0 - 1.0) * _RPI / math.sqrt(x) * rg(1.0 + (nu - mu) / 2.0) * rg((1.0 - nu) / 2.0)
     c2 = 2.0 ** (mu / 2.0) * math.sqrt(y) * rg(-mu / 2.0)
-    return _t31_f1(pt, c1), _t31_f2(pt, c2)
+    return _lo_piece(pt, [_t31_lo_term(pt, c1)]), _hi_piece(pt, [_hi32_term(pt, c2)])
 
 
 def _v_t31k(pt):
@@ -443,37 +443,16 @@ def _t32_image(pt):
 def _t32_original(pt):
     mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
     s = mu + nu
-
     fa1, fb1, fc1 = -(1.0 + mu) / 2.0, (1.0 + nu) / 2.0, (1.0 - mu + nu) / 2.0
     c1 = 2.0 ** ((mu - nu) / 2.0) * _RPI / math.sqrt(y) * rg(fc1) * rg(-nu)
-
-    def f1(t, d_lo, d_hi):
-        yt = y + t
-        cm = x * y / (d_hi * yt)
-        brace = (gauss_2f1_cm(fa1, fb1, fc1, cm)
-                 + mu * t / ((1.0 - mu + nu) * yt) * gauss_2f1_cm(fa1 + 1.0, fb1, fc1 + 1.0, cm))
-        return c1 * (t ** (-(1.0 + mu - nu) / 2.0) * d_hi ** (-(1.0 + nu) / 2.0)
-                     * yt ** ((1.0 + mu) / 2.0) * brace)
-
-    l1 = -(1.0 + mu - nu) / 2.0
-    u1 = _lam_inf(-(1.0 + nu) / 2.0, fa1, fb1)
-
+    A1, B1, G1 = -(1.0 + mu - nu) / 2.0, -(1.0 + nu) / 2.0, (1.0 + mu) / 2.0
     c2 = 2.0 ** (2.0 + s / 2.0) * _RPI * math.sqrt(x) * rg(-(1.0 + mu) / 2.0) * rg(-nu / 2.0)
-
-    def f2(t, d_lo, d_hi):
-        yd = y + d_lo
-        cm = d_lo * (y + t) / (t * yd)
-        brace = (gauss_2f1_cm(-mu / 2.0, (1.0 - nu) / 2.0, 1.5, cm)
-                 - mu * d_lo / ((1.0 + mu) * yd) * gauss_2f1_cm((2.0 - mu) / 2.0, (1.0 - nu) / 2.0, 1.5, cm))
-        return c2 * (t ** ((nu - 1.0) / 2.0) * d_lo ** (-(2.0 + s) / 2.0) * yd ** (mu / 2.0) * brace)
-
-    # second brace term carries an extra d_lo, so its endpoint branch is milder
-    l2 = min(_lam_one(-(2.0 + s) / 2.0, (2.0 + s) / 2.0), _lam_one(-s / 2.0, s / 2.0))
-
-    return (
-        Piece(f1, _spec(0.0, x, lam_lo=l1, lam_up=u1)),
-        Piece(f2, _spec(x, math.inf, lam_lo=l2)),
-    )
+    A2, B2, G2, fb2 = (nu - 1.0) / 2.0, -(2.0 + s) / 2.0, mu / 2.0, (1.0 - nu) / 2.0
+    lo = [(c1, A1, B1, G1, (fa1, fb1, fc1)),
+          (c1 * mu / (1.0 - mu + nu), A1 + 1.0, B1, G1 - 1.0, (fa1 + 1.0, fb1, fc1 + 1.0))]
+    hi = [(c2, A2, B2, G2, (-mu / 2.0, fb2, 1.5)),
+          (-c2 * mu / (1.0 + mu), A2, B2 + 1.0, G2 - 1.0, ((2.0 - mu) / 2.0, fb2, 1.5))]
+    return _lo_piece(pt, lo), _hi_piece(pt, hi)
 
 
 def _v_t32(pt):
@@ -580,7 +559,7 @@ def _t33_image(pt):
 def _t33_original(pt):
     mu, nu = pt.mu, pt.nu
     c2 = 2.0 ** (1.0 + (mu + nu) / 2.0) * _RPI * rg((1.0 - nu) / 2.0) * rg((1.0 - mu) / 2.0)
-    return _t31_lo(pt), _t33_f2(pt, c2)
+    return _t31_lo(pt), _hi_piece(pt, [_hi12_term(pt, c2)])
 
 
 _add(IdentityCase(
@@ -605,18 +584,9 @@ def _t33k_original(pt):
     mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
     fa, fb, fc = (1.0 - mu) / 2.0, 1.0 + nu / 2.0, 1.0 + (nu - mu) / 2.0
     c1 = 2.0 ** (mu / 2.0) * _RPI * math.sqrt(x * y) * rg(fc) * rg(-nu / 2.0)
-
-    def f1(t, d_lo, d_hi):
-        yt = y + t
-        cm = x * y / (d_hi * yt)
-        F = gauss_2f1_cm(fa, fb, fc, cm)
-        return c1 * (t ** ((nu - mu) / 2.0) * d_hi ** (-1.0 - nu / 2.0) * yt ** ((mu - 1.0) / 2.0) * F)
-
-    l1 = (nu - mu) / 2.0
-    u1 = _lam_inf(-1.0 - nu / 2.0, fa, fb)
-
     c2 = 2.0 ** (mu / 2.0) * rg((1.0 - mu) / 2.0)
-    return Piece(f1, _spec(0.0, x, lam_lo=l1, lam_up=u1)), _t33_f2(pt, c2)
+    return (_lo_piece(pt, [(c1, (nu - mu) / 2.0, -1.0 - nu / 2.0, (mu - 1.0) / 2.0, (fa, fb, fc))]),
+            _hi_piece(pt, [_hi12_term(pt, c2)]))
 
 
 def _v_t33k(pt):
@@ -651,21 +621,10 @@ def _t34_original(pt):
     mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
     s = mu + nu
     c2 = 2.0 ** (1.0 + s / 2.0) * _RPI * math.sqrt(x * y) * rg(-mu / 2.0) * rg(-nu / 2.0)
-    # ratio between the two bracket kernels; finite because the rg zeros
-    # cancel against the explicit gammas on the valid grid
-    mix = gamma(-mu / 2.0) * gamma(-nu / 2.0) * rg((1.0 - mu) / 2.0) * rg((1.0 - nu) / 2.0)
-
-    def f2(t, d_lo, d_hi):
-        yd = y + d_lo
-        cm = d_lo * (y + t) / (t * yd)
-        brace = (gauss_2f1_cm((1.0 - mu) / 2.0, (1.0 - nu) / 2.0, 1.5, cm)
-                 + mix * np.sqrt(t * yd / (4.0 * x * y))
-                 * gauss_2f1_cm(-mu / 2.0, -nu / 2.0, 0.5, cm))
-        return c2 * (t ** ((nu - 1.0) / 2.0) * d_lo ** (-(1.0 + s) / 2.0)
-                     * yd ** ((mu - 1.0) / 2.0) * brace)
-
-    l2 = _lam_one(-(1.0 + s) / 2.0, (1.0 + s) / 2.0)
-    return _t31_lo(pt), Piece(f2, _spec(x, math.inf, lam_lo=l2))
+    # c2 Gamma(-mu/2) Gamma(-nu/2) rg((1-mu)/2) rg((1-nu)/2) / (2 sqrt(xy))
+    # with each Gamma rg pair cancelled: finite at mu = 0 and nu = 0
+    c3 = 2.0 ** (s / 2.0) * _RPI * rg((1.0 - mu) / 2.0) * rg((1.0 - nu) / 2.0)
+    return _t31_lo(pt), _hi_piece(pt, [_hi32_term(pt, c2), _hi12_term(pt, c3)])
 
 
 _add(IdentityCase(

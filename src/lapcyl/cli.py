@@ -4,9 +4,10 @@ special functions at a point.
 Exit codes: 0 when every selected positive case passes and every
 selected control fails as designed, 1 when verification disagrees with
 that expectation, 2 for configuration errors (unknown ids, bad flags,
-malformed grid files, `eval` arguments outside a function's domain or
-range) and for grid points a case cannot evaluate.  Every point's
-validity predicate is checked before any task runs; a closed form that
+malformed grid files, an --out path that cannot be written, `eval`
+arguments outside a function's domain or range) and for grid points a
+case cannot evaluate.  Every point's validity predicate is checked, and
+the --out files are opened, before any task runs; a closed form that
 a special function cannot evaluate stops the run when its group runs.
 Reports are deterministic byte for byte across runs and across --jobs:
 a task is one group of points that share an integral (`point_groups`),
@@ -20,6 +21,7 @@ each case's compute time: the sum of its groups' evaluation times.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import fnmatch
 import io
@@ -123,15 +125,19 @@ def _eval_task(task):
     return records, time.perf_counter() - start
 
 
-def _run_verify(args):
-    """Returns (reports in registry order, compute seconds per case id,
-    total wall seconds)."""
+def _checked_points(args):
+    """The selected cases' points, each one through its case's gate."""
     case_ids = _select_cases(args)
     grids = _load_grid(args.grid) if args.grid else {}
     points = {cid: grids.get(cid, get_case(cid).default_grid) for cid in case_ids}
     for cid, pts in points.items():
         check_points(cid, pts)
+    return points
 
+
+def _run_verify(args, points):
+    """Returns (reports in registry order, compute seconds per case id,
+    total wall seconds)."""
     start = time.perf_counter()
     tasks = []
     layout = []
@@ -225,22 +231,30 @@ def _exit_status(reports):
     return EXIT_OK
 
 
+def _open_out(stack, path, **kw):
+    try:
+        return stack.enter_context(open(path, "w", encoding="utf-8", **kw))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def cmd_verify(args):
-    reports, seconds, wall = _run_verify(args)
-    payload = _RENDER[args.format](reports)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-        timing = {
-            "jobs": args.jobs,
-            "total_ms": wall * 1e3,
-            "cases": {cid: secs * 1e3 for cid, secs in seconds.items()},
-        }
-        with open(args.out + ".timing.json", "w", encoding="utf-8") as fh:
-            json.dump(timing, fh, indent=2)
-            fh.write("\n")
-    else:
-        sys.stdout.write(payload)
+    points = _checked_points(args)
+    with contextlib.ExitStack() as stack:
+        out, sidecar = sys.stdout, None
+        if args.out:
+            out = _open_out(stack, args.out, newline="")
+            sidecar = _open_out(stack, args.out + ".timing.json")
+        reports, seconds, wall = _run_verify(args, points)
+        out.write(_RENDER[args.format](reports))
+        if sidecar:
+            timing = {
+                "jobs": args.jobs,
+                "total_ms": wall * 1e3,
+                "cases": {cid: secs * 1e3 for cid, secs in seconds.items()},
+            }
+            json.dump(timing, sidecar, indent=2)
+            sidecar.write("\n")
     return _exit_status(reports)
 
 

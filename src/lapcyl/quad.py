@@ -108,6 +108,7 @@ _MIN_PANEL_WIDTH = 1e-15
 _TAIL_CLIP = 1.0 - 1e-12
 _MARCH_BLOCK = 8        # semi-infinite march panels per integrand call
 _MAX_MARCH = 100000
+_MAX_SUBDIVISIONS = 2000
 _ROUNDING = 50.0 * np.finfo(float).eps
 
 
@@ -128,7 +129,6 @@ class QuadratureSpec:
     decay_rate: float = 0.0
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not math.isfinite(self.lower):
@@ -145,8 +145,6 @@ class QuadratureSpec:
             raise ValueError(f"rel_tol must be >= 1e-13, got {self.rel_tol}")
         if not self.abs_tol > 0.0:
             raise ValueError("abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -249,7 +247,6 @@ class _Workspace:
             result=self._result(total, toterr, met))
 
     def refine(self):
-        spec = self.spec
         panels = self.panels
         vals = np.array([p[3] for p in panels])
         errs = np.array([p[4] for p in panels])
@@ -264,9 +261,9 @@ class _Workspace:
             met = toterr <= self._target(total)
             if met.all():
                 return self._result(total, toterr, met)
-            if splits >= spec.max_subdivisions:
+            if splits >= _MAX_SUBDIVISIONS:
                 raise self._nonconvergence(
-                    f"quadrature needed more than {spec.max_subdivisions} subdivisions",
+                    f"quadrature needed more than {_MAX_SUBDIVISIONS} subdivisions",
                     total, toterr)
             # the worst panel wide enough to halve; a narrower one keeps its
             # contribution and stops being refined

@@ -255,6 +255,62 @@ class TestEndpointWeights:
         assert rep.records[0].rel_error <= 1e-13
 
 
+class TestZeroOrders:
+    """T34's predicate admits mu = 0 and nu = 0, where Gamma(-mu/2) or
+    Gamma(-nu/2) has a pole; its original is finite there."""
+
+    @pytest.mark.parametrize("mu, nu", [(0.0, -0.5), (-0.5, 0.0), (0.0, 0.5)])
+    def test_t34_passes(self, mu, nu):
+        pt = ParamPoint(orders=(mu, nu), x=1.0, y=1.0, p=1.0)
+        rep = verify("T34-NEG-HALF", grid=(pt,))
+        assert rep.verdict == "pass"
+        if mu == 0.0:
+            # D_0(z) = e^{-z^2/4}, so at x = y the image is Corollary 3.4.1's
+            single = image("C341-SINGLE", ParamPoint(orders=(nu,), x=1.0, y=1.0, p=1.0))
+            assert abs(rep.records[0].lhs - single) <= 1e-14 * abs(single)
+
+
+# The endpoint exponents the six two-order 2F1 originals declared by hand
+# before their hints were derived from the terms: the (0,x) piece's 2F1
+# argument tends to -infinity at x, the (x,inf) piece's to 1 at x.
+def _lam_inf(explicit, fa, fb):
+    return explicit + min(0.0, fa, fb)
+
+
+def _lam_one(explicit, cab):
+    return explicit + min(0.0, cab)
+
+
+def _hand_hints(cid, mu, nu):
+    """[(exponent_at_lower, exponent_at_upper)] per piece."""
+    s = mu + nu
+    lo = ((nu - mu) / 2.0, _lam_inf(-(1.0 + nu) / 2.0, -mu / 2.0, (1.0 + nu) / 2.0))
+    hi = (_lam_one(-(1.0 + s) / 2.0, (1.0 + s) / 2.0), 0.0)
+    if cid == "T32-DIFF":
+        lo = (-(1.0 + mu - nu) / 2.0,
+              _lam_inf(-(1.0 + nu) / 2.0, -(1.0 + mu) / 2.0, (1.0 + nu) / 2.0))
+        hi = (min(_lam_one(-(2.0 + s) / 2.0, (2.0 + s) / 2.0), _lam_one(-s / 2.0, s / 2.0)), 0.0)
+    elif cid == "T33-KUMMER":
+        lo = ((nu - mu) / 2.0, _lam_inf(-1.0 - nu / 2.0, (1.0 - mu) / 2.0, 1.0 + nu / 2.0))
+    return [lo, hi]
+
+
+class TestDerivedHints:
+    @pytest.mark.parametrize("cid", [
+        "T31-DIFF-HALF", "T31-KUMMER", "T32-DIFF",
+        "T33-SUM-HALF", "T33-KUMMER", "T34-NEG-HALF",
+    ])
+    def test_hints_equal_hand_derived(self, cid):
+        case = get_case(cid)
+        for pt in case.default_grid:
+            got = [(pc.spec.exponent_at_lower, pc.spec.exponent_at_upper)
+                   for pc in case.original(pt)]
+            want = _hand_hints(cid, pt.mu, pt.nu)
+            assert len(got) == len(want), pt
+            for g, w in zip(got, want):
+                assert abs(g[0] - w[0]) <= 1e-15 and abs(g[1] - w[1]) <= 1e-15, (pt, g, w)
+
+
 class TestCaseVerdicts:
     """A case verdict and its max_rel_error agree with the per-point
     verdicts in either order of the points."""

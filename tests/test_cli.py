@@ -2,8 +2,10 @@
 
 Every invocation goes through `python -m lapcyl.cli` so the argument
 parsing, exit codes, and report bytes are exercised exactly as a user
-sees them.  The pool-size check is the exception: it calls `main`
-in-process with a fake executor, so that it starts no worker.
+sees them.  Two checks are the exception: the pool-size check and the
+check that an unwritable --out stops the run before any task call
+`main` in-process, with a fake executor or task, so that they start no
+worker and can see which tasks ran.
 """
 
 import csv
@@ -127,6 +129,24 @@ class TestVerifyExitCodes:
         res = run_cli("verify", "--case", "RED-*", "--tol", "-1")
         assert res.returncode == 2
 
+    def test_unwritable_out_exits_two(self, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        res = run_cli("verify", "--case", "RED-ERFC-REFLECT", "--out", str(out))
+        assert res.returncode == 2
+        assert res.stderr.startswith(f"error: cannot write {out}")
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+    def test_unwritable_out_fails_before_any_task(self, tmp_path, monkeypatch, capsys):
+        from lapcyl import cli
+
+        ran = []
+        monkeypatch.setattr(cli, "_eval_task", ran.append)
+        out = tmp_path / "missing" / "r.json"
+        assert cli.main(["verify", "--case", "C361-NG69", "--out", str(out)]) == 2
+        assert ran == []
+        assert "error: cannot write" in capsys.readouterr().err
+
 
 class TestReportFormats:
     def test_json_schema(self):
@@ -243,6 +263,13 @@ class TestGridFile:
         rows = json.loads(res.stdout)
         assert len(rows) == 2
         assert rows[0]["params"]["p"] == 2.0
+
+    def test_t34_at_mu_zero(self, tmp_path):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("T34-NEG-HALF 0 -0.5 1 1 1\n")
+        res = run_cli("verify", "--case", "T34-NEG-HALF", "--grid", str(grid))
+        assert res.returncode == 0, res.stderr
+        assert [row["verdict"] for row in json.loads(res.stdout)] == ["pass"]
 
     def test_unmentioned_case_keeps_default(self, tmp_path):
         grid = tmp_path / "grid.txt"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lapcyl.quad as quad
 from lapcyl import NonConvergence
 from lapcyl.quad import (
     QuadratureSpec,
@@ -60,8 +61,6 @@ def test_spec_validation():
         QuadratureSpec(lower=0.0, upper=1.0, exponent_at_upper=-1.5)
     with pytest.raises(ValueError):
         QuadratureSpec(lower=0.0, upper=1.0, rel_tol=1e-14)
-    with pytest.raises(ValueError):
-        QuadratureSpec(lower=0.0, upper=1.0, max_subdivisions=0)
     with pytest.raises(ValueError):
         QuadratureSpec(lower=-math.inf, upper=1.0)
 
@@ -173,9 +172,10 @@ def test_error_estimate_honesty():
     assert bad == 0, cases
 
 
-def test_nonconvergence_carries_partial():
+def test_nonconvergence_carries_partial(monkeypatch):
     # interior |t - 0.3|^{-1/2} needs endless splitting with a budget of 3
-    spec = QuadratureSpec(lower=0.0, upper=1.0, max_subdivisions=3)
+    monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 3)
+    spec = QuadratureSpec(lower=0.0, upper=1.0)
     with pytest.raises(NonConvergence) as exc:
         integrate_finite(lambda t: 1.0 / np.sqrt(np.abs(t - 0.3)), spec)
     partial = exc.value.result
@@ -345,8 +345,9 @@ def test_one_component_matches_plain_integral():
     assert one.evaluations == plain.evaluations
 
 
-def test_nan_component_is_the_only_one_not_converged():
-    spec = QuadratureSpec(lower=0.0, upper=1.0, max_subdivisions=40)
+def test_nan_component_is_the_only_one_not_converged(monkeypatch):
+    monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 40)
+    spec = QuadratureSpec(lower=0.0, upper=1.0)
 
     def f(t, d_lo, d_hi):
         bad = np.where(t > 0.3, np.nan, 1.0)
@@ -414,7 +415,7 @@ def test_march_evaluates_in_blocks():
     assert calls[2].size == 15 * _MARCH_BLOCK and calls[2].min() > block.max()
 
 
-def test_estimate_has_a_rounding_floor():
+def test_estimate_has_a_rounding_floor(monkeypatch):
     floor = 50.0 * np.finfo(float).eps
     # exp(-s t) is integrated to the last bit; |K15 - G7| alone would
     # claim an error below one ulp of the value
@@ -426,8 +427,8 @@ def test_estimate_has_a_rounding_floor():
         assert res.error_estimate == floor * abs(res.value)
     # the floor is below every target, so converged is the unfloored rule
     rel_tol, abs_tol = 1e-13, 1e-250
-    spec = QuadratureSpec(lower=0.0, upper=1.0, rel_tol=rel_tol, abs_tol=abs_tol,
-                          max_subdivisions=60)
+    monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 60)
+    spec = QuadratureSpec(lower=0.0, upper=1.0, rel_tol=rel_tol, abs_tol=abs_tol)
 
     def f(t, d_lo, d_hi):
         return np.stack([np.exp(t), np.cos(t), 1.0 / np.sqrt(np.abs(t - 0.3))])
@@ -449,7 +450,7 @@ def test_infinite_panel_error_never_turns_nan():
         with pytest.raises(NonConvergence) as exc:
             integrate_finite(lambda t: 1.0 / np.sqrt(np.abs(t - 0.3)), spec)
     res = exc.value.result
-    assert res.evaluations == 15 * (2 + 2 * spec.max_subdivisions)
+    assert res.evaluations == 15 * (2 + 2 * quad._MAX_SUBDIVISIONS)
     assert res.error_estimate == math.inf
     assert "error estimate inf" in str(exc.value)
     # a NaN region: every panel beyond t = 0.3 keeps an infinite error
