@@ -20,8 +20,9 @@ Regions (array lanes are split by masks and reassembled):
 
 Every infinite series here (Maclaurin, connection, logarithmic) is summed
 by the one driver in .hyper, which also holds the stopping rule.  Each
-caller passes its term ratio as the driver's step; the logarithmic series
-also pass their running digamma sums as term weights.
+caller passes its term ratio as a function of k and its argument array;
+the logarithmic series also pass their running digamma sums as term
+weights, one block of terms at a time.
 
 Terminating cases (a or b a nonpositive integer) are evaluated as plain
 polynomials for any w, before everything else.  c at a nonpositive integer
@@ -39,7 +40,7 @@ import numpy as np
 
 from .._exceptions import DomainError, NonConvergence, ParameterPole
 from .gammafn import digamma, gamma, reciprocal_gamma
-from .hyper import _sum_series
+from .hyper import _BLOCK, _sum_series
 
 _EULER_GAMMA = 0.57721566490153286061
 _INT_SNAP = 1e-12
@@ -99,15 +100,12 @@ def _series_f21(a, b, c, z):
     """Maclaurin sum for |z| <= 1/2 + margin; z complex ndarray."""
     zc = np.asarray(z, dtype=complex)
     try:
-        total, _ = _sum_series(
-            np.ones_like(zc),
-            lambda t, k: t * ((a + k) * (b + k) / ((c + k) * (k + 1.0))) * zc,
-            what="gauss_2f1 series")
+        return _sum_series(lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)), zc,
+                           what="gauss_2f1 series")
     except ZeroDivisionError:
         raise ParameterPole(
             f"gauss_2f1 lower parameter {c} is a nonpositive integer"
         ) from None
-    return total
 
 
 def gauss_2f1_at_one(a, b, c) -> complex:
@@ -151,21 +149,24 @@ def _connect_log_m(a, b, c, m, w):
     logw = np.log(w)
 
     def weights():
+        # the digamma running sums, one block of terms at a time
         psi_n = -_EULER_GAMMA
         psi_nm = -_EULER_GAMMA + sum(1.0 / j for j in range(1, m + 1))
         psi_a = digamma(a + m)
         psi_b = digamma(b + m)
-        for n in itertools.count(1):
-            yield ((psi_n + psi_nm - psi_a) - psi_b) - logw
-            psi_n += 1.0 / n
-            psi_nm += 1.0 / (n + m)
-            psi_a += 1.0 / (a + m + (n - 1))
-            psi_b += 1.0 / (b + m + (n - 1))
+        for n0 in itertools.count(1, _BLOCK):
+            block = []
+            for n in range(n0, n0 + _BLOCK):
+                block.append((psi_n + psi_nm - psi_a) - psi_b)
+                psi_n += 1.0 / n
+                psi_nm += 1.0 / (n + m)
+                psi_a += 1.0 / (a + m + (n - 1))
+                psi_b += 1.0 / (b + m + (n - 1))
+            yield np.array(block)[:, None] - logw
 
-    total, _ = _sum_series(
-        np.full(w.shape, 1.0 / math.factorial(m), dtype=complex),
-        lambda t, k: t * ((a + m + k) * (b + m + k) / ((k + 1) * (k + 1 + m))) * w,
-        weights(), what="gauss_2f1 logarithmic series")
+    total = _sum_series(
+        lambda k: (a + m + k) * (b + m + k) / ((k + 1) * (k + 1 + m)), w,
+        weights(), first=1.0 / math.factorial(m), what="gauss_2f1 logarithmic series")
     p_ser = gamma(c) * reciprocal_gamma(a) * reciprocal_gamma(b)
     if m == 0:
         return p_ser * total

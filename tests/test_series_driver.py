@@ -4,7 +4,9 @@ The driver sums the Gauss 2F1 Maclaurin, connection and logarithmic
 series, 2F2, and Kummer Phi (which also feeds the series route of pcf_d).
 
 Two kinds of check:
-- the driver against the plain per-lane loop it replaced, bit for bit;
+- the block driver against a plain per-term Kahan loop: the same sum to
+  within rounding, the same stopping index and an exact term budget, and
+  no less accurate on cancelling series; the scalar Phi loop bit for bit;
 - every branch against mpmath at 40 digits.  Each row is one seeded draw
   of parameters, most with several argument lanes.  The draws come from a
   fixed seed, so rows and ids are the same on every run.
@@ -16,8 +18,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from lapcyl.special import gauss_2f1, gauss_2f1_cm, hyp_2f2, hyper, pcf_d, phi_scaled
+from lapcyl import NonConvergence, ParameterPole
+from lapcyl.special import gauss2f1, gauss_2f1, gauss_2f1_cm, hyp_2f2, hyper, pcf_d, phi_scaled
 
+EPS = np.finfo(float).eps
 REL_BOUND = 1e-11
 ROWS = 16
 SEED = 20190801
@@ -100,22 +104,29 @@ def test_matches_mpmath(fn, args):
     assert max(errs) < REL_BOUND, (args, errs)
 
 
-def _reference_lanes(first, step):
-    """Kahan sum with a per-lane count of consecutive negligible terms."""
-    total = first.copy()
-    term = first.copy()
-    comp = np.zeros_like(first)
-    consec = np.zeros(first.shape, dtype=np.int64)
+def _reference_lanes(ratio, z):
+    """Per-term Kahan sum of c_k, c_0 = 1, c_{k+1} = c_k * ratio(k) * z,
+    with a per-lane count of consecutive negligible terms.
+
+    Returns the sum and |c_k| for the N terms the stopping rule takes, as
+    an (N, lanes) array.
+    """
+    total = np.ones(z.shape, dtype=complex)
+    term = total.copy()
+    comp = np.zeros_like(total)
+    mags = [np.abs(term)]
+    consec = np.zeros(z.shape, dtype=np.int64)
     for k in range(10000):
-        term = step(term, k)
+        term = term * (ratio(k) * z)
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
+        mags.append(np.abs(term))
         small = np.abs(term) <= 1e-16 * np.maximum(np.abs(total), 1e-300)
         consec = np.where(small, consec + 1, 0)
         if np.all(consec >= 3):
-            return total
+            return total, np.array(mags)
     raise AssertionError("reference loop did not settle")
 
 
@@ -137,17 +148,78 @@ def _reference_scaled(a, b, z):
     raise AssertionError("reference loop did not settle")
 
 
+def _f21_ratio(a, b, c):
+    return lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0))
+
+
+def _f22_ratio(a1, a2, b1, b2):
+    return lambda k: (a1 + k) * (a2 + k) / ((b1 + k) * (b2 + k) * (k + 1.0))
+
+
 def test_driver_matches_reference_loops():
+    # The block driver sums by Sum2 and forms c_k by numpy's cumprod, whose
+    # complex products round differently from the elementwise multiply of
+    # the per-term loop, so c_k may differ by about k rounding errors: the
+    # bound is 4 eps sum (k+1) |c_k| per lane, not bit for bit.  The scalar
+    # Phi loop is still per term and matches bit for bit.
     rng = np.random.default_rng(SEED + 1)
     for _ in range(40):
         a, b, c, d = rng.uniform(-3.0, 3.0, 4) + 0.5j * rng.uniform(-1.0, 1.0, 4)
-        z = rng.uniform(-0.5, 0.5, 7) + 0j
-        f21 = lambda t, k: t * ((a + k) * (b + k) / ((c + k) * (k + 1.0))) * z
-        got, _ = hyper._sum_series(np.ones_like(z), f21, what="2f1")
-        assert got.tobytes() == _reference_lanes(np.ones_like(z), f21).tobytes()
-        z = rng.uniform(0.0, 200.0, 7) + 0j
-        f22 = lambda t, k: t * ((a + k) * (b + k) / ((c + k) * (d + k) * (k + 1.0))) * z
-        got, _ = hyper._sum_series(np.ones_like(z), f22, what="2f2")
-        assert got.tobytes() == _reference_lanes(np.ones_like(z), f22).tobytes()
+        for ratio, z in [(_f21_ratio(a, b, c), rng.uniform(-0.5, 0.5, 7) + 0j),
+                         (_f22_ratio(a, b, c, d), rng.uniform(0.0, 200.0, 7) + 0j)]:
+            got = hyper._sum_series(ratio, z, what="series")
+            want, mags = _reference_lanes(ratio, z)
+            bound = 4 * EPS * (np.arange(1, len(mags) + 1)[:, None] * mags).sum(axis=0)
+            assert np.all(np.abs(got - want) <= bound), (got, want)
         a, b, x = complex(a), complex(c), float(rng.uniform(-40.0, 900.0))
         assert phi_scaled(a, b, x) == _reference_scaled(a, b, complex(x))
+
+
+@pytest.mark.parametrize("ratio, z, residue", [
+    pytest.param(_f21_ratio(0.5, 0.25, 0.75), np.array([0.1, -0.3, 0.45]), 11, id="2f1-N43"),
+    pytest.param(_f21_ratio(0.5, 1.25, 0.75), np.array([0.1, -0.3, 0.45]), 1, id="2f1-N49"),
+    pytest.param(_f22_ratio(0.5, 1.25, 4.0, 2.5), np.array([2.0, 15.0, 40.0]), 5, id="2f2-N101"),
+    pytest.param(_f22_ratio(-2.5, 1.25, 4.0, 2.5), np.array([2.0, 15.0, 40.0]), 1, id="2f2-N97"),
+])
+def test_term_budget_is_exact(monkeypatch, ratio, z, residue):
+    # N terms settle the series; a budget of N is enough and N - 1 is not,
+    # also when the stop falls mid-block or on the first term of a block
+    n = len(_reference_lanes(ratio, z)[1])
+    assert n % hyper._BLOCK == residue
+    monkeypatch.setattr(hyper, "_MAX_TERMS", n)
+    hyper._sum_series(ratio, z, what="series")
+    monkeypatch.setattr(hyper, "_MAX_TERMS", n - 1)
+    with pytest.raises(NonConvergence):
+        hyper._sum_series(ratio, z, what="series")
+
+
+def _alternating_series():
+    rng = np.random.default_rng(SEED + 2)
+    rows = []
+    for _ in range(10):
+        a, b, c = rng.uniform(4.0, 10.0), rng.uniform(4.0, 10.0), rng.uniform(0.5, 4.0)
+        z = rng.uniform(-0.5, -0.3, 5)
+        rows.append((_f21_ratio(a, b, c), z, lambda x, p=(a, b, c): mpmath.hyp2f1(*p, x)))
+        p = (rng.uniform(-9.5, -0.5), rng.uniform(0.5, 3.0), rng.uniform(0.5, 4.0),
+             rng.uniform(0.5, 4.0))
+        z = rng.uniform(0.0, 60.0, 5)
+        rows.append((_f22_ratio(*p), z, lambda x, p=p: mpmath.hyp2f2(*p, x)))
+    return rows
+
+
+def test_compensation_against_mpmath():
+    # on series whose terms cancel, Sum2 is at least as accurate as the
+    # per-term Kahan loop, up to rounding of the terms' absolute sum
+    for ratio, z, exact in _alternating_series():
+        got = hyper._sum_series(ratio, z, what="series")
+        ref, mags = _reference_lanes(ratio, z)
+        with mpmath.workdps(40):
+            want = np.array([complex(exact(x)) for x in z])
+        assert np.all(np.abs(got - want) <= np.abs(ref - want) + 2 * EPS * mags.sum(axis=0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pole_inside_first_block():
+    # c + k = 0 at k = 3: the block's scalar ratios raise before any array work
+    with pytest.raises(ParameterPole):
+        gauss2f1._series_f21(0.5, 0.7, -3.0, np.array([0.1, 0.2]))
