@@ -17,6 +17,10 @@ Conventions
   and `_hi_piece` build the (0,x) and (x,inf) integrands from them and
   derive the endpoint hints from the same numbers, so no exponent is
   written twice.
+* Every 2F1 of an original is a Gauss2F1Plan built with its piece,
+  outside the integrand, so the work that depends only on the 2F1's
+  parameters is done once per integral, not on every integrand call.
+  Closed-form images make one-shot calls.
 * Parameter packing: two-order cases read (mu, nu) from orders and use
   x, y, p literally.  Error-function cases use a = sqrt(y), b = sqrt(x).
   Single-parameter transforms mirror their lone scale into both x and y
@@ -36,6 +40,7 @@ import numpy as np
 
 from ..quad import QuadratureSpec
 from ..special import (
+    Gauss2F1Plan,
     appell_f1,
     erf,
     erfc,
@@ -295,12 +300,19 @@ _add(IdentityCase(
 # Two-order product transforms: term-list builders
 # ----------------------------------------------------------------------
 
-def _term_sum(terms, t, d, yd, cm):
-    """Sum of c t^A d^B Y^G 2F1(a, b; c'; 1 - cm) over the terms, from the first."""
-    total = None
-    for c, A, B, G, (fa, fb, fc) in terms:
-        term = c * (t ** A * d ** B * yd ** G * gauss_2f1_cm(fa, fb, fc, cm))
-        total = term if total is None else total + term
+def _term_sum(terms):
+    """The sum of c t^A d^B Y^G 2F1(a, b; c'; 1 - cm) over the terms, from
+    the first, as a function of (t, d, Y, cm); each term's 2F1 plan is built
+    here, once per piece."""
+    planned = [(c, A, B, G, Gauss2F1Plan(*abc)) for c, A, B, G, abc in terms]
+
+    def total(t, d, yd, cm):
+        out = None
+        for c, A, B, G, F in planned:
+            term = c * (t ** A * d ** B * yd ** G * F(cm))
+            out = term if out is None else out + term
+        return out
+
     return total
 
 
@@ -309,10 +321,11 @@ def _lo_piece(pt, terms):
     tends to -infinity at x, where |F| ~ d^{min(a, b)}; the 0 keeps the hint
     conservative when both parameters are positive."""
     x, y = pt.x, pt.y
+    total = _term_sum(terms)
 
     def f(t, d_lo, d_hi):
         yt = y + t
-        return _term_sum(terms, t, d_hi, yt, x * y / (d_hi * yt))
+        return total(t, d_hi, yt, x * y / (d_hi * yt))
 
     return Piece(f, _spec(0.0, x, lam_lo=min(A for _, A, _, _, _ in terms),
                           lam_up=min(B + min(0.0, fa, fb) for _, _, B, _, (fa, fb, _) in terms)))
@@ -323,10 +336,11 @@ def _hi_piece(pt, terms):
     argument tends to 1 at x and cm scales like d, so F adds a d^{c'-a-b}
     branch when c'-a-b < 0 (a log factor at 0, which refinement absorbs)."""
     y = pt.y
+    total = _term_sum(terms)
 
     def f(t, d_lo, d_hi):
         yd = y + d_lo  # equals y - x + t exactly
-        return _term_sum(terms, t, d_lo, yd, d_lo * (y + t) / (t * yd))
+        return total(t, d_lo, yd, d_lo * (y + t) / (t * yd))
 
     return Piece(f, _spec(pt.x, math.inf, lam_lo=min(
         B + min(0.0, fc - fa - fb) for _, _, B, _, (fa, fb, fc) in terms)))
@@ -692,13 +706,13 @@ def _t35_original(pt):
     mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
     s = mu + nu
     c = 2.0 ** (s / 2.0) * rg((1.0 - s) / 2.0)
+    F = Gauss2F1Plan(-mu / 2.0, -nu / 2.0, (1.0 - s) / 2.0)
 
     def f(t, d_lo, d_hi):
         xt = x + t
         yt = y + t
         cm = x * y / (xt * yt)
-        F = gauss_2f1_cm(-mu / 2.0, -nu / 2.0, (1.0 - s) / 2.0, cm)
-        return c * t ** (-(1.0 + s) / 2.0) * yt ** (mu / 2.0) * xt ** (nu / 2.0) * F
+        return c * t ** (-(1.0 + s) / 2.0) * yt ** (mu / 2.0) * xt ** (nu / 2.0) * F(cm)
 
     return (Piece(f, _spec(0.0, math.inf, lam_lo=-(1.0 + s) / 2.0)),)
 
@@ -733,13 +747,14 @@ def _t36_original(pt):
     mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
     s = mu + nu
     c = 2.0 ** (s / 2.0) / math.sqrt(x) * rg(-s / 2.0)
+    F1 = Gauss2F1Plan(-mu / 2.0, -(1.0 + nu) / 2.0, -s / 2.0)
+    F2 = Gauss2F1Plan(-mu / 2.0, (1.0 - nu) / 2.0, 1.0 - s / 2.0)
 
     def f(t, d_lo, d_hi):
         xt = x + t
         yt = y + t
         cm = x * y / (xt * yt)
-        brace = (gauss_2f1_cm(-mu / 2.0, -(1.0 + nu) / 2.0, -s / 2.0, cm)
-                 - nu * t / (s * xt) * gauss_2f1_cm(-mu / 2.0, (1.0 - nu) / 2.0, 1.0 - s / 2.0, cm))
+        brace = F1(cm) - nu * t / (s * xt) * F2(cm)
         return c * t ** (-1.0 - s / 2.0) * yt ** (mu / 2.0) * xt ** ((1.0 + nu) / 2.0) * brace
 
     return (Piece(f, _spec(0.0, math.inf, lam_lo=-1.0 - s / 2.0)),)

@@ -4,7 +4,7 @@ series, parabolic cylinder function, Appell F1."""
 from .gammafn import gamma, reciprocal_gamma, digamma, is_nonpositive_integer
 from .errorfn import erf, erfc
 from .hyper import kummer_phi, phi_scaled, hyp_2f2
-from .gauss2f1 import gauss_2f1, gauss_2f1_cm, gauss_2f1_at_one
+from .gauss2f1 import Gauss2F1Plan, gauss_2f1, gauss_2f1_cm, gauss_2f1_at_one
 from .pcf import pcf_d
 from .appell import appell_f1
 
@@ -21,6 +21,7 @@ __all__ = [
     "gauss_2f1",
     "gauss_2f1_cm",
     "gauss_2f1_at_one",
+    "Gauss2F1Plan",
     "pcf_d",
     "appell_f1",
 ]

@@ -20,9 +20,22 @@ Regions (array lanes are split by masks and reassembled):
 
 Every infinite series here (Maclaurin, connection, logarithmic) is summed
 by the one driver in .hyper, which also holds the stopping rule.  Each
-caller passes its term ratio as a function of k and its argument array;
-the logarithmic series also pass their running digamma sums as term
-weights, one block of terms at a time.
+series hands it a table of its term ratios and its argument array; the
+logarithmic series also pass their running digamma sums as term weights,
+one block of terms at a time.
+
+Every entry point goes through a Gauss2F1Plan: Gauss2F1Plan(a, b, c)
+checks the parameters, and plan(w) evaluates F(a, b; c; 1 - w).  What
+depends only on (a, b, c) is formed the first time a call needs it and is
+kept in the plan: the terminating/pole decision, the integer test on
+c-a-b, the value at w = 0, the connection prefactors, the plans of the
+Euler and Pfaff inner parameters, and each series' ratio table (and the
+logarithmic series' digamma sums), grown one block of terms at a time.
+gauss_2f1_cm builds a plan and calls it once, so a one-shot call does the
+same work as before; a caller that evaluates one (a, b, c) at many
+arguments, as the catalog's integrands do on every quadrature node of an
+integral, builds the plan once.  A plan's values do not depend on the
+calls before: each is the same scalar expression, formed once.
 
 Terminating cases (a or b a nonpositive integer) are evaluated as plain
 polynomials for any w, before everything else.  c at a nonpositive integer
@@ -40,10 +53,25 @@ import numpy as np
 
 from .._exceptions import DomainError, NonConvergence, ParameterPole
 from .gammafn import digamma, gamma, reciprocal_gamma
-from .hyper import _BLOCK, _sum_series
+from .hyper import _BLOCK, _Table, _sum_series
 
 _EULER_GAMMA = 0.57721566490153286061
 _INT_SNAP = 1e-12
+
+
+class _once:
+    """A plan attribute computed on first access and stored on the plan,
+    where it shadows this descriptor: functools.cached_property without
+    the lock that it takes on every first access before Python 3.12, a
+    measurable cost on one-shot calls."""
+
+    def __init__(self, compute):
+        self._compute = compute
+        self._name = compute.__name__
+
+    def __get__(self, plan, owner):
+        value = plan.__dict__[self._name] = self._compute(plan)
+        return value
 
 
 def _params(a, b, c):
@@ -96,119 +124,44 @@ def _poly_f21(a, b, c, z, degree):
     return total
 
 
-def _series_f21(a, b, c, z):
-    """Maclaurin sum for |z| <= 1/2 + margin; z complex ndarray."""
-    zc = np.asarray(z, dtype=complex)
-    try:
-        return _sum_series(lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)), zc,
-                           what="gauss_2f1 series")
-    except ZeroDivisionError:
-        raise ParameterPole(
-            f"gauss_2f1 lower parameter {c} is a nonpositive integer"
-        ) from None
+def _maclaurin(a, b, c):
+    """The Maclaurin sum of F(a, b; c; z) for |z| <= 1/2 + margin, as a
+    function of a complex ndarray z that keeps its ratio table."""
+    ratios = _Table(lambda k0: np.array([(a + k) * (b + k) / ((c + k) * (k + 1.0))
+                                         for k in range(k0, k0 + _BLOCK)]))
+
+    def series(z):
+        try:
+            return _sum_series(ratios, np.asarray(z, dtype=complex), what="gauss_2f1 series")
+        except ZeroDivisionError:
+            raise ParameterPole(
+                f"gauss_2f1 lower parameter {c} is a nonpositive integer"
+            ) from None
+
+    return series
 
 
-def gauss_2f1_at_one(a, b, c) -> complex:
-    """F(a,b;c;1) by the Gauss summation theorem.
+def _digamma_table(a, b, m):
+    """A&S 15.3.11's weights without the log w: psi(n+1) + psi(n+m+1) -
+    psi(a+m+n) - psi(b+m+n) for n = 0, 1, ..., as running sums carried
+    from block to block."""
+    carry = (-_EULER_GAMMA, -_EULER_GAMMA + sum(1.0 / j for j in range(1, m + 1)),
+             digamma(a + m), digamma(b + m))
 
-    Terminating cases go through the Chu-Vandermonde polynomial; otherwise
-    Re(c-a-b) > 0 is required for the limit to exist.
-    """
-    a, b, c = _params(a, b, c)
-    degree = _terminating_degree(a, b, c)
-    if degree is not None:
-        return complex(_poly_f21(a, b, c, 1.0 + 0.0j, degree))
-    d = c - a - b
-    if d.real <= 0.0:
-        raise DomainError(
-            f"gauss_2f1 at z=1 needs Re(c-a-b) > 0, got {d.real}"
-        )
-    return gamma(c) * gamma(d) * reciprocal_gamma(c - a) * reciprocal_gamma(c - b)
+    def form(k0):
+        nonlocal carry
+        psi_n, psi_nm, psi_a, psi_b = carry
+        rows = []
+        for n in range(k0 + 1, k0 + 1 + _BLOCK):
+            rows.append((psi_n + psi_nm - psi_a) - psi_b)
+            psi_n += 1.0 / n
+            psi_nm += 1.0 / (n + m)
+            psi_a += 1.0 / (a + m + (n - 1))
+            psi_b += 1.0 / (b + m + (n - 1))
+        carry = psi_n, psi_nm, psi_a, psi_b
+        return np.array(rows)
 
-
-def _connect_generic(a, b, c, w):
-    """A&S 15.3.6 for noninteger c-a-b, argument complement w in (0, 1/2)."""
-    d = c - a - b
-    p1 = gamma(c) * gamma(d) * reciprocal_gamma(c - a) * reciprocal_gamma(c - b)
-    p2 = gamma(c) * gamma(-d) * reciprocal_gamma(a) * reciprocal_gamma(b)
-    out = np.zeros(w.shape, dtype=complex)
-    if p1 != 0.0:
-        out += p1 * _series_f21(a, b, a + b - c + 1.0, w)
-    if p2 != 0.0:
-        out += p2 * np.exp(d * np.log(w)) * _series_f21(c - a, c - b, d + 1.0, w)
-    return out
-
-
-def _connect_log_m(a, b, c, m, w):
-    """A&S 15.3.11: c = a + b + m with integer m >= 0, w in (0, 1/2).
-
-    At m = 0 the finite part is empty and this is A&S 15.3.10, term for
-    term: the series is summed with 15.3.10's sign and weight (psi_nm
-    equals psi_n there), and 15.3.11's -(-1)^m is folded into (-w)^m.
-    """
-    logw = np.log(w)
-
-    def weights():
-        # the digamma running sums, one block of terms at a time
-        psi_n = -_EULER_GAMMA
-        psi_nm = -_EULER_GAMMA + sum(1.0 / j for j in range(1, m + 1))
-        psi_a = digamma(a + m)
-        psi_b = digamma(b + m)
-        for n0 in itertools.count(1, _BLOCK):
-            block = []
-            for n in range(n0, n0 + _BLOCK):
-                block.append((psi_n + psi_nm - psi_a) - psi_b)
-                psi_n += 1.0 / n
-                psi_nm += 1.0 / (n + m)
-                psi_a += 1.0 / (a + m + (n - 1))
-                psi_b += 1.0 / (b + m + (n - 1))
-            yield np.array(block)[:, None] - logw
-
-    total = _sum_series(
-        lambda k: (a + m + k) * (b + m + k) / ((k + 1) * (k + 1 + m)), w,
-        weights(), first=1.0 / math.factorial(m), what="gauss_2f1 logarithmic series")
-    p_ser = gamma(c) * reciprocal_gamma(a) * reciprocal_gamma(b)
-    if m == 0:
-        return p_ser * total
-    # finite part: Gamma(m) Gamma(c) / (Gamma(a+m) Gamma(b+m)) *
-    #              sum_{n=0}^{m-1} (a)_n (b)_n / (n! (1-m)_n) w^n
-    finite = _poly_f21(a, b, 1.0 - m, w, m - 1)
-    p_fin = gamma(float(m)) * gamma(c) * reciprocal_gamma(a + m) * reciprocal_gamma(b + m)
-    return p_fin * finite + p_ser * (-w) ** m * total
-
-
-def _f21_w(a, b, c, w):
-    """Dispatcher over the complement w = 1 - z; w a float64 ndarray >= 0."""
-    degree = _terminating_degree(a, b, c)
-    if degree is not None:
-        return _poly_f21(a, b, c, 1.0 - w, degree)
-    out = np.empty(w.shape, dtype=complex)
-    m_one = w == 0.0
-    m_conn = (w > 0.0) & (w < 0.5)
-    m_ser = (w >= 0.5) & (w <= 1.5)
-    m_pf = w > 1.5
-    if m_one.any():
-        out[m_one] = gauss_2f1_at_one(a, b, c)
-    if m_ser.any():
-        out[m_ser] = _series_f21(a, b, c, 1.0 - w[m_ser])
-    if m_conn.any():
-        wc = w[m_conn]
-        mi = _near_int(c - a - b)
-        if mi is None:
-            out[m_conn] = _connect_generic(a, b, c, wc)
-        elif mi >= 0:
-            out[m_conn] = _connect_log_m(a, b, c, mi, wc)
-        else:
-            # Euler transformation flips c-a-b to -mi >= 1
-            inner = _f21_w(c - a, c - b, c, wc)
-            out[m_conn] = np.exp((c - a - b) * np.log(wc)) * inner
-    if m_pf.any():
-        wp = w[m_pf]
-        aa, bb = (a, b) if a.real <= b.real else (b, a)
-        pref = np.exp(-aa * np.log(wp))
-        inner = _f21_w(aa, c - bb, c, 1.0 / wp)
-        out[m_pf] = pref * inner
-    return out
+    return _Table(form)
 
 
 def _finish(values, scalar_in):
@@ -219,22 +172,171 @@ def _finish(values, scalar_in):
     return values
 
 
+class Gauss2F1Plan:
+    """F(a, b; c; 1 - w) at fixed parameters: plan(w) for w >= 0, scalar or
+    ndarray, gives what gauss_2f1_cm(a, b, c, w) gives.
+
+    A non-finite parameter raises DomainError here; a pole in c raises
+    ParameterPole from every call.  What depends only on (a, b, c) is
+    formed the first time a call needs it and kept.
+    """
+
+    def __init__(self, a, b, c):
+        self.a, self.b, self.c = _params(a, b, c)
+
+    def __call__(self, one_minus_z):
+        warr = np.asarray(one_minus_z, dtype=float)
+        scalar_in = warr.ndim == 0
+        w1 = np.atleast_1d(warr)
+        if not np.isfinite(w1).all():
+            raise DomainError("gauss_2f1 needs a finite argument")
+        if (w1 < 0.0).any():
+            raise DomainError("gauss_2f1 argument beyond 1 (negative complement)")
+        vals = self._at(w1)
+        return _finish(vals.reshape(warr.shape) if not scalar_in else vals, scalar_in)
+
+    def at_one(self) -> complex:
+        """F(a, b; c; 1), as gauss_2f1_at_one."""
+        degree = self._degree
+        if degree is not None:
+            return complex(_poly_f21(self.a, self.b, self.c, 1.0 + 0.0j, degree))
+        return self._gauss_sum
+
+    @_once
+    def _degree(self):
+        return _terminating_degree(self.a, self.b, self.c)
+
+    @_once
+    def _m(self):
+        return _near_int(self.c - self.a - self.b)
+
+    @_once
+    def _gauss_sum(self):
+        a, b, c = self.a, self.b, self.c
+        d = c - a - b
+        if d.real <= 0.0:
+            raise DomainError(
+                f"gauss_2f1 at z=1 needs Re(c-a-b) > 0, got {d.real}"
+            )
+        return gamma(c) * gamma(d) * reciprocal_gamma(c - a) * reciprocal_gamma(c - b)
+
+    @_once
+    def _series(self):
+        return _maclaurin(self.a, self.b, self.c)
+
+    @_once
+    def _generic(self):
+        """A&S 15.3.6's exponent, prefactors and series, noninteger c-a-b."""
+        a, b, c = self.a, self.b, self.c
+        d = c - a - b
+        p1 = gamma(c) * gamma(d) * reciprocal_gamma(c - a) * reciprocal_gamma(c - b)
+        p2 = gamma(c) * gamma(-d) * reciprocal_gamma(a) * reciprocal_gamma(b)
+        return (d, p1, _maclaurin(a, b, a + b - c + 1.0),
+                p2, _maclaurin(c - a, c - b, d + 1.0))
+
+    @_once
+    def _log(self):
+        """A&S 15.3.11's series tables and prefactors, c = a + b + m, m >= 0."""
+        a, b, c, m = self.a, self.b, self.c, self._m
+        ratios = _Table(lambda k0: np.array([(a + m + k) * (b + m + k) / ((k + 1) * (k + 1 + m))
+                                             for k in range(k0, k0 + _BLOCK)]))
+        p_ser = gamma(c) * reciprocal_gamma(a) * reciprocal_gamma(b)
+        p_fin = (gamma(float(m)) * gamma(c) * reciprocal_gamma(a + m) * reciprocal_gamma(b + m)
+                 if m else None)
+        return ratios, _digamma_table(a, b, m), p_ser, p_fin
+
+    @_once
+    def _euler(self):
+        a, b, c = self.a, self.b, self.c
+        return c - a - b, Gauss2F1Plan(c - a, c - b, c)
+
+    @_once
+    def _pfaff(self):
+        a, b, c = self.a, self.b, self.c
+        aa, bb = (a, b) if a.real <= b.real else (b, a)
+        return aa, Gauss2F1Plan(aa, c - bb, c)
+
+    def _connect_generic(self, w):
+        """A&S 15.3.6 for noninteger c-a-b, argument complement w in (0, 1/2)."""
+        d, p1, series1, p2, series2 = self._generic
+        out = np.zeros(w.shape, dtype=complex)
+        if p1 != 0.0:
+            out += p1 * series1(w)
+        if p2 != 0.0:
+            out += p2 * np.exp(d * np.log(w)) * series2(w)
+        return out
+
+    def _connect_log(self, w):
+        """A&S 15.3.11: c = a + b + m with integer m >= 0, w in (0, 1/2).
+
+        At m = 0 the finite part is empty and this is A&S 15.3.10, term for
+        term: the series is summed with 15.3.10's sign and weight (psi_nm
+        equals psi_n there), and 15.3.11's -(-1)^m is folded into (-w)^m.
+        """
+        m = self._m
+        ratios, psi, p_ser, p_fin = self._log
+        logw = np.log(w)
+        total = _sum_series(
+            ratios, w, (psi.block(i)[:, None] - logw for i in itertools.count()),
+            first=1.0 / math.factorial(m), what="gauss_2f1 logarithmic series")
+        if m == 0:
+            return p_ser * total
+        # finite part: Gamma(m) Gamma(c) / (Gamma(a+m) Gamma(b+m)) *
+        #              sum_{n=0}^{m-1} (a)_n (b)_n / (n! (1-m)_n) w^n
+        finite = _poly_f21(self.a, self.b, 1.0 - m, w, m - 1)
+        return p_fin * finite + p_ser * (-w) ** m * total
+
+    def _at(self, w):
+        """Dispatcher over the complement w = 1 - z; w a float64 ndarray >= 0."""
+        degree = self._degree
+        if degree is not None:
+            return _poly_f21(self.a, self.b, self.c, 1.0 - w, degree)
+        out = np.empty(w.shape, dtype=complex)
+        m_one = w == 0.0
+        m_conn = (w > 0.0) & (w < 0.5)
+        m_ser = (w >= 0.5) & (w <= 1.5)
+        m_pf = w > 1.5
+        if m_one.any():
+            out[m_one] = self._gauss_sum
+        if m_ser.any():
+            out[m_ser] = self._series(1.0 - w[m_ser])
+        if m_conn.any():
+            wc = w[m_conn]
+            mi = self._m
+            if mi is None:
+                out[m_conn] = self._connect_generic(wc)
+            elif mi >= 0:
+                out[m_conn] = self._connect_log(wc)
+            else:
+                # Euler transformation flips c-a-b to -mi >= 1
+                d, inner = self._euler
+                out[m_conn] = np.exp(d * np.log(wc)) * inner._at(wc)
+        if m_pf.any():
+            wp = w[m_pf]
+            aa, inner = self._pfaff
+            pref = np.exp(-aa * np.log(wp))
+            out[m_pf] = pref * inner._at(1.0 / wp)
+        return out
+
+
+def gauss_2f1_at_one(a, b, c) -> complex:
+    """F(a,b;c;1) by the Gauss summation theorem.
+
+    Terminating cases go through the Chu-Vandermonde polynomial; otherwise
+    Re(c-a-b) > 0 is required for the limit to exist.
+    """
+    return Gauss2F1Plan(a, b, c).at_one()
+
+
 def gauss_2f1_cm(a, b, c, one_minus_z):
     """F(a,b;c;z) evaluated from the complement w = 1 - z (w >= 0).
 
     Passing w directly keeps full precision when z is exponentially close
     to 1, which is where the catalog's endpoint-singular integrands live.
+    A caller that evaluates one (a, b, c) many times builds a
+    Gauss2F1Plan once instead.
     """
-    a, b, c = _params(a, b, c)
-    warr = np.asarray(one_minus_z, dtype=float)
-    scalar_in = warr.ndim == 0
-    w1 = np.atleast_1d(warr)
-    if not np.isfinite(w1).all():
-        raise DomainError("gauss_2f1 needs a finite argument")
-    if (w1 < 0.0).any():
-        raise DomainError("gauss_2f1 argument beyond 1 (negative complement)")
-    vals = _f21_w(a, b, c, w1)
-    return _finish(vals.reshape(warr.shape) if not scalar_in else vals, scalar_in)
+    return Gauss2F1Plan(a, b, c)(one_minus_z)
 
 
 def gauss_2f1(a, b, c, z):
@@ -245,18 +347,18 @@ def gauss_2f1(a, b, c, z):
     DomainError, z = 1 requires Re(c-a-b) > 0 unless the series
     terminates.
     """
-    a, b, c = _params(a, b, c)
+    plan = Gauss2F1Plan(a, b, c)
     zarr = np.asarray(z)
     if np.iscomplexobj(zarr):
         if np.any(np.atleast_1d(zarr).imag != 0.0):
             if zarr.ndim == 0 and abs(complex(zarr)) <= 0.5:
                 zc = complex(zarr)
-                degree = _terminating_degree(a, b, c)
+                degree = plan._degree
                 if degree is not None:
-                    return _finish(np.atleast_1d(_poly_f21(a, b, c, zc, degree)), True)
-                vals = _series_f21(a, b, c, np.atleast_1d(np.asarray(zc)))
-                return _finish(vals, True)
+                    return _finish(np.atleast_1d(_poly_f21(plan.a, plan.b, plan.c, zc, degree)),
+                                   True)
+                return _finish(plan._series(np.atleast_1d(np.asarray(zc))), True)
             raise DomainError("complex gauss_2f1 argument supported only for |z| <= 1/2")
         zarr = zarr.real
     zarr = np.asarray(zarr, dtype=float)
-    return gauss_2f1_cm(a, b, c, 1.0 - zarr)
+    return plan(1.0 - zarr)

@@ -50,3 +50,18 @@ def test_summary_of_alternating_pairs():
     assert sca["failed"] == {"parent": 0, "change": 2} and not sca["all_correct"]
     assert sca["metrics"]["wall_s"]["change_wins"] == 1
     assert sca["metrics"]["accuracy_digits"]["change_wins"] == 0
+
+
+@pytest.mark.parametrize("claim", ["laplace", "laplace:wal_s", "laplce:wall_s", ":wall_s"])
+def test_bad_claim_exits_2_before_any_checkout(monkeypatch, tmp_path, capsys, claim):
+    def no_checkout(rev, dest):
+        raise AssertionError("checked out a revision")
+
+    monkeypatch.setattr(bench_pairs, "_checkout", no_checkout)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD", "--change", "HEAD", "--out", str(out),
+                          "--claim", claim])
+    assert exc.value.code == 2
+    assert "--claim must be <workload>:<metric>" in capsys.readouterr().err
+    assert not out.exists()

@@ -371,3 +371,36 @@ class TestSharedIntegrals:
         rep = verify("T41-CORRECTED", grid=mixed)
         assert [r.params for r in rep.records] == list(mixed)
         assert point_groups("T41-CORRECTED", mixed)[0] == (0, 1, 14)
+
+
+class TestPlansPerPiece:
+    """Each 2F1 term of an original gets one Gauss2F1Plan, built with its
+    piece, however many integrand calls the integral makes."""
+
+    @pytest.mark.parametrize("cid, terms", [
+        ("T31-DIFF-HALF", 2),   # one term on (0, x), one on (x, inf)
+        ("T35-POS-HALF", 1),
+        ("T36-POS", 2),         # the brace's two 2F1s
+    ])
+    def test_one_plan_per_term(self, monkeypatch, cid, terms):
+        from lapcyl.catalog import cases
+
+        built, calls = [], []
+
+        class Counting(cases.Gauss2F1Plan):
+            def __init__(self, a, b, c):
+                built.append((a, b, c))
+                super().__init__(a, b, c)
+
+            def __call__(self, w):
+                calls.append(w.size)
+                return super().__call__(w)
+
+        monkeypatch.setattr(cases, "Gauss2F1Plan", Counting)
+        grid = get_case(cid).default_grid
+        group = [grid[i] for i in point_groups(cid, grid)[0]]
+        rep = verify(cid, grid=group)
+        assert rep.verdict == "pass"
+        assert len(built) == terms
+        # each plan served many integrand calls (T35's first group makes 10)
+        assert len(calls) >= 10 * len(built)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lapcyl.special import gauss_2f1, gauss_2f1_cm, gauss_2f1_at_one
+from lapcyl.special import Gauss2F1Plan, gauss_2f1, gauss_2f1_cm, gauss_2f1_at_one
 from lapcyl import DomainError, ParameterPole
 
 
@@ -205,3 +205,68 @@ def test_live_oracle_sweep():
     for a, b, c, w in rng_pts:
         want = complex(mpmath.hyp2f1(a, b, c, 1.0 - w))
         assert rel_err(gauss_2f1_cm(a, b, c, w), want) < 5e-12
+
+
+def _bits(value):
+    return np.asarray(value).tobytes()
+
+
+# a, b, c and complements, one row per region of the evaluator
+PLAN_REGIONS = [
+    pytest.param(-3.0, 0.7, 1.3, [0.0, 0.15, 0.8, 40.0], id="terminating"),
+    pytest.param(0.3, 0.4, 2.2, [0.0], id="w0"),
+    pytest.param(0.3, 0.7, 1.6, [1e-9, 0.05, 0.3, 0.49], id="connect-generic"),
+    pytest.param(0.3, 0.7, 1.0, [1e-9, 0.05, 0.3, 0.49], id="log-m0"),
+    pytest.param(0.25, 0.25, 2.5, [1e-9, 0.05, 0.3, 0.49], id="log-m2"),
+    pytest.param(0.7, 1.3, 1.0, [1e-9, 0.05, 0.3, 0.49], id="euler-m-1"),
+    pytest.param(-0.75, 0.25, 1.375, [0.5, 0.9, 1.2, 1.5], id="maclaurin"),
+    pytest.param(0.5, 0.25, 1.6, [1.6, 4.0, 200.0, 3001.0], id="pfaff"),
+    pytest.param(-0.75, 0.55, 1.625, [0.0, 1e-8, 0.02, 0.4, 1.0, 1.3, 7.0], id="mixed"),
+]
+
+
+@pytest.mark.parametrize("a, b, c, w", PLAN_REGIONS)
+def test_plan_matches_one_shot_bit_for_bit(a, b, c, w):
+    plan = Gauss2F1Plan(a, b, c)
+    w = np.array(w)
+    for _ in range(2):
+        assert _bits(plan(w)) == _bits(gauss_2f1_cm(a, b, c, w))
+        for wi in w:
+            assert _bits(plan(float(wi))) == _bits(gauss_2f1_cm(a, b, c, float(wi)))
+    if w[0] == 0.0:
+        assert plan.at_one() == gauss_2f1_at_one(a, b, c)
+
+
+@pytest.mark.parametrize("a, b, c, long_w, short_w", [
+    pytest.param(0.3, 0.7, 1.6, 0.49, 1e-6, id="connect-generic"),
+    pytest.param(0.25, 0.25, 2.5, 0.49, 1e-6, id="log-m2"),
+    pytest.param(-0.75, 0.25, 1.375, 0.5, 1.0, id="maclaurin"),
+    pytest.param(0.5, 0.25, 1.6, 2.0, 3000.0, id="pfaff"),
+])
+def test_plan_order_of_calls_does_not_matter(a, b, c, long_w, short_w):
+    # a long series grows the plan's tables past what a short one uses;
+    # either order gives the fresh calls' values bit for bit
+    fresh = [_bits(gauss_2f1_cm(a, b, c, w)) for w in (long_w, short_w)]
+    plan = Gauss2F1Plan(a, b, c)
+    assert [_bits(plan(long_w)), _bits(plan(short_w))] == fresh
+    plan = Gauss2F1Plan(a, b, c)
+    assert [_bits(plan(short_w)), _bits(plan(long_w))][::-1] == fresh
+
+
+def test_plan_raises_where_the_one_shot_call_does():
+    # a pole in c raises on every call, also after a failed one
+    pole = Gauss2F1Plan(0.5, 0.7, -3.0)
+    for _ in range(2):
+        with pytest.raises(ParameterPole):
+            pole(0.3)
+    assert rel_err(Gauss2F1Plan(-2.0, 0.7, -3.0)(0.7), 1.15785) < 1e-14
+    with pytest.raises(DomainError, match="finite parameters"):
+        Gauss2F1Plan(0.5, math.nan, 2.0)
+    plan = Gauss2F1Plan(0.7, 1.3, 1.5)
+    for w in (-0.2, math.nan, np.array([0.3, math.inf])):
+        with pytest.raises(DomainError):
+            plan(w)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="Re\\(c-a-b\\) > 0"):
+            plan(np.array([0.3, 0.0]))
+    assert _bits(plan(0.3)) == _bits(gauss_2f1_cm(0.7, 1.3, 1.5, 0.3))

@@ -74,6 +74,18 @@ def test_phi_kummer_transformation():
         assert rel_err(lhs, rhs) < 1e-12
 
 
+def test_phi_negative_argument_against_mpmath():
+    # below z = -10 the series at z itself had no correct digits; Kummer's
+    # transformation sums the series at -z instead
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20190802)
+    draws = [(2.7, 0.6, -30.0), (0.5, 1.5, -50.0)]
+    draws += [(rng.uniform(-4, 4), rng.uniform(-3, 4), rng.uniform(-60, 0)) for _ in range(60)]
+    with mpmath.workdps(40):
+        for a, b, z in draws:
+            assert rel_err(kummer_phi(a, b, z), complex(mpmath.hyp1f1(a, b, z))) < 1e-13, (a, b, z)
+
+
 def test_parameter_pole():
     with pytest.raises(ParameterPole):
         kummer_phi(0.5, 0.0, 1.0)

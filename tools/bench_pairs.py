@@ -127,7 +127,13 @@ def main(argv=None):
     seconds = spec["run_seconds"]
     claimed = None
     if args.claim:
-        workload, metric = args.claim.split(":")
+        workload, _, metric = args.claim.partition(":")
+        workloads = [w["name"] for w in spec["workloads"]]
+        metrics = [m["name"] for m in spec["end_to_end"]]
+        if workload not in workloads or metric not in metrics:
+            parser.error(f"--claim must be <workload>:<metric> with a workload of "
+                         f"{', '.join(workloads)} and an end-to-end metric of "
+                         f"{', '.join(metrics)}; got {args.claim!r}")
         claimed = {"workload": workload, "metric": metric}
     doc = {
         "what": ("perfbench/run.py end-to-end runs (--trace 0) of the parent and the change, "
