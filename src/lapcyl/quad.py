@@ -21,9 +21,10 @@ endpoints (``distance_form=True``), which keeps factors like (x-t)^{-3/4}
 fully accurate when the adaptive refinement pushes t within an ulp of x;
 the public entry points keep the plain f(t) signature and wrap it.
 
-The workspace holds arrays only: a plain (n,) integrand is the m = 1 case,
-unwrapped to scalars in the result.  One matmul applies K15 and G7 to a
-whole (m, k, 15) block of node values, k panels of m components.
+Every integrand counts as an (m, n) one: a plain (n,) integrand is the
+m = 1 case, unwrapped to scalars in the result.  One matmul applies K15
+and G7 to a whole (m, k, 15) block of node values, k panels of m
+components; the panel values and errors leave numpy as lists.
 
 Refinement halves one panel per step, as QUADPACK's dqagse bisects: the
 panel with the largest max_j err_j / target_j (targets of the estimate
@@ -32,6 +33,13 @@ children arrive in one integrand call.  A panel too narrow to halve keeps
 its contribution and leaves the queue.  An infinite panel error keeps its
 component's estimate infinite, never NaN, until no panel carries one.
 Repeated runs produce bit-identical results.
+
+After a numpy setup, refinement sums in Python floats and complex numbers,
+in numpy's order.  Complex magnitudes stay numpy's, whose last bits
+Python's abs does not always match: each panel's |K15 - G7|, and |I_j| in
+the converged test once no component is clearly over its target.  That is
+O(m) Python work per step, cheaper than numpy's fixed per-call cost at the
+catalog's m <= 3, dearer from a few dozen components on.
 
 Semi-infinite ranges are covered by a substituted first panel, then
 panels of width 1/decay_rate (the slowest decay over the components),
@@ -50,6 +58,7 @@ a converged flag.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass
@@ -110,6 +119,7 @@ _MARCH_BLOCK = 8        # semi-infinite march panels per integrand call
 _MAX_MARCH = 100000
 _MAX_SUBDIVISIONS = 2000
 _ROUNDING = 50.0 * np.finfo(float).eps
+_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -174,11 +184,10 @@ class _Workspace:
     """Panel store and refinement queue shared by the finite and
     semi-infinite drivers.
 
-    Every integrand counts as an (m, n) one: each panel holds its K15
-    values and |K15 - G7| errors as length-m arrays, and totals, errors
-    and targets are length-m arrays too.  The queue orders panels by
-    max_j err_j / target_j, with the targets of the estimate that
-    refinement starts from.
+    Each panel holds its K15 values and |K15 - G7| errors as lists of m,
+    and refinement carries totals, errors and weights as lists of m too.
+    The queue orders panels by max_j err_j / target_j, with the targets of
+    the estimate that refinement starts from.
     """
 
     def __init__(self, spec: QuadratureSpec):
@@ -189,8 +198,9 @@ class _Workspace:
 
     def add(self, g, lo, hi):
         """Evaluate the k panels [lo_i, hi_i] (sequences of floats) with one
-        call of g and store them; returns their (m, k) values and errors.
-        A panel with a non-finite node value counts as value 0, error inf."""
+        call of g and store them; returns their K15 values and |K15 - G7|
+        errors, one list of m per panel.  A panel with a non-finite node
+        value counts as value 0, error inf."""
         c = np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
         h = np.array([0.5 * (b - a) for a, b in zip(lo, hi)])
         t = (c[:, None] + h[:, None] * _NODES).ravel()
@@ -202,28 +212,32 @@ class _Workspace:
         self.evaluations += t.size
         if self.plain is None:
             self.plain = y.ndim == 1
-        val = rules[..., 0]
-        # every K15 weight is positive, so a non-finite node shows in val
-        finite = np.isfinite(val)
-        if not finite.all():
-            err = np.where(finite, err, math.inf)
-            val = np.where(finite, val, 0.0)
-        self.panels += [(g, a, b, v, e) for a, b, v, e in zip(lo, hi, val.T, err.T)]
-        return val, err
+        vals, errs = rules[..., 0].T.tolist(), err.T.tolist()
+        for v, e in zip(vals, errs):
+            # every K15 weight is positive, so a non-finite node shows in v
+            if not all(map(cmath.isfinite, v)):
+                e[:] = [x if cmath.isfinite(k15) else math.inf for k15, x in zip(v, e)]
+                v[:] = [k15 if cmath.isfinite(k15) else 0j for k15 in v]
+        self.panels += [(g, a, b, v, e) for a, b, v, e in zip(lo, hi, vals, errs)]
+        return vals, errs
 
     def _target(self, total):
         """max(rel_tol |I_j|, abs_tol) over the components (any shape)."""
         return np.maximum(self.spec.rel_tol * np.abs(total), self.spec.abs_tol)
 
     def march(self, total, vals):
-        """Running totals after each panel of a march block, and per panel
-        whether every component is below a tenth of its target for the
-        running total.  Returns (total after the block, list of flags)."""
+        """Running totals after each panel of a march block (vals as add
+        returns them), and per panel whether every component is below a
+        tenth of its target for the running total.  Returns (total after
+        the block, list of flags)."""
+        vals = np.array(vals).T
         run = np.cumsum(np.concatenate([total[:, None], vals], axis=1), axis=1)[:, 1:]
         small = (np.abs(vals) < 0.1 * self._target(run)).all(axis=0)
         return run[:, -1], small.tolist()
 
-    def _result(self, total, toterr, met):
+    def _result(self, total, toterr):
+        total, toterr = np.array(total, dtype=complex), np.array(toterr, dtype=float)
+        met = toterr <= self._target(total)
         err = np.maximum(toterr, _ROUNDING * np.abs(total))
         if self.plain:
             return QuadratureResult(complex(total[0]), float(err[0]), self.evaluations,
@@ -233,34 +247,43 @@ class _Workspace:
     def no_estimate(self):
         """Partial result of an integral that never reached refinement."""
         m = len(self.panels[0][3])
-        return self._result(np.zeros(m, complex), np.full(m, math.inf), np.zeros(m, bool))
+        return self._result([0j] * m, [math.inf] * m)
 
     def _nonconvergence(self, reason, total, toterr):
         """NonConvergence with the partial result and the shortfall of the
         first component that misses its target."""
-        target = self._target(total)
-        met = toterr <= target
-        j = int(np.argmin(met))
+        result = self._result(total, toterr)
+        target = self._target(np.array(total))
+        j = int(np.argmin(np.atleast_1d(result.converged)))
         where = "" if self.plain else f"component {j}: "
         return NonConvergence(
             f"{reason} ({where}error estimate {toterr[j]:.3g}, target {target[j]:.3g})",
-            result=self._result(total, toterr, met))
+            result=result)
 
     def refine(self):
+        """Bisect until every component meets its target: a numpy setup of
+        totals and queue, then scalar bookkeeping per split."""
         panels = self.panels
+        rel_tol, abs_tol = self.spec.rel_tol, self.spec.abs_tol
         vals = np.array([p[3] for p in panels])
         errs = np.array([p[4] for p in panels])
         total = vals.sum(axis=0)
         toterr = errs.sum(axis=0)
-        weight = (1.0 / self._target(total))[:, None]
-        heap = list(zip((-(errs * weight.T).max(axis=1)).tolist(), range(len(panels))))
+        weight = 1.0 / self._target(total)
+        heap = list(zip((-(errs * weight).max(axis=1)).tolist(), range(len(panels))))
         heapq.heapify(heap)
-        frozen_err = 0.0        # errors of the panels too narrow to split
+        total, toterr, weight = total.tolist(), toterr.tolist(), weight.tolist()
+        frozen_err = [0.0] * len(total)     # errors of the panels too narrow to split
         splits = 0
         while True:
-            met = toterr <= self._target(total)
-            if met.all():
-                return self._result(total, toterr, met)
+            # numpy's |v| decides a converged flag, but a component clearly
+            # over its target (|v| <= |Re v| + |Im v|, the slack covering
+            # rounding) settles the test without a numpy call
+            if not any(e > _SLACK * max(rel_tol * (abs(v.real) + abs(v.imag)), abs_tol)
+                       for v, e in zip(total, toterr)):
+                result = self._result(total, toterr)
+                if np.all(result.converged):
+                    return result
             if splits >= _MAX_SUBDIVISIONS:
                 raise self._nonconvergence(
                     f"quadrature needed more than {_MAX_SUBDIVISIONS} subdivisions",
@@ -275,22 +298,23 @@ class _Workspace:
                 g, lo, hi, val, err = panels[heapq.heappop(heap)[1]]
                 if hi - lo > _MIN_PANEL_WIDTH * max(1.0, abs(lo), abs(hi)):
                     break
-                frozen_err = frozen_err + err
+                frozen_err = [f + e for f, e in zip(frozen_err, err)]
             mid = 0.5 * (lo + hi)
             first = len(panels)
-            new_val, new_err = self.add(g, (lo, mid), (mid, hi))
-            for i, priority in enumerate((new_err * weight).max(axis=0).tolist(), first):
-                heapq.heappush(heap, (-priority, i))
-            total = total + (new_val.sum(axis=1) - val)
-            grown = new_err.sum(axis=1)
-            if math.inf not in err.tolist():
-                toterr = toterr + (grown - err)
-            elif (np.isinf(err) <= np.isinf(grown)).all():
+            (v1, v2), (e1, e2) = self.add(g, (lo, mid), (mid, hi))
+            for i, child in enumerate((e1, e2), first):
+                heapq.heappush(heap, (-max([e * w for e, w in zip(child, weight)]), i))
+            total = [v + ((a + b) - old) for v, a, b, old in zip(total, v1, v2, val)]
+            grown = [a + b for a, b in zip(e1, e2)]
+            if math.inf not in err:
+                toterr = [e + (gr - old) for e, gr, old in zip(toterr, grown, err)]
+            elif all(gr == math.inf for gr, old in zip(grown, err) if old == math.inf):
                 # each infinite error lives on in a child (inf - inf is NaN)
-                toterr = toterr + (grown - np.where(np.isinf(err), 0.0, err))
+                toterr = [e + (gr - (0.0 if old == math.inf else old))
+                          for e, gr, old in zip(toterr, grown, err)]
             else:
                 # an infinite error is gone: sum the held errors afresh
-                toterr = np.sum([panels[i][4] for _, i in heap], axis=0) + frozen_err
+                toterr = (np.sum([panels[i][4] for _, i in heap], axis=0) + frozen_err).tolist()
             splits += 1
 
 
@@ -351,7 +375,7 @@ def integrate_semi_infinite(f, spec: QuadratureSpec, *, distance_form: bool = Fa
     # first panel with the endpoint substitution
     vals, _ = ws.add(_left_sub(fw, a, h, math.inf, _power(spec.exponent_at_lower)),
                      (0.0,), (1.0,))
-    total = vals[:, 0]
+    total = np.array(vals[0])
 
     def g_plain(t):
         return np.asarray(fw(t, t - a, math.inf), dtype=complex)

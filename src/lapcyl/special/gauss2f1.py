@@ -5,7 +5,9 @@ itself, because the identity catalog needs F at arguments approaching 1
 from below where forming 1 - z by subtraction would lose every significant
 digit.  Callers that know w analytically use gauss_2f1_cm directly.
 
-Regions (array lanes are split by masks and reassembled):
+Regions (each an interval of w: an array whose smallest and largest lanes
+share a region goes to it whole; a mixed array is split by masks and
+reassembled, and each region's routine sees the same lanes either way):
 
   w == 0            Gauss summation value (requires Re(c-a-b) > 0)
   0 < w < 1/2       linear connection formula in powers of w; when c-a-b
@@ -164,6 +166,11 @@ def _digamma_table(a, b, m):
     return _Table(form)
 
 
+def _region(w):
+    """The region of w >= 0: 0 at 0, 1 on (0, 1/2), 2 on [1/2, 3/2], 3 beyond."""
+    return 0 if w == 0.0 else 1 if w < 0.5 else 2 if w <= 1.5 else 3
+
+
 def _finish(values, scalar_in):
     if not np.all(np.isfinite(values)):
         raise NonConvergence("gauss_2f1 produced a non-finite value")
@@ -188,11 +195,16 @@ class Gauss2F1Plan:
         warr = np.asarray(one_minus_z, dtype=float)
         scalar_in = warr.ndim == 0
         w1 = np.atleast_1d(warr)
-        if not np.isfinite(w1).all():
-            raise DomainError("gauss_2f1 needs a finite argument")
-        if (w1 < 0.0).any():
-            raise DomainError("gauss_2f1 argument beyond 1 (negative complement)")
-        vals = self._at(w1)
+        if w1.size:
+            # any NaN lane makes both NaN: [nan, -1] fails finiteness, not sign
+            lo, hi = float(w1.min()), float(w1.max())
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise DomainError("gauss_2f1 needs a finite argument")
+            if lo < 0.0:
+                raise DomainError("gauss_2f1 argument beyond 1 (negative complement)")
+        else:
+            lo, hi = 0.0, 1.0       # two regions: the mask path, which returns it empty
+        vals = self._at(w1, lo, hi)
         return _finish(vals.reshape(warr.shape) if not scalar_in else vals, scalar_in)
 
     def at_one(self) -> complex:
@@ -286,37 +298,37 @@ class Gauss2F1Plan:
         finite = _poly_f21(self.a, self.b, 1.0 - m, w, m - 1)
         return p_fin * finite + p_ser * (-w) ** m * total
 
-    def _at(self, w):
-        """Dispatcher over the complement w = 1 - z; w a float64 ndarray >= 0."""
+    def _at(self, w, lo, hi):
+        """Dispatcher over the complement w = 1 - z; w a float64 ndarray >= 0
+        whose smallest and largest lanes are lo and hi.  Each region is an
+        interval of w, so when lo and hi lie in one, the whole array is that
+        region's, with no mask; otherwise each region's lanes go on alone."""
         degree = self._degree
         if degree is not None:
             return _poly_f21(self.a, self.b, self.c, 1.0 - w, degree)
-        out = np.empty(w.shape, dtype=complex)
-        m_one = w == 0.0
-        m_conn = (w > 0.0) & (w < 0.5)
-        m_ser = (w >= 0.5) & (w <= 1.5)
-        m_pf = w > 1.5
-        if m_one.any():
-            out[m_one] = self._gauss_sum
-        if m_ser.any():
-            out[m_ser] = self._series(1.0 - w[m_ser])
-        if m_conn.any():
-            wc = w[m_conn]
-            mi = self._m
-            if mi is None:
-                out[m_conn] = self._connect_generic(wc)
-            elif mi >= 0:
-                out[m_conn] = self._connect_log(wc)
-            else:
-                # Euler transformation flips c-a-b to -mi >= 1
-                d, inner = self._euler
-                out[m_conn] = np.exp(d * np.log(wc)) * inner._at(wc)
-        if m_pf.any():
-            wp = w[m_pf]
+        region = _region(lo)
+        if region != _region(hi):
+            out = np.empty(w.shape, dtype=complex)
+            for mask in (w == 0.0, (w >= 0.5) & (w <= 1.5), (w > 0.0) & (w < 0.5), w > 1.5):
+                if mask.any():
+                    part = w[mask]
+                    out[mask] = self._at(part, float(part.min()), float(part.max()))
+            return out
+        if region == 0:
+            return np.full(w.shape, self._gauss_sum, dtype=complex)
+        if region == 2:
+            return self._series(1.0 - w)
+        if region == 3:
             aa, inner = self._pfaff
-            pref = np.exp(-aa * np.log(wp))
-            out[m_pf] = pref * inner._at(1.0 / wp)
-        return out
+            return np.exp(-aa * np.log(w)) * inner._at(1.0 / w, 1.0 / hi, 1.0 / lo)
+        mi = self._m
+        if mi is None:
+            return self._connect_generic(w)
+        if mi >= 0:
+            return self._connect_log(w)
+        # Euler transformation flips c-a-b to -mi >= 1
+        d, inner = self._euler
+        return np.exp(d * np.log(w)) * inner._at(w, lo, hi)
 
 
 def gauss_2f1_at_one(a, b, c) -> complex:

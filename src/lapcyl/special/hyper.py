@@ -9,16 +9,19 @@ arithmetic when the sum reaches them, so a pole in the term ratio raises
 ZeroDivisionError.  They come from a _Table, which forms each block once
 and serves it to every later sum: the Gauss 2F1 plans keep theirs across
 calls, and 2F2 builds one per call.  The driver advances _BLOCK terms per
-step, and one cumprod turns a block's ratios into its terms.  The sum
-stops at the first term at which the last three terms of every lane were
-at most _REL_TAIL_TOL times the running sum, which guards against stopping
-inside the pre-asymptotic dip that confluent series show for large
-positive arguments.  That test runs once per block on the block's running
-cumsum; only the terms up to the stop are summed, and _MAX_TERMS terms
-without settling raise NonConvergence.  The summation is Sum2 of Ogita,
-Rump and Oishi (SIAM J. Sci. Comput. 26, 2005): the cumsum's partial sums
-are exact sequential sums, so TwoSum recovers each one's rounding error
-for the whole block at once, and the errors are carried across blocks.
+step, and one np.multiply.accumulate turns a block's ratios into its
+terms, and np.add.accumulate gives the running sums: the ufuncs that
+np.cumprod and np.cumsum wrap, called without the wrappers, so the order
+and the bits are the same.  The sum stops at the first term at which the
+last three terms of every lane were at most _REL_TAIL_TOL times the
+running sum, which guards against stopping inside the pre-asymptotic dip
+that confluent series show for large positive arguments.  That test runs
+once per block on the block's running sums; only the terms up to the stop
+are summed, and _MAX_TERMS terms without settling raise NonConvergence.
+The summation is Sum2 of Ogita, Rump and Oishi (SIAM J. Sci. Comput. 26,
+2005): the accumulated partial sums are exact sequential sums, so TwoSum
+recovers each one's rounding error for the whole block at once, and the
+errors are carried across blocks.
 
 Phi is also available in a scaled form (value, log_scale) because the
 parabolic cylinder evaluations need Phi at z = x^2/2 with x up to 40,
@@ -86,13 +89,13 @@ def _sum_series(ratios, z, weights=None, *, first=1.0, what):
         steps = np.empty((n + 1, z.size), dtype=complex)
         steps[0] = coef
         steps[1:] = ratios.block(i)[:n, None] * z
-        coefs = np.cumprod(steps, axis=0)
+        coefs = np.multiply.accumulate(steps, axis=0)
         coef = coefs[n]
         # row 0 carries the running sum in; rows 1..n hold the terms
         terms = np.empty_like(steps)
         terms[0] = total
         terms[1:] = coefs[:n] if weights is None else coefs[:n] * next(weights)[:n]
-        sums = np.cumsum(terms, axis=0)
+        sums = np.add.accumulate(terms, axis=0)
         big = np.abs(terms[1:]) > _REL_TAIL_TOL * np.maximum(np.abs(sums[1:]), _TINY)
         used = n
         for j, small in enumerate((~big.any(axis=1)).tolist()):

@@ -1,6 +1,7 @@
 """The summary of tools/bench_pairs.py on synthetic runs (starts no benchmark)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,47 @@ def test_bad_claim_exits_2_before_any_checkout(monkeypatch, tmp_path, capsys, cl
     assert exc.value.code == 2
     assert "--claim must be <workload>:<metric>" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("first_seed", ["-1", "1.5", "x"])
+def test_bad_first_seed_exits_2_before_any_checkout(monkeypatch, tmp_path, capsys, first_seed):
+    def no_checkout(rev, dest):
+        raise AssertionError("checked out a revision")
+
+    monkeypatch.setattr(bench_pairs, "_checkout", no_checkout)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD", "--change", "HEAD", "--out", str(out),
+                          f"--first-seed={first_seed}"])
+    assert exc.value.code == 2
+    assert "--first-seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, first", [([], 21), (["--first-seed", "40"], 40)])
+def test_seeds_start_at_first_seed(monkeypatch, tmp_path, argv, first):
+    names = [m["name"] for m in json.loads((_PATH.parent.parent / "BENCHMARK.json")
+                                           .read_text())["end_to_end"]]
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds, trace):
+        calls.append((workload, seed, tree.name, trace))
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {n: {"value": 1.0, "unit": ""} for n in names}}
+
+    monkeypatch.setattr(bench_pairs, "_checkout", lambda rev, dest: dest.mkdir())
+    monkeypatch.setattr(bench_pairs, "_run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--change", "HEAD", "--out", str(out)]
+                            + argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["first_seed"] == first
+    for workload, pairs in bench_pairs.PAIRS.items():
+        seeds = list(range(first, first + pairs))
+        assert doc["summary"][workload]["seeds"] == seeds
+        # odd seeds run the parent first
+        order = [(s, side) for w, s, side, trace in calls if w == workload and not trace]
+        assert order == [(s, side) for s in seeds
+                         for side in (("parent", "change") if s % 2 else ("change", "parent"))]
+    assert [(w, s) for w, s, _, trace in calls if trace] == [
+        (w, first) for w in bench_pairs.TRACED for _ in range(2)]

@@ -5,6 +5,7 @@ Frozen expecteds come from 25-digit evaluations of the defining series
 implementation it lands in.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -270,3 +271,40 @@ def test_plan_raises_where_the_one_shot_call_does():
         with pytest.raises(DomainError, match="Re\\(c-a-b\\) > 0"):
             plan(np.array([0.3, 0.0]))
     assert _bits(plan(0.3)) == _bits(gauss_2f1_cm(0.7, 1.3, 1.5, 0.3))
+
+
+# one region's lanes, with a lane of every other region to mix them with;
+# no w = 0, where Re(c-a-b) <= 0 of log-m0 and euler-m-1 has no value
+ONE_REGION = [
+    pytest.param(0.3, 0.7, 1.6, [1e-9, 0.05, 0.3, 0.49], [0.9, 7.0], id="connect-generic"),
+    pytest.param(0.3, 0.7, 1.0, [1e-9, 0.05, 0.3, 0.49], [0.9, 7.0], id="log-m0"),
+    pytest.param(0.25, 0.25, 2.5, [1e-9, 0.05, 0.3, 0.49], [0.9, 7.0], id="log-m2"),
+    pytest.param(0.7, 1.3, 1.0, [1e-9, 0.05, 0.3, 0.49], [0.9, 7.0], id="euler-m-1"),
+    pytest.param(-0.75, 0.25, 1.375, [0.5, 0.9, 1.2, 1.5], [0.0, 0.2, 7.0], id="maclaurin"),
+    pytest.param(0.5, 0.25, 1.6, [1.6, 4.0, 200.0, 3001.0], [0.0, 0.2, 0.9], id="pfaff"),
+]
+
+
+@pytest.mark.parametrize("a, b, c, w, others", ONE_REGION)
+def test_one_region_call_matches_its_lanes_of_a_mixed_call(a, b, c, w, others):
+    # a one-region call skips the masks; the same lanes interleaved with
+    # other regions' lanes take the mask path and must give the same bits
+    mixed = np.array([x for pair in itertools.zip_longest(w, others) for x in pair
+                      if x is not None])
+    lanes = np.isin(mixed, w)
+    assert mixed[lanes].tolist() == w
+    plan = Gauss2F1Plan(a, b, c)
+    assert _bits(plan(np.array(w))) == _bits(gauss_2f1_cm(a, b, c, mixed)[lanes])
+    assert _bits(gauss_2f1_cm(a, b, c, np.array(w))) == _bits(plan(mixed)[lanes])
+
+
+def test_argument_checks_of_one_min_and_max():
+    plan = Gauss2F1Plan(0.3, 0.7, 1.6)
+    empty = plan(np.array([]))
+    assert empty.dtype == np.complex128 and empty.shape == (0,)
+    # finiteness is checked before the sign, wherever the NaN lane is
+    for w in ([math.nan, -1.0], [-1.0, math.nan]):
+        with pytest.raises(DomainError, match="needs a finite argument"):
+            plan(np.array(w))
+    with pytest.raises(DomainError, match="negative complement"):
+        plan(np.array([-0.5]))

@@ -1,5 +1,7 @@
 """Quadrature engine: node tables, endpoint substitutions, honesty."""
 
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -182,6 +184,132 @@ def test_nonconvergence_carries_partial(monkeypatch):
     assert partial is not None
     assert not partial.converged
     assert partial.evaluations > 0
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_width_floor_ends_with_the_frozen_errors(monkeypatch, m):
+    # a jump at t = 1/3 needs endless halving; with a floor of 0.05 on the
+    # substituted unit panels, refinement runs out of panels it may split
+    floor = 0.05
+    monkeypatch.setattr(quad, "_MIN_PANEL_WIDTH", floor)
+    workspaces = []
+    refine = quad._Workspace.refine
+
+    def spy(self):
+        workspaces.append(self)
+        return refine(self)
+
+    monkeypatch.setattr(quad._Workspace, "refine", spy)
+
+    def f(t):
+        step = np.where(t > 1.0 / 3.0, 1.0, 0.0)
+        return step if m == 1 else np.stack([step, np.cos(t), np.exp(t)])
+
+    with pytest.raises(NonConvergence, match="all panels at width floor") as exc:
+        integrate_finite(f, QuadratureSpec(lower=0.0, upper=1.0))
+    partial = exc.value.result
+    assert np.shape(partial.error_estimate) == (() if m == 1 else (m,))
+    assert not np.all(partial.converged)
+    frozen = [p for p in workspaces[0].panels
+              if p[2] - p[1] <= floor * max(1.0, abs(p[1]), abs(p[2]))]
+    assert frozen
+    held = np.array([math.fsum(p[4][j] for p in frozen) for j in range(m)])
+    # the running total telescopes to the same sum up to its rounding
+    assert (np.atleast_1d(partial.error_estimate) >= held * (1.0 - 1e-12)).all()
+
+
+class _ArrayWorkspace(quad._Workspace):
+    """Refinement with numpy array bookkeeping: totals, targets and
+    priorities as arrays on every step.  The reference that the scalar
+    bookkeeping must match bit for bit."""
+
+    def add(self, g, lo, hi):
+        c = np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
+        h = np.array([0.5 * (b - a) for a, b in zip(lo, hi)])
+        t = (c[:, None] + h[:, None] * _NODES).ravel()
+        y = np.asarray(g(t), dtype=complex)
+        with np.errstate(invalid="ignore"):
+            rules = (y.reshape(-1, len(lo), _NODES.size) @ quad._RULES) * h[:, None]
+            err = np.abs(rules[..., 0] - rules[..., 1])
+        self.evaluations += t.size
+        if self.plain is None:
+            self.plain = y.ndim == 1
+        finite = np.isfinite(rules[..., 0])
+        val = np.where(finite, rules[..., 0], 0.0)
+        err = np.where(finite, err, math.inf)
+        self.panels += [(g, a, b, v, e) for a, b, v, e in zip(lo, hi, val.T, err.T)]
+        return val, err
+
+    def refine(self):
+        panels = self.panels
+        vals = np.array([p[3] for p in panels])
+        errs = np.array([p[4] for p in panels])
+        total, toterr = vals.sum(axis=0), errs.sum(axis=0)
+        weight = (1.0 / self._target(total))[:, None]
+        heap = list(zip((-(errs * weight.T).max(axis=1)).tolist(), range(len(panels))))
+        heapq.heapify(heap)
+        frozen_err = 0.0
+        for splits in itertools.count():
+            if (toterr <= self._target(total)).all():
+                return self._result(total, toterr)
+            if splits >= quad._MAX_SUBDIVISIONS:
+                raise self._nonconvergence("subdivisions", total, toterr)
+            while True:
+                if not heap:
+                    raise self._nonconvergence("width floor", total, toterr)
+                g, lo, hi, val, err = panels[heapq.heappop(heap)[1]]
+                if hi - lo > quad._MIN_PANEL_WIDTH * max(1.0, abs(lo), abs(hi)):
+                    break
+                frozen_err = frozen_err + err
+            mid = 0.5 * (lo + hi)
+            first = len(panels)
+            new_val, new_err = self.add(g, (lo, mid), (mid, hi))
+            for i, priority in enumerate((new_err * weight).max(axis=0).tolist(), first):
+                heapq.heappush(heap, (-priority, i))
+            total = total + (new_val.sum(axis=1) - val)
+            grown = new_err.sum(axis=1)
+            if math.inf not in err.tolist():
+                toterr = toterr + (grown - err)
+            elif (np.isinf(err) <= np.isinf(grown)).all():
+                toterr = toterr + (grown - np.where(np.isinf(err), 0.0, err))
+            else:
+                toterr = np.sum([panels[i][4] for _, i in heap], axis=0) + frozen_err
+
+
+def _outcome(f, spec):
+    """Bits of a finite integral's result, or of the partial result that
+    its NonConvergence carries."""
+    try:
+        res = integrate_finite(f, spec)
+    except NonConvergence as exc:
+        res = exc.result
+    return tuple(np.asarray(x).tobytes() for x in
+                 (res.value, res.error_estimate, res.evaluations, res.converged))
+
+
+@pytest.mark.parametrize("floor", [quad._MIN_PANEL_WIDTH, 0.05])
+@pytest.mark.parametrize("m", [1, 3])
+def test_scalar_bookkeeping_matches_array_bookkeeping(monkeypatch, m, floor):
+    monkeypatch.setattr(quad, "_MIN_PANEL_WIDTH", floor)
+    monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 300)
+    ps = np.linspace(0.5, 3.0, m)[:, None]
+    integrands = [
+        lambda t: np.exp(-ps * t) * np.exp(7j * t) / np.sqrt(t),
+        lambda t: np.exp(-ps * t) * np.where(t > 1.0 / 3.0, 1.0, 0.3j),
+        # a NaN node at t = 0.25 (the left panel's centre) is split away
+        lambda t: np.exp(-ps * t) * np.where(t == 0.25, np.nan, np.cos(9.0 * t)),
+        lambda t: np.exp(-ps * t) / np.sqrt(np.abs(t - 0.3)),
+    ]
+    # at rel_tol 1e-8 a converged estimate is the error sum, not its floor
+    specs = [QuadratureSpec(lower=0.0, upper=1.0, exponent_at_lower=-0.5, rel_tol=rel_tol)
+             for rel_tol in (1e-12, 1e-8)]
+    with np.errstate(divide="ignore"):
+        for f, spec in itertools.product(integrands, specs):
+            g = (lambda t, f=f: f(t)[0]) if m == 1 else f
+            scalar = _outcome(g, spec)
+            with monkeypatch.context() as patch:
+                patch.setattr(quad, "_Workspace", _ArrayWorkspace)
+                assert _outcome(g, spec) == scalar
 
 
 def laplace(pieces, p):

@@ -2,7 +2,7 @@
 """Paired benchmark runs of two commits, written as one BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py --parent <rev> --change <rev> --out BENCH_<pr>.json \\
-        [--claim laplace:wall_s]
+        [--claim laplace:wall_s] [--first-seed N]
 
 Each side is extracted with `git archive` into a fresh directory, so only
 committed files are measured, and `perfbench/run.py` runs from there for
@@ -10,8 +10,10 @@ BENCHMARK.json's `run_seconds`.  For every workload and seed the two sides
 run back to back, the parent first on odd seeds and the change first on
 even ones, so a drift in the load of the machine falls on both sides
 alike.  `laplace` gets PAIRS["laplace"] pairs and every other workload
-fewer (seeds from FIRST_SEED up); one traced run per side follows on each
-workload in TRACED.
+fewer, on seeds N, N+1, ... from --first-seed N (default FIRST_SEED, the
+seeds of the earlier BENCH files); one traced run per side at seed N
+follows on each workload in TRACED.  A change measured while it was
+written can have its claim run on seeds it was not tuned on.
 
 The summary gives, per workload and end-to-end metric of BENCHMARK.json,
 each side's quartiles, the change/parent ratio of medians and the number
@@ -122,7 +124,12 @@ def main(argv=None):
     parser.add_argument("--change", required=True, help="git revision or tree of the change")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--claim", help="workload:metric the change claims a gain on")
+    parser.add_argument("--first-seed", type=int, default=FIRST_SEED,
+                        help=f"seed of the first pair and the traced runs (default {FIRST_SEED})")
     args = parser.parse_args(argv)
+    if args.first_seed < 0:
+        parser.error(f"--first-seed must be a nonnegative integer; got {args.first_seed}")
+    first = args.first_seed
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     claimed = None
@@ -145,6 +152,7 @@ def main(argv=None):
         "parent": args.parent,
         "change": args.change,
         "claimed": claimed,
+        "first_seed": first,
         "summary": {},
         "runs": [],
         "traced_runs": [],
@@ -164,15 +172,15 @@ def main(argv=None):
             trees[name] = Path(tmp) / name
             _checkout(getattr(args, name), trees[name])
         for workload, pairs in PAIRS.items():
-            for seed in range(FIRST_SEED, FIRST_SEED + pairs):
+            for seed in range(first, first + pairs):
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for name in order:
                     result = _run(trees[name], workload, seed, seconds, 0)
                     record("runs", workload, seed, name, result)
         for workload in TRACED:
             for name in ("parent", "change"):
-                result = _run(trees[name], workload, FIRST_SEED, seconds, 1)
-                record("traced_runs", workload, FIRST_SEED, name, result)
+                result = _run(trees[name], workload, first, seconds, 1)
+                record("traced_runs", workload, first, name, result)
     return 0
 
 
