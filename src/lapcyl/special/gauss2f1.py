@@ -194,7 +194,7 @@ class Gauss2F1Plan:
     def __call__(self, one_minus_z):
         warr = np.asarray(one_minus_z, dtype=float)
         scalar_in = warr.ndim == 0
-        w1 = np.atleast_1d(warr)
+        w1 = warr.reshape(-1)
         if w1.size:
             # any NaN lane makes both NaN: [nan, -1] fails finiteness, not sign
             lo, hi = float(w1.min()), float(w1.max())

@@ -296,6 +296,11 @@ def test_one_region_call_matches_its_lanes_of_a_mixed_call(a, b, c, w, others):
     plan = Gauss2F1Plan(a, b, c)
     assert _bits(plan(np.array(w))) == _bits(gauss_2f1_cm(a, b, c, mixed)[lanes])
     assert _bits(gauss_2f1_cm(a, b, c, np.array(w))) == _bits(plan(mixed)[lanes])
+    # an N-D one-region argument keeps its shape and the flat call's bits
+    square = np.array(w).reshape(2, 2)
+    for value in (plan(square), gauss_2f1_cm(a, b, c, square)):
+        assert value.shape == (2, 2)
+        assert _bits(value) == _bits(plan(np.array(w)))
 
 
 def test_argument_checks_of_one_min_and_max():
