@@ -299,7 +299,7 @@ class Gauss2F1Plan:
         return p_fin * finite + p_ser * (-w) ** m * total
 
     def _at(self, w, lo, hi):
-        """Dispatcher over the complement w = 1 - z; w a float64 ndarray >= 0
+        """Dispatcher over the complement w = 1 - z; w a 1-D float64 ndarray >= 0
         whose smallest and largest lanes are lo and hi.  Each region is an
         interval of w, so when lo and hi lie in one, the whole array is that
         region's, with no mask; otherwise each region's lanes go on alone."""
