@@ -11,12 +11,16 @@ Conventions
   displacements from the endpoints.  Powers of displacements must use
   d_lo/d_hi, never t - endpoint, or accuracy dies at strong endpoint
   exponents.
-* The two-order 2F1 originals of T31-T34 and their Kummer corollaries
-  are term lists: each term (c, A, B, G, (a, b, c')) stands for
-  c t^A d^B Y^G 2F1(a, b; c'; 1 - cm), d the distance to x.  `_lo_piece`
-  and `_hi_piece` build the (0,x) and (x,inf) integrands from them and
-  derive the endpoint hints from the same numbers, so no exponent is
-  written twice.
+* Every power-law original (the building blocks, T31-T36 and their
+  corollaries) is a term list: each term (c, A, B, G, (a, b, c')) stands
+  for c t^A d^B Y^G 2F1(a, b; c'; 1 - cm), and a term whose 2F1 slot is
+  None has no 2F1 factor.  Three builders fix d, Y and cm per geometry:
+  `_lo_piece` on (0,x) with d = x - t, `_hi_piece` on (x,inf) with
+  d = t - x, `_pos_piece` on (0,inf) with d = x + t.  Each derives its
+  piece's endpoint hints from the same numbers, so no exponent is
+  written twice.  The other originals keep hand-written closures: their
+  factors ((y+t) on (x,inf), x+y+t, arcsin, a Gaussian 2F2) fit none of
+  the three geometries.
 * Every 2F1 of an original is a Gauss2F1Plan built with its piece,
   outside the integrand, so the work that depends only on the 2F1's
   parameters is done once per integral, not on every integrand call.
@@ -122,6 +126,77 @@ def _add(case: IdentityCase):
 
 
 # ----------------------------------------------------------------------
+# Term-list builders: an original as c t^A d^B Y^G [2F1] terms over one
+# of three geometries
+# ----------------------------------------------------------------------
+
+def _term_sum(terms, cm_of):
+    """The sum of c t^A d^B Y^G F(cm) over the terms, from the first, as a
+    function of (t, d, Y); F is 2F1(a, b; c'; 1 - cm), or 1 where a term's
+    (a, b, c') is None.  Each 2F1 plan is built here, once per piece, and
+    cm = cm_of(t, d, Y) is formed only if some term has one."""
+    planned = [(c, A, B, G, None if abc is None else Gauss2F1Plan(*abc))
+               for c, A, B, G, abc in terms]
+    uses_cm = any(abc is not None for *_, abc in terms)
+
+    def total(t, d, yd):
+        cm = cm_of(t, d, yd) if uses_cm else None
+        out = None
+        for c, A, B, G, F in planned:
+            term = t ** A * d ** B * yd ** G
+            term = c * (term if F is None else term * F(cm))
+            out = term if out is None else out + term
+        return out
+
+    return total
+
+
+def _lo_piece(pt, terms):
+    """(0,x) piece at d = x - t, Y = y + t, cm = xy/(dY).  The 2F1 argument
+    tends to -infinity at x, where |F| ~ d^{min(a, b)}; the 0 keeps the hint
+    conservative when both parameters are positive.  A term with no 2F1
+    contributes its plain B to the hint at x."""
+    x, y = pt.x, pt.y
+    total = _term_sum(terms, lambda t, d, yd: x * y / (d * yd))
+
+    def f(t, d_lo, d_hi):
+        return total(t, d_hi, y + t)
+
+    return Piece(f, _spec(0.0, x, lam_lo=min(A for _, A, _, _, _ in terms),
+                          lam_up=min(B if abc is None else B + min(0.0, abc[0], abc[1])
+                                     for _, _, B, _, abc in terms)))
+
+
+def _hi_piece(pt, terms):
+    """(x,inf) piece at d = t - x, Y = y + d, cm = d(y+t)/(tY).  The 2F1
+    argument tends to 1 at x and cm scales like d, so F adds a d^{c'-a-b}
+    branch when c'-a-b < 0 (a log factor at 0, which refinement absorbs).
+    A term with no 2F1 contributes its plain B to the hint at x."""
+    y = pt.y
+    total = _term_sum(terms, lambda t, d, yd: d * (y + t) / (t * yd))
+
+    def f(t, d_lo, d_hi):
+        return total(t, d_lo, y + d_lo)  # y + d_lo equals y - x + t exactly
+
+    return Piece(f, _spec(pt.x, math.inf, lam_lo=min(
+        B if abc is None else B + min(0.0, abc[2] - abc[0] - abc[1])
+        for _, _, B, _, abc in terms)))
+
+
+def _pos_piece(pt, terms):
+    """(0,inf) piece at d = x + t, Y = y + t, cm = xy/(dY).  The 2F1
+    argument 1 - cm is 0 at t = 0 and tends to 1 only as t -> inf, and d
+    and Y stay positive, so the one hint is min A at 0."""
+    x, y = pt.x, pt.y
+    total = _term_sum(terms, lambda t, d, yd: x * y / (d * yd))
+
+    def f(t, d_lo, d_hi):
+        return total(t, x + t, y + t)
+
+    return Piece(f, _spec(0.0, math.inf, lam_lo=min(A for _, A, _, _, _ in terms)))
+
+
+# ----------------------------------------------------------------------
 # Building-block transforms
 # ----------------------------------------------------------------------
 
@@ -131,13 +206,8 @@ def _pcf_block_image(pt):
 
 
 def _pcf_block_original(pt):
-    nu, a = pt.nu, pt.y
-    c = 2.0 ** (-nu) * math.sqrt(a)
-
-    def f(t, d_lo, d_hi):
-        return c * t ** (nu - 1.0) * (t + a) ** (-nu - 0.5)
-
-    return (Piece(f, _spec(0.0, math.inf, lam_lo=nu - 1.0)),)
+    nu = pt.nu  # the scale a is y, so (t + a) is the Y slot
+    return (_pos_piece(pt, [(2.0 ** (-nu) * math.sqrt(pt.y), nu - 1.0, 0.0, -nu - 0.5, None)]),)
 
 
 def _v_pcf_block(pt):
@@ -166,13 +236,8 @@ def _pcf_block2_image(pt):
 
 
 def _pcf_block2_original(pt):
-    nu, a = pt.nu, pt.y
-    c = 2.0 ** (0.5 - nu)
-
-    def f(t, d_lo, d_hi):
-        return c * t ** (nu - 1.0) * (t + a) ** (0.5 - nu)
-
-    return (Piece(f, _spec(0.0, math.inf, lam_lo=nu - 1.0)),)
+    nu = pt.nu
+    return (_pos_piece(pt, [(2.0 ** (0.5 - nu), nu - 1.0, 0.0, 0.5 - nu, None)]),)
 
 
 _add(IdentityCase(
@@ -196,11 +261,7 @@ def _kum_block_image(pt):
 def _kum_block_original(pt):
     nu, x = pt.nu, pt.x
     c = x ** (-nu - 0.25) * gamma(nu + 1.25) * rg(1.25) * rg(nu)
-
-    def f(t, d_lo, d_hi):
-        return c * t ** 0.25 * d_hi ** (nu - 1.0)
-
-    return (Piece(f, _spec(0.0, x, lam_lo=0.25, lam_up=nu - 1.0)),)
+    return (_lo_piece(pt, [(c, 0.25, nu - 1.0, 0.0, None)]),)
 
 
 def _v_kum_block(pt):
@@ -229,13 +290,8 @@ def _kum32_image(pt):
 
 
 def _kum32_original(pt):
-    nu, x = pt.nu, pt.x
-
-    def f(t, d_lo, d_hi):
-        return t ** (nu / 2.0) * d_hi ** (-(1.0 + nu) / 2.0)
-
-    return (Piece(f,
-                  _spec(0.0, x, lam_lo=nu / 2.0, lam_up=-(1.0 + nu) / 2.0)),)
+    nu = pt.nu
+    return (_lo_piece(pt, [(1.0, nu / 2.0, -(1.0 + nu) / 2.0, 0.0, None)]),)
 
 
 def _v_kum32(pt):
@@ -266,13 +322,8 @@ def _kum12_image(pt):
 
 
 def _kum12_original(pt):
-    nu, x = pt.nu, pt.x
-
-    def f(t, d_lo, d_hi):
-        return t ** ((nu - 1.0) / 2.0) * d_hi ** (-nu / 2.0 - 1.0)
-
-    return (Piece(f,
-                  _spec(0.0, x, lam_lo=(nu - 1.0) / 2.0, lam_up=-nu / 2.0 - 1.0)),)
+    nu = pt.nu
+    return (_lo_piece(pt, [(1.0, (nu - 1.0) / 2.0, -nu / 2.0 - 1.0, 0.0, None)]),)
 
 
 def _v_kum12(pt):
@@ -297,54 +348,8 @@ _add(IdentityCase(
 
 
 # ----------------------------------------------------------------------
-# Two-order product transforms: term-list builders
+# Two-order product transforms
 # ----------------------------------------------------------------------
-
-def _term_sum(terms):
-    """The sum of c t^A d^B Y^G 2F1(a, b; c'; 1 - cm) over the terms, from
-    the first, as a function of (t, d, Y, cm); each term's 2F1 plan is built
-    here, once per piece."""
-    planned = [(c, A, B, G, Gauss2F1Plan(*abc)) for c, A, B, G, abc in terms]
-
-    def total(t, d, yd, cm):
-        out = None
-        for c, A, B, G, F in planned:
-            term = c * (t ** A * d ** B * yd ** G * F(cm))
-            out = term if out is None else out + term
-        return out
-
-    return total
-
-
-def _lo_piece(pt, terms):
-    """(0,x) piece at d = x - t, Y = y + t, cm = xy/(dY).  The 2F1 argument
-    tends to -infinity at x, where |F| ~ d^{min(a, b)}; the 0 keeps the hint
-    conservative when both parameters are positive."""
-    x, y = pt.x, pt.y
-    total = _term_sum(terms)
-
-    def f(t, d_lo, d_hi):
-        yt = y + t
-        return total(t, d_hi, yt, x * y / (d_hi * yt))
-
-    return Piece(f, _spec(0.0, x, lam_lo=min(A for _, A, _, _, _ in terms),
-                          lam_up=min(B + min(0.0, fa, fb) for _, _, B, _, (fa, fb, _) in terms)))
-
-
-def _hi_piece(pt, terms):
-    """(x,inf) piece at d = t - x, Y = y + d, cm = d(y+t)/(tY).  The 2F1
-    argument tends to 1 at x and cm scales like d, so F adds a d^{c'-a-b}
-    branch when c'-a-b < 0 (a log factor at 0, which refinement absorbs)."""
-    y = pt.y
-    total = _term_sum(terms)
-
-    def f(t, d_lo, d_hi):
-        yd = y + d_lo  # equals y - x + t exactly
-        return total(t, d_lo, yd, d_lo * (y + t) / (t * yd))
-
-    return Piece(f, _spec(pt.x, math.inf, lam_lo=min(
-        B + min(0.0, fc - fa - fb) for _, _, B, _, (fa, fb, fc) in terms)))
-
 
 def _t31_lo_term(pt, c):
     """(0,x) kernel common to the difference/sum/single families, times c."""
@@ -659,20 +664,11 @@ def _c341_image(pt):
 
 
 def _c341_original(pt):
-    nu, x = pt.nu, pt.x
+    nu = pt.nu
     c1 = 2.0 ** (-nu / 2.0) * _RPI * rg(-nu) * rg(1.0 + nu / 2.0)
     c2 = 2.0 ** (nu / 2.0) * rg((1.0 - nu) / 2.0)
-
-    def f1(t, d_lo, d_hi):
-        return c1 * t ** (nu / 2.0) * d_hi ** (-(1.0 + nu) / 2.0)
-
-    def f2(t, d_lo, d_hi):
-        return c2 * t ** (nu / 2.0) * d_lo ** (-(1.0 + nu) / 2.0)
-
-    return (
-        Piece(f1, _spec(0.0, x, lam_lo=nu / 2.0, lam_up=-(1.0 + nu) / 2.0)),
-        Piece(f2, _spec(x, math.inf, lam_lo=-(1.0 + nu) / 2.0)),
-    )
+    A, B = nu / 2.0, -(1.0 + nu) / 2.0
+    return _lo_piece(pt, [(c1, A, B, 0.0, None)]), _hi_piece(pt, [(c2, A, B, 0.0, None)])
 
 
 def _v_c341(pt):
@@ -703,18 +699,11 @@ def _t35_image(pt):
 
 
 def _t35_original(pt):
-    mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
+    mu, nu = pt.mu, pt.nu
     s = mu + nu
     c = 2.0 ** (s / 2.0) * rg((1.0 - s) / 2.0)
-    F = Gauss2F1Plan(-mu / 2.0, -nu / 2.0, (1.0 - s) / 2.0)
-
-    def f(t, d_lo, d_hi):
-        xt = x + t
-        yt = y + t
-        cm = x * y / (xt * yt)
-        return c * t ** (-(1.0 + s) / 2.0) * yt ** (mu / 2.0) * xt ** (nu / 2.0) * F(cm)
-
-    return (Piece(f, _spec(0.0, math.inf, lam_lo=-(1.0 + s) / 2.0)),)
+    return (_pos_piece(pt, [(c, -(1.0 + s) / 2.0, nu / 2.0, mu / 2.0,
+                             (-mu / 2.0, -nu / 2.0, (1.0 - s) / 2.0))]),)
 
 
 def _v_t35(pt):
@@ -744,20 +733,14 @@ def _t36_image(pt):
 
 
 def _t36_original(pt):
-    mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
+    mu, nu, x = pt.mu, pt.nu, pt.x
     s = mu + nu
     c = 2.0 ** (s / 2.0) / math.sqrt(x) * rg(-s / 2.0)
-    F1 = Gauss2F1Plan(-mu / 2.0, -(1.0 + nu) / 2.0, -s / 2.0)
-    F2 = Gauss2F1Plan(-mu / 2.0, (1.0 - nu) / 2.0, 1.0 - s / 2.0)
-
-    def f(t, d_lo, d_hi):
-        xt = x + t
-        yt = y + t
-        cm = x * y / (xt * yt)
-        brace = F1(cm) - nu * t / (s * xt) * F2(cm)
-        return c * t ** (-1.0 - s / 2.0) * yt ** (mu / 2.0) * xt ** ((1.0 + nu) / 2.0) * brace
-
-    return (Piece(f, _spec(0.0, math.inf, lam_lo=-1.0 - s / 2.0)),)
+    A, B, G = -1.0 - s / 2.0, (1.0 + nu) / 2.0, mu / 2.0
+    # the brace F1 - nu t/(s d) F2 as two terms
+    return (_pos_piece(pt, [(c, A, B, G, (-mu / 2.0, -(1.0 + nu) / 2.0, -s / 2.0)),
+                            (-c * nu / s, A + 1.0, B - 1.0, G,
+                             (-mu / 2.0, (1.0 - nu) / 2.0, 1.0 - s / 2.0))]),)
 
 
 def _v_t36(pt):

@@ -172,7 +172,7 @@ def _region(w):
 
 
 def _finish(values, scalar_in):
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NonConvergence("gauss_2f1 produced a non-finite value")
     if scalar_in:
         return complex(values.reshape(-1)[0])

@@ -180,7 +180,7 @@ def hyp_2f2(a1, a2, b1, b2, z):
             _Table(lambda k0: np.array([(a1 + k) * (a2 + k) / ((b1 + k) * (b2 + k) * (k + 1.0))
                                         for k in range(k0, k0 + _BLOCK)])),
             zc, what="hyp_2f2 series")
-    if not np.all(np.isfinite(total)):
+    if not np.isfinite(total).all():
         raise NonConvergence("hyp_2f2 produced a non-finite value")
     if zarr.ndim == 0:
         return complex(total[0])

@@ -1,7 +1,9 @@
-"""The summary of tools/bench_pairs.py on synthetic runs (starts no benchmark)."""
+"""tools/bench_pairs.py on synthetic runs and fake checkouts (starts no benchmark)."""
 
 import importlib.util
 import json
+import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -110,3 +112,36 @@ def test_seeds_start_at_first_seed(monkeypatch, tmp_path, argv, first):
                          for side in (("parent", "change") if s % 2 else ("change", "parent"))]
     assert [(w, s) for w, s, _, trace in calls if trace] == [
         (w, first) for w in bench_pairs.TRACED for _ in range(2)]
+
+
+class _Unhandled(Exception):
+    pass
+
+
+def test_sigterm_removes_the_checkouts_and_restores_the_handler(monkeypatch, tmp_path):
+    def unhandled(signum, frame):
+        raise _Unhandled  # bench_pairs left SIGTERM to this handler
+
+    trees = []
+
+    def fake_checkout(rev, dest):
+        dest.mkdir()
+        trees.append(dest)
+
+    def signal_self(tree, workload, seed, seconds, trace):
+        os.kill(os.getpid(), signal.SIGTERM)
+        raise AssertionError("SIGTERM did not stop the run")
+
+    monkeypatch.setattr(bench_pairs, "_checkout", fake_checkout)
+    monkeypatch.setattr(bench_pairs, "_run", signal_self)
+    previous = signal.signal(signal.SIGTERM, unhandled)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(["--parent", "HEAD", "--change", "HEAD",
+                              "--out", str(tmp_path / "BENCH.json")])
+        assert signal.getsignal(signal.SIGTERM) is unhandled
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert exc.value.code == 128 + signal.SIGTERM
+    assert len(trees) == 2 and trees[0].parent.name.startswith("bench-pairs-")
+    assert not trees[0].parent.exists()

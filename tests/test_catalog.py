@@ -9,6 +9,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from lapcyl import InvalidParams
@@ -26,8 +27,14 @@ from lapcyl.catalog import (
 )
 from lapcyl.catalog.cases import REGISTRY
 from lapcyl.catalog.engine import _rhs_detail
+from lapcyl.special import gamma, gauss_2f1_cm, reciprocal_gamma as rg
 
 LAPLACE_IDS = [r[0] for r in list_cases() if r[1] == "laplace_pair"]
+# the originals built from terms without the T31-T34 2F1 pair
+TERM_ORIGINALS = [
+    "ILT-PCF-BLOCK", "ILT-PCF-BLOCK2", "ILT-KUM-BLOCK", "ILT-KUM-BLOCK-32",
+    "ILT-KUM-BLOCK-12", "C341-SINGLE", "T35-POS-HALF", "T36-POS",
+]
 
 EXPECTED_IDS = [
     "ILT-PCF-BLOCK", "ILT-PCF-BLOCK2", "ILT-KUM-BLOCK", "ILT-KUM-BLOCK-32",
@@ -270,9 +277,9 @@ class TestZeroOrders:
             assert abs(rep.records[0].lhs - single) <= 1e-14 * abs(single)
 
 
-# The endpoint exponents the six two-order 2F1 originals declared by hand
-# before their hints were derived from the terms: the (0,x) piece's 2F1
-# argument tends to -infinity at x, the (x,inf) piece's to 1 at x.
+# The endpoint exponents the term-list originals declared by hand before
+# their hints were derived from the terms: the (0,x) piece's 2F1 argument
+# tends to -infinity at x, the (x,inf) piece's to 1 at x.
 def _lam_inf(explicit, fa, fb):
     return explicit + min(0.0, fa, fb)
 
@@ -282,8 +289,21 @@ def _lam_one(explicit, cab):
 
 
 def _hand_hints(cid, mu, nu):
-    """[(exponent_at_lower, exponent_at_upper)] per piece."""
+    """[(exponent_at_lower, exponent_at_upper)] per piece; a single-order
+    case has mu = nu."""
     s = mu + nu
+    plain = {
+        "ILT-PCF-BLOCK": [(nu - 1.0, 0.0)],
+        "ILT-PCF-BLOCK2": [(nu - 1.0, 0.0)],
+        "ILT-KUM-BLOCK": [(0.25, nu - 1.0)],
+        "ILT-KUM-BLOCK-32": [(nu / 2.0, -(1.0 + nu) / 2.0)],
+        "ILT-KUM-BLOCK-12": [((nu - 1.0) / 2.0, -nu / 2.0 - 1.0)],
+        "C341-SINGLE": [(nu / 2.0, -(1.0 + nu) / 2.0), (-(1.0 + nu) / 2.0, 0.0)],
+        "T35-POS-HALF": [(-(1.0 + s) / 2.0, 0.0)],
+        "T36-POS": [(-1.0 - s / 2.0, 0.0)],
+    }
+    if cid in plain:
+        return plain[cid]
     lo = ((nu - mu) / 2.0, _lam_inf(-(1.0 + nu) / 2.0, -mu / 2.0, (1.0 + nu) / 2.0))
     hi = (_lam_one(-(1.0 + s) / 2.0, (1.0 + s) / 2.0), 0.0)
     if cid == "T32-DIFF":
@@ -299,6 +319,7 @@ class TestDerivedHints:
     @pytest.mark.parametrize("cid", [
         "T31-DIFF-HALF", "T31-KUMMER", "T32-DIFF",
         "T33-SUM-HALF", "T33-KUMMER", "T34-NEG-HALF",
+        *TERM_ORIGINALS,
     ])
     def test_hints_equal_hand_derived(self, cid):
         case = get_case(cid)
@@ -309,6 +330,85 @@ class TestDerivedHints:
             assert len(got) == len(want), pt
             for g, w in zip(got, want):
                 assert abs(g[0] - w[0]) <= 1e-15 and abs(g[1] - w[1]) <= 1e-15, (pt, g, w)
+
+
+# The originals of the cases that became term lists after the T31-T34
+# family, each written out as one line in (t, d_lo, d_hi) as their
+# hand-written integrands were, one function per piece.  A function
+# returns the parts whose sum is the original: T36's brace is a
+# difference that can cancel, so the test scales by the parts' magnitudes.
+def _one_line_originals(cid, pt):
+    mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
+    s = mu + nu
+    if cid == "ILT-PCF-BLOCK":
+        return [lambda t, dl, dh: [2.0 ** (-nu) * math.sqrt(y) * t ** (nu - 1.0)
+                                   * (t + y) ** (-nu - 0.5)]]
+    if cid == "ILT-PCF-BLOCK2":
+        return [lambda t, dl, dh: [2.0 ** (0.5 - nu) * t ** (nu - 1.0) * (t + y) ** (0.5 - nu)]]
+    if cid == "ILT-KUM-BLOCK":
+        return [lambda t, dl, dh: [x ** (-nu - 0.25) * gamma(nu + 1.25) * rg(1.25) * rg(nu)
+                                   * t ** 0.25 * dh ** (nu - 1.0)]]
+    if cid == "ILT-KUM-BLOCK-32":
+        return [lambda t, dl, dh: [t ** (nu / 2.0) * dh ** (-(1.0 + nu) / 2.0)]]
+    if cid == "ILT-KUM-BLOCK-12":
+        return [lambda t, dl, dh: [t ** ((nu - 1.0) / 2.0) * dh ** (-nu / 2.0 - 1.0)]]
+    if cid == "C341-SINGLE":
+        c1 = 2.0 ** (-nu / 2.0) * math.sqrt(math.pi) * rg(-nu) * rg(1.0 + nu / 2.0)
+        c2 = 2.0 ** (nu / 2.0) * rg((1.0 - nu) / 2.0)
+        return [lambda t, dl, dh: [c1 * t ** (nu / 2.0) * dh ** (-(1.0 + nu) / 2.0)],
+                lambda t, dl, dh: [c2 * t ** (nu / 2.0) * dl ** (-(1.0 + nu) / 2.0)]]
+    if cid == "T35-POS-HALF":
+        return [lambda t, dl, dh: [
+            2.0 ** (s / 2.0) * rg((1.0 - s) / 2.0) * t ** (-(1.0 + s) / 2.0)
+            * (y + t) ** (mu / 2.0) * (x + t) ** (nu / 2.0)
+            * gauss_2f1_cm(-mu / 2.0, -nu / 2.0, (1.0 - s) / 2.0, x * y / ((x + t) * (y + t)))]]
+    assert cid == "T36-POS"
+
+    def t36(t, dl, dh):
+        cm = x * y / ((x + t) * (y + t))
+        pre = (2.0 ** (s / 2.0) / math.sqrt(x) * rg(-s / 2.0) * t ** (-1.0 - s / 2.0)
+               * (y + t) ** (mu / 2.0) * (x + t) ** ((1.0 + nu) / 2.0))
+        return [pre * gauss_2f1_cm(-mu / 2.0, -(1.0 + nu) / 2.0, -s / 2.0, cm),
+                -pre * nu * t / (s * (x + t))
+                * gauss_2f1_cm(-mu / 2.0, (1.0 - nu) / 2.0, 1.0 - s / 2.0, cm)]
+
+    return [t36]
+
+
+def _nodes(rng, lower, upper):
+    """Seeded nodes inside (lower, upper), dense toward both ends."""
+    if math.isinf(upper):
+        return lower + 10.0 ** rng.uniform(-6.0, 2.0, 40)
+    u = np.concatenate([rng.uniform(0.0, 1.0, 20), 10.0 ** rng.uniform(-6.0, -1.0, 10),
+                        1.0 - 10.0 ** rng.uniform(-6.0, -1.0, 10)])
+    return lower + (upper - lower) * u
+
+
+class TestTermOriginals:
+    """Every piece of a term-list original equals its original written out
+    by hand at seeded nodes.  The off-diagonal points have x != y, so a
+    term whose d and Y slots were swapped shows here; the ILT-PCF grids
+    have x = y, so verify alone could not see it."""
+
+    @pytest.mark.parametrize("cid", TERM_ORIGINALS)
+    def test_pieces_match_one_line_originals(self, cid):
+        case = get_case(cid)
+        off_diagonal = [dataclasses.replace(pt, x=xx, y=yy)
+                        for pt in case.default_grid[:: len(case.default_grid) // 4]
+                        for xx, yy in ((0.3, 1.7), (2.5, 0.4))]
+        rng = np.random.default_rng(13)
+        for pt in (*case.default_grid, *off_diagonal):
+            assert case.validity(pt) is None, pt
+            pieces = case.original(pt)
+            wants = _one_line_originals(cid, pt)
+            assert len(pieces) == len(wants)
+            for pc, want in zip(pieces, wants):
+                lo, up = pc.spec.lower, pc.spec.upper
+                t = _nodes(rng, lo, up)
+                args = (t, t - lo, up - t)
+                parts = want(*args)
+                err = np.abs(pc.integrand(*args) - sum(parts))
+                assert np.all(err <= 1e-15 * sum(map(np.abs, parts))), (pt, pc.spec)
 
 
 class TestCaseVerdicts:
@@ -381,6 +481,8 @@ class TestPlansPerPiece:
         ("T31-DIFF-HALF", 2),   # one term on (0, x), one on (x, inf)
         ("T35-POS-HALF", 1),
         ("T36-POS", 2),         # the brace's two 2F1s
+        ("ILT-KUM-BLOCK", 0),   # terms with no 2F1 build no plan
+        ("C341-SINGLE", 0),
     ])
     def test_one_plan_per_term(self, monkeypatch, cid, terms):
         from lapcyl.catalog import cases

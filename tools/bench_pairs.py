@@ -18,7 +18,8 @@ written can have its claim run on seeds it was not tuned on.
 The summary gives, per workload and end-to-end metric of BENCHMARK.json,
 each side's quartiles, the change/parent ratio of medians and the number
 of pairs the change won or tied.  The file is rewritten after every run,
-so an interrupted run keeps what it measured.
+so an interrupted run keeps what it measured.  SIGTERM exits through
+SystemExit, so the checkouts' temporary directory is removed then too.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
 import tempfile
@@ -99,6 +101,10 @@ def _run(tree, workload, seed, seconds, trace):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _exit_on_sigterm(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def _machine():
     cpu = platform.processor()
     try:
@@ -166,21 +172,25 @@ def main(argv=None):
         print(f"{key} {workload} seed {seed} {name}" + (f": wall_s {wall['value']:.3f}" if wall else ""),
               flush=True)
 
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {}
-        for name in ("parent", "change"):
-            trees[name] = Path(tmp) / name
-            _checkout(getattr(args, name), trees[name])
-        for workload, pairs in PAIRS.items():
-            for seed in range(first, first + pairs):
-                order = ("parent", "change") if seed % 2 else ("change", "parent")
-                for name in order:
-                    result = _run(trees[name], workload, seed, seconds, 0)
-                    record("runs", workload, seed, name, result)
-        for workload in TRACED:
+    old_handler = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+            trees = {}
             for name in ("parent", "change"):
-                result = _run(trees[name], workload, first, seconds, 1)
-                record("traced_runs", workload, first, name, result)
+                trees[name] = Path(tmp) / name
+                _checkout(getattr(args, name), trees[name])
+            for workload, pairs in PAIRS.items():
+                for seed in range(first, first + pairs):
+                    order = ("parent", "change") if seed % 2 else ("change", "parent")
+                    for name in order:
+                        result = _run(trees[name], workload, seed, seconds, 0)
+                        record("runs", workload, seed, name, result)
+            for workload in TRACED:
+                for name in ("parent", "change"):
+                    result = _run(trees[name], workload, first, seconds, 1)
+                    record("traced_runs", workload, first, name, result)
+    finally:
+        signal.signal(signal.SIGTERM, old_handler)
     return 0
 
 
