@@ -30,7 +30,7 @@ from lapcyl.catalog.engine import _rhs_detail
 from lapcyl.special import gamma, gauss_2f1_cm, reciprocal_gamma as rg
 
 LAPLACE_IDS = [r[0] for r in list_cases() if r[1] == "laplace_pair"]
-# the originals built from terms without the T31-T34 2F1 pair
+# the term-list originals beyond the T31-T34 family, once hand-written closures
 TERM_ORIGINALS = [
     "ILT-PCF-BLOCK", "ILT-PCF-BLOCK2", "ILT-KUM-BLOCK", "ILT-KUM-BLOCK-32",
     "ILT-KUM-BLOCK-12", "C341-SINGLE", "T35-POS-HALF", "T36-POS",
