@@ -48,14 +48,13 @@ parameter or argument raises DomainError.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 
 import numpy as np
 
 from .._exceptions import DomainError, NonConvergence, ParameterPole
 from .gammafn import digamma, gamma, reciprocal_gamma
-from .hyper import _BLOCK, _Table, _sum_series
+from .hyper import _BLOCK, _Table, _reals, _sum_series
 
 _EULER_GAMMA = 0.57721566490153286061
 _INT_SNAP = 1e-12
@@ -128,13 +127,14 @@ def _poly_f21(a, b, c, z, degree):
 
 def _maclaurin(a, b, c):
     """The Maclaurin sum of F(a, b; c; z) for |z| <= 1/2 + margin, as a
-    function of a complex ndarray z that keeps its ratio table."""
-    ratios = _Table(lambda k0: np.array([(a + k) * (b + k) / ((c + k) * (k + 1.0))
+    function of a real or complex ndarray z that keeps its ratio table."""
+    ra, rb, rc = _reals(a, b, c)
+    ratios = _Table(lambda k0: np.array([(ra + k) * (rb + k) / ((rc + k) * (k + 1.0))
                                          for k in range(k0, k0 + _BLOCK)]))
 
     def series(z):
         try:
-            return _sum_series(ratios, np.asarray(z, dtype=complex), what="gauss_2f1 series")
+            return _sum_series(ratios, z, what="gauss_2f1 series")
         except ZeroDivisionError:
             raise ParameterPole(
                 f"gauss_2f1 lower parameter {c} is a nonpositive integer"
@@ -147,8 +147,9 @@ def _digamma_table(a, b, m):
     """A&S 15.3.11's weights without the log w: psi(n+1) + psi(n+m+1) -
     psi(a+m+n) - psi(b+m+n) for n = 0, 1, ..., as running sums carried
     from block to block."""
+    a, b = _reals(a, b)
     carry = (-_EULER_GAMMA, -_EULER_GAMMA + sum(1.0 / j for j in range(1, m + 1)),
-             digamma(a + m), digamma(b + m))
+             *_reals(digamma(a + m), digamma(b + m)))
 
     def form(k0):
         nonlocal carry
@@ -250,7 +251,8 @@ class Gauss2F1Plan:
     def _log(self):
         """A&S 15.3.11's series tables and prefactors, c = a + b + m, m >= 0."""
         a, b, c, m = self.a, self.b, self.c, self._m
-        ratios = _Table(lambda k0: np.array([(a + m + k) * (b + m + k) / ((k + 1) * (k + 1 + m))
+        ra, rb = _reals(a, b)
+        ratios = _Table(lambda k0: np.array([(ra + m + k) * (rb + m + k) / ((k + 1) * (k + 1 + m))
                                              for k in range(k0, k0 + _BLOCK)]))
         p_ser = gamma(c) * reciprocal_gamma(a) * reciprocal_gamma(b)
         p_fin = (gamma(float(m)) * gamma(c) * reciprocal_gamma(a + m) * reciprocal_gamma(b + m)
@@ -289,7 +291,7 @@ class Gauss2F1Plan:
         ratios, psi, p_ser, p_fin = self._log
         logw = np.log(w)
         total = _sum_series(
-            ratios, w, (psi.block(i)[:, None] - logw for i in itertools.count()),
+            ratios, w, _Table(lambda k0: psi.block(k0 // _BLOCK)[:, None] - logw),
             first=1.0 / math.factorial(m), what="gauss_2f1 logarithmic series")
         if m == 0:
             return p_ser * total
@@ -369,7 +371,7 @@ def gauss_2f1(a, b, c, z):
                 if degree is not None:
                     return _finish(np.atleast_1d(_poly_f21(plan.a, plan.b, plan.c, zc, degree)),
                                    True)
-                return _finish(plan._series(np.atleast_1d(np.asarray(zc))), True)
+                return _finish(plan._series(np.array([zc])), True)
             raise DomainError("complex gauss_2f1 argument supported only for |z| <= 1/2")
         zarr = zarr.real
     zarr = np.asarray(zarr, dtype=float)

@@ -1,7 +1,7 @@
 """Parabolic cylinder function D_nu(z) in Whittaker's normalization.
 
-For |z| < 4 (and for all negative real z, and complex arguments) it is
-built directly from the two confluent series
+For real z < 3 (_SERIES_MAX_REAL_Z), for every complex z and for every
+complex order it is built directly from the two confluent series
 
   D_nu(z) = 2^{nu/2} e^{-z^2/4} [  sqrt(pi)/Gamma((1-nu)/2) Phi(-nu/2; 1/2; z^2/2)
                                   - sqrt(2 pi) z / Gamma(-nu/2) Phi((1-nu)/2; 3/2; z^2/2) ]

@@ -85,7 +85,8 @@ def test_bad_first_seed_exits_2_before_any_checkout(monkeypatch, tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, first", [([], 21), (["--first-seed", "40"], 40)])
+@pytest.mark.parametrize("argv, first", [
+    ([], 21), (["--first-seed", "40"], 40), (["--claim", "scalar:wall_s"], 21)])
 def test_seeds_start_at_first_seed(monkeypatch, tmp_path, argv, first):
     names = [m["name"] for m in json.loads((_PATH.parent.parent / "BENCHMARK.json")
                                            .read_text())["end_to_end"]]
@@ -103,7 +104,12 @@ def test_seeds_start_at_first_seed(monkeypatch, tmp_path, argv, first):
                             + argv) == 0
     doc = json.loads(out.read_text())
     assert doc["first_seed"] == first
+    # a claimed workload runs 10 pairs, every other its PAIRS
+    claimed = doc["claimed"] and doc["claimed"]["workload"]
+    assert bench_pairs.PAIRS["scalar"] < 10
     for workload, pairs in bench_pairs.PAIRS.items():
+        if workload == claimed:
+            pairs = 10
         seeds = list(range(first, first + pairs))
         assert doc["summary"][workload]["seeds"] == seeds
         # odd seeds run the parent first

@@ -9,11 +9,12 @@ committed files are measured, and `perfbench/run.py` runs from there for
 BENCHMARK.json's `run_seconds`.  For every workload and seed the two sides
 run back to back, the parent first on odd seeds and the change first on
 even ones, so a drift in the load of the machine falls on both sides
-alike.  `laplace` gets PAIRS["laplace"] pairs and every other workload
-fewer, on seeds N, N+1, ... from --first-seed N (default FIRST_SEED, the
-seeds of the earlier BENCH files); one traced run per side at seed N
-follows on each workload in TRACED.  A change measured while it was
-written can have its claim run on seeds it was not tuned on.
+alike.  Each workload gets PAIRS[workload] pairs, and the claimed one at
+least CLAIM_PAIRS, the pairs a gain is judged on; they run on seeds N,
+N+1, ... from --first-seed N (default FIRST_SEED, the seeds of the
+earlier BENCH files).  One traced run per side at seed N follows on each
+workload in TRACED.  A change measured while it was written can have its
+claim run on seeds it was not tuned on.
 
 The summary gives, per workload and end-to-end metric of BENCHMARK.json,
 each side's quartiles, the change/parent ratio of medians and the number
@@ -38,6 +39,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = {"laplace": 10, "direct": 5, "scalar": 5, "catalog-jobs2": 5}
+CLAIM_PAIRS = 10
 TRACED = ("laplace", "scalar")
 FIRST_SEED = 21
 
@@ -180,6 +182,8 @@ def main(argv=None):
                 trees[name] = Path(tmp) / name
                 _checkout(getattr(args, name), trees[name])
             for workload, pairs in PAIRS.items():
+                if claimed and claimed["workload"] == workload:
+                    pairs = max(pairs, CLAIM_PAIRS)
                 for seed in range(first, first + pairs):
                     order = ("parent", "change") if seed % 2 else ("change", "parent")
                     for name in order:
