@@ -175,7 +175,7 @@ def phi_scaled(a, b, z):
 
     def form(k0):
         if isinstance(z, complex):
-            # Python's complex multiply and divide, which numpy's round unlike
+            # numpy's complex multiply and divide round unlike Python's
             return np.array([(a + k) * z / ((b + k) * (k + 1.0)) for k in range(k0, k0 + rows)])
         k = np.arange(k0, k0 + rows + 1.0)
         return (a + k[:-1]) * z / ((b + k[:-1]) * k[1:])
