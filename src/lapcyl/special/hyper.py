@@ -133,7 +133,7 @@ def _sum_series(ratios, z, weights=None, *, first=1.0, scaled=False, what):
         # a byte per row, 0 where the terms of all lanes are negligible: the
         # sum stops at the third 0 in a run, counted across steps
         big = mags[:n] > _REL_TAIL_TOL * np.maximum(sum_mags[:n], _TINY)
-        if z.size > 1:
+        if z.size != 1:
             big = big.any(axis=1)
         run = b"\0" * streak + big.tobytes()
         stop = run.find(b"\0\0\0")

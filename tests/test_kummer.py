@@ -53,6 +53,13 @@ def test_2f2_array_matches_scalar():
         assert rel_err(vec[i], hyp_2f2(-0.75, -0.25, 0.625, 1.125, float(zi))) < 1e-14
 
 
+def test_2f2_empty_argument():
+    # a sum over no lanes settles at once
+    for z in (np.array([]), np.empty((2, 0))):
+        got = hyp_2f2(0.5, 0.5, 1.5, 1.5, z)
+        assert got.shape == z.shape and got.dtype == complex
+
+
 def test_phi_frozen_points():
     assert rel_err(kummer_phi(0.25, 0.5, 0.3), 1.170562013352713264) < 1e-13
     assert rel_err(kummer_phi(-0.75, 1.5, 2.0), -0.13155033311075555608) < 1e-12
