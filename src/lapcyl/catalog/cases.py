@@ -1156,10 +1156,6 @@ _add(IdentityCase(
 # (a, b1) in orders, b2 in x, z1 in y, z2 in p; RED-ERFC-REFLECT puts z
 # in both x and y.
 
-def _v_none(pt):
-    return None
-
-
 def _red_sum_diff_lhs(pt):
     z = pt.x
     return pcf_d(pt.nu, -z) - pcf_d(pt.nu, z)
@@ -1180,7 +1176,6 @@ _add(IdentityCase(
     label="D_nu(-z) - D_nu(z) collapses to a 3/2-kind Kummer function",
     image=_red_sum_diff_lhs,
     closed_rhs=_red_sum_diff_rhs,
-    validity=_v_none,
     default_grid=_RED_SUM_GRID,
     tol=1e-10,
 ))
@@ -1203,7 +1198,6 @@ _add(IdentityCase(
     label="D_nu(-z) + D_nu(z) collapses to a 1/2-kind Kummer function",
     image=_red_sum_add_lhs,
     closed_rhs=_red_sum_add_rhs,
-    validity=_v_none,
     default_grid=_RED_SUM_GRID,
     tol=1e-10,
 ))
@@ -1224,7 +1218,6 @@ _add(IdentityCase(
     label="z D_nu(z) = D_{nu+1}(z) + nu D_{nu-1}(z)",
     image=_red_rec_lhs,
     closed_rhs=_red_rec_rhs,
-    validity=_v_none,
     default_grid=_grid([(v,) for v in (-1.5, -0.5, 0.5, 1.5)],
                        [(z, z) for z in (0.1, 0.5, 2.0, 10.0)], (1.0,)),
     tol=1e-10,
@@ -1252,7 +1245,6 @@ _add(IdentityCase(
     label="2F1 Euler transformation (1-z)^{c-a-b} flip",
     image=_red_euler_lhs,
     closed_rhs=_red_euler_rhs,
-    validity=_v_none,
     default_grid=_f21_grid([(0.3, 0.7, 1.1, 0.3), (-0.6, 1.2, 2.3, 0.45),
                             (0.25, 0.75, 1.75, -0.35), (1.1, 0.4, 2.6, 0.2)]),
     tol=1e-10,
@@ -1271,7 +1263,6 @@ _add(IdentityCase(
     label="2F1 Pfaff transformation z/(z-1) flip",
     image=_red_euler_lhs,
     closed_rhs=_red_pfaff_rhs,
-    validity=_v_none,
     default_grid=_f21_grid([(0.3, 0.7, 1.1, -0.4), (-0.6, 1.2, 2.3, -0.25),
                             (0.55, 0.35, 1.45, -0.4)]),
     tol=1e-10,
@@ -1294,7 +1285,6 @@ _add(IdentityCase(
     label="2F1 connection formula about z=1, two-series form",
     image=_red_euler_lhs,
     closed_rhs=_red_connect_rhs,
-    validity=_v_none,
     default_grid=_f21_grid([(0.3, 0.7, 1.6, 0.3), (-0.4, 0.9, 1.85, 0.42),
                             (0.2, 1.3, 2.21, 0.35)]),
     tol=1e-10,
@@ -1314,7 +1304,6 @@ _add(IdentityCase(
     label="2F1 quadratic transformation, half-argument form",
     image=_red_euler_lhs,
     closed_rhs=_red_quad_rhs,
-    validity=_v_none,
     default_grid=_f21_grid([(0.3, 0.5, 0.3 + 0.5 + 0.5, 0.45),
                             (-0.2, 0.8, -0.2 + 0.8 + 0.5, 0.3),
                             (0.55, 0.15, 0.55 + 0.15 + 0.5, 0.48)]),
@@ -1341,7 +1330,6 @@ _add(IdentityCase(
     label="2F1 three-term contiguous relation in the first parameter",
     image=_red_contig_lhs,
     closed_rhs=_red_contig_rhs,
-    validity=_v_none,
     default_grid=_f21_grid([(0.3, 0.7, 1.1, 0.3), (-0.6, 1.2, 2.3, 0.45),
                             (0.25, 0.75, 1.75, -0.35), (1.1, 0.4, 2.6, 0.2)]),
     tol=1e-10,
@@ -1366,7 +1354,6 @@ _add(IdentityCase(
     label="Appell F1 with c=b1+b2 collapses to a single 2F1",
     image=_red_appell_lhs,
     closed_rhs=_red_appell_rhs,
-    validity=_v_none,
     default_grid=(
         ParamPoint(orders=(0.4, 0.3), x=0.7, y=0.2, p=-0.5),
         ParamPoint(orders=(0.55, 0.6), x=0.8, y=-0.3, p=0.25),
@@ -1429,7 +1416,6 @@ _add(IdentityCase(
     label="erfc(-z) - erfc(z) = 2 erf(z)",
     image=_red_erfc_lhs,
     closed_rhs=_red_erfc_rhs,
-    validity=_v_none,
     default_grid=tuple(ParamPoint(orders=(), x=z, y=z, p=1.0)
                        for z in (0.0, 0.5, 1.5, 3.0, 5.0)),
     tol=1e-10,

@@ -2,8 +2,9 @@
 
 A case pairs a closed-form image (built from `special`) with either a
 list of integral pieces (evaluated by `quad`) or a second closed
-form.  Everything is frozen so cases can be compared, hashed, and
-shipped to worker processes by id.
+form.  Its validity predicate states the identity's hypotheses; a case
+that gives none holds at every point.  Everything is frozen so cases
+can be compared, hashed, and shipped to worker processes by id.
 """
 
 from __future__ import annotations
@@ -81,9 +82,9 @@ class IdentityCase:
     kind: str
     label: str
     image: Callable                       # ParamPoint -> complex, at its own p
-    validity: Callable                    # ParamPoint -> None | reason string
     default_grid: tuple
     tol: float
+    validity: Callable = lambda pt: None  # ParamPoint -> None | reason string
     original: Optional[Callable] = None   # ParamPoint -> tuple of Piece
     closed_rhs: Optional[Callable] = None  # ParamPoint -> complex, reductions
     negative_control: bool = False

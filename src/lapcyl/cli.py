@@ -280,8 +280,6 @@ _EVAL_FNS = {
     "f1": (("a", "b1", "b2", "c", "z1", "z2"), appell_f1),
 }
 
-_EVAL_FLAGS = ("nu", "z", "x", "a", "b", "c", "a1", "a2", "b1", "b2", "z1", "z2")
-
 
 def _format_value(value):
     value = complex(value)
@@ -295,17 +293,8 @@ def _format_value(value):
 
 def cmd_eval(args):
     names, fn = _EVAL_FNS[args.fn]
-    values = []
-    for name in names:
-        value = getattr(args, name)
-        if value is None:
-            raise ConfigError(f"eval {args.fn} needs --{name}")
-        values.append(value)
-    for flag in _EVAL_FLAGS:
-        if flag not in names and getattr(args, flag) is not None:
-            raise ConfigError(f"eval {args.fn} does not take --{flag}")
     try:
-        result = fn(*values)
+        result = fn(*(getattr(args, name) for name in names))
     except (LapcylError, OverflowError) as exc:
         raise ConfigError(f"eval {args.fn}: {type(exc).__name__}: {exc}") from None
     sys.stdout.write(_format_value(result) + "\n")
@@ -349,10 +338,12 @@ def build_parser():
     p_verify.set_defaults(func=cmd_verify)
 
     p_eval = sub.add_parser("eval", help="evaluate one function at a point")
-    p_eval.add_argument("fn", metavar="FN", choices=sorted(_EVAL_FNS),
-                        help="one of " + ", ".join(sorted(_EVAL_FNS)))
-    for flag in _EVAL_FLAGS:
-        p_eval.add_argument("--" + flag, type=float, default=None)
+    p_fns = p_eval.add_subparsers(dest="fn", metavar="FN", required=True,
+                                  help="one of " + ", ".join(sorted(_EVAL_FNS)))
+    for name in sorted(_EVAL_FNS):
+        p_fn = p_fns.add_parser(name)
+        for flag in _EVAL_FNS[name][0]:
+            p_fn.add_argument("--" + flag, type=float, required=True)
     p_eval.set_defaults(func=cmd_eval)
 
     return parser

@@ -1,8 +1,10 @@
-"""Special functions: gamma family, error functions, hypergeometric
-series, parabolic cylinder function, Appell F1."""
+"""Special functions: gamma family, error functions (math.erf and
+math.erfc, real arguments), hypergeometric series, parabolic cylinder
+function, Appell F1."""
+
+from math import erf, erfc
 
 from .gammafn import gamma, reciprocal_gamma, digamma, is_nonpositive_integer
-from .errorfn import erf, erfc
 from .hyper import kummer_phi, phi_scaled, hyp_2f2
 from .gauss2f1 import Gauss2F1Plan, gauss_2f1, gauss_2f1_cm, gauss_2f1_at_one
 from .pcf import pcf_d

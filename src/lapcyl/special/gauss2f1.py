@@ -208,13 +208,6 @@ class Gauss2F1Plan:
         vals = self._at(w1, lo, hi)
         return _finish(vals.reshape(warr.shape) if not scalar_in else vals, scalar_in)
 
-    def at_one(self) -> complex:
-        """F(a, b; c; 1), as gauss_2f1_at_one."""
-        degree = self._degree
-        if degree is not None:
-            return complex(_poly_f21(self.a, self.b, self.c, 1.0 + 0.0j, degree))
-        return self._gauss_sum
-
     @_once
     def _degree(self):
         return _terminating_degree(self.a, self.b, self.c)
@@ -339,7 +332,7 @@ def gauss_2f1_at_one(a, b, c) -> complex:
     Terminating cases go through the Chu-Vandermonde polynomial; otherwise
     Re(c-a-b) > 0 is required for the limit to exist.
     """
-    return Gauss2F1Plan(a, b, c).at_one()
+    return Gauss2F1Plan(a, b, c)(0.0)
 
 
 def gauss_2f1_cm(a, b, c, one_minus_z):

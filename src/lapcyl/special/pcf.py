@@ -29,6 +29,7 @@ import math
 import numpy as np
 
 from .._exceptions import DomainError
+from ..quad import QuadratureSpec, integrate_semi_infinite
 from .gammafn import _finite, reciprocal_gamma
 from .hyper import phi_scaled
 
@@ -54,8 +55,6 @@ def _pcf_series(nu: complex, z: complex) -> complex:
 
 def _pcf_integral(nu: float, z: float) -> float:
     # nu < 1, z > 0 only; caller guarantees both
-    from ..quad import QuadratureSpec, integrate_semi_infinite
-
     def f(t):
         return t ** (-nu) * (t + z) * np.exp(-0.5 * t * t - z * t)
 

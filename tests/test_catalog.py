@@ -18,6 +18,7 @@ from lapcyl.catalog import (
     ParamPoint,
     PointRecord,
     build_report,
+    check_points,
     evaluate_point,
     get_case,
     list_cases,
@@ -145,6 +146,12 @@ class TestModelValidation:
             self._mk(original=None)
         with pytest.raises(ValueError):
             self._mk(closed_rhs=lambda pt: 1.0)
+
+    def test_validity_defaults_to_no_hypotheses(self, monkeypatch):
+        base = dict(id="X", kind="reduction", label="x", image=lambda pt: 1.0,
+                    closed_rhs=lambda pt: 1.0, default_grid=(), tol=1e-8)
+        monkeypatch.setitem(REGISTRY, "X", IdentityCase(**base))
+        check_points("X", [ParamPoint(orders=(-7.0, math.nan), x=-1.0, y=math.inf, p=0.0)])
 
 
 def image(cid, pt):

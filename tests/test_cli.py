@@ -38,10 +38,17 @@ class TestEval:
         res = run_cli("eval", "2f1", "--a", "1", "--b", "1")
         assert res.returncode == 2
         assert "--c" in res.stderr
+        assert "--z" in res.stderr
 
     def test_extra_argument_is_config_error(self):
         res = run_cli("eval", "erfc", "--x", "0", "--nu", "1")
         assert res.returncode == 2
+
+    def test_function_help_lists_its_flags_only(self):
+        res = run_cli("eval", "erfc", "--help")
+        assert res.returncode == 0
+        assert "--x" in res.stdout
+        assert "--nu" not in res.stdout
 
     def test_unknown_function_is_config_error(self):
         res = run_cli("eval", "bessel", "--x", "1")
