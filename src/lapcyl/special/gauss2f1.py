@@ -108,6 +108,8 @@ def _terminating_degree(a, b, c):
     return None
 
 
+# an overflowing term ends as a non-finite value, which _finish reports
+@np.errstate(over="ignore", invalid="ignore")
 def _poly_f21(a, b, c, z, degree):
     """Terminating series sum_{k=0}^{degree}; z may be scalar or ndarray."""
     zc = np.asarray(z, dtype=complex)

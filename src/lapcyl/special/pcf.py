@@ -18,7 +18,10 @@ z = 10.  There the function switches to the integral form
   D_nu(z) = e^{-z^2/4} / Gamma(1-nu) * int_0^inf t^{-nu} (t+z) e^{-t^2/2 - z t} dt
 
 (valid for nu < 1; positive integrand, no cancellation), climbing the
-recurrence D_{m+1}(z) = z D_m(z) - m D_{m-1}(z) when nu >= 1.
+recurrence D_{m+1}(z) = z D_m(z) - m D_{m-1}(z) when nu >= 1.  The
+recurrence's two seeds D_{m-1} and D_m, m = frac(nu), share that integral's
+range, decay and factor (t+z) e^{-t^2/2 - z t}, so they come from one
+two-component quadrature.
 """
 
 from __future__ import annotations
@@ -53,29 +56,32 @@ def _pcf_series(nu: complex, z: complex) -> complex:
     return cmath.exp(0.5 * nu * math.log(2.0)) * (even + odd)
 
 
-def _pcf_integral(nu: float, z: float) -> float:
-    # nu < 1, z > 0 only; caller guarantees both
+def _pcf_integral(orders, z: float) -> list[float]:
+    # every order < 1, z > 0; caller guarantees both.  The orders share
+    # one integral, one component each
+    nus = np.array(orders, dtype=float)[:, None]
+
     def f(t):
-        return t ** (-nu) * (t + z) * np.exp(-0.5 * t * t - z * t)
+        return t ** (-nus) * (t + z) * np.exp(-0.5 * t * t - z * t)
 
     spec = QuadratureSpec(
         lower=0.0, upper=math.inf,
-        exponent_at_lower=-nu,
+        exponent_at_lower=-max(orders),
         decay_rate=z,
         rel_tol=1e-13, abs_tol=1e-250,
     )
     res = integrate_semi_infinite(f, spec)
-    pref = math.exp(-0.25 * z * z) * reciprocal_gamma(1.0 - nu).real
-    return pref * res.value.real
+    damp = math.exp(-0.25 * z * z)
+    return [damp * reciprocal_gamma(1.0 - nu).real * float(v.real)
+            for nu, v in zip(orders, res.value)]
 
 
 def _pcf_large_real(nu: float, z: float) -> float:
     if nu < 1.0:
-        return _pcf_integral(nu, z)
+        return _pcf_integral((nu,), z)[0]
     steps = math.floor(nu)
     m = nu - steps          # in [0, 1)
-    d_prev = _pcf_integral(m - 1.0, z)
-    d_cur = _pcf_integral(m, z)
+    d_prev, d_cur = _pcf_integral((m - 1.0, m), z)
     for _ in range(steps):
         d_prev, d_cur = d_cur, z * d_cur - m * d_prev
         m += 1.0

@@ -7,13 +7,14 @@ implementation it lands in.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lapcyl.special import Gauss2F1Plan, gauss_2f1, gauss_2f1_cm, gauss_2f1_at_one
-from lapcyl import DomainError, ParameterPole
+from lapcyl import DomainError, NonConvergence, ParameterPole
 
 
 def rel_err(got, want):
@@ -89,6 +90,15 @@ def test_at_one_terminating_wins():
     # Chu-Vandermonde: (c-a)_n / (c)_n at n=2: (4.5*5.5)/(1.5*2.5) ... direct sum
     want = 1.0 + (-2.0) * 3.0 / 1.5 + ((-2.0) * (-1.0) * 3.0 * 4.0) / (1.5 * 2.5 * 2.0)
     assert rel_err(got, want) < 1e-14
+
+
+def test_at_one_overflowing_polynomial_raises_without_warning():
+    # the terms of the degree-600 polynomial overflow; the library's own
+    # error must come out even where numpy warnings are errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence):
+            gauss_2f1_at_one(-600.0, -600.0, 0.5)
 
 
 def test_complement_entry_near_one():

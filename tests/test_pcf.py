@@ -1,11 +1,13 @@
 """Parabolic cylinder D_nu: closed forms, recurrence, both evaluation routes."""
 
 import math
+import random
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lapcyl.special.pcf as pcf_module
 from lapcyl.special import pcf_d, erfc, gamma, reciprocal_gamma
 from lapcyl import DomainError
 
@@ -78,8 +80,35 @@ def test_route_agreement_at_boundary():
     from lapcyl.special.pcf import _pcf_series, _pcf_integral
     for nu in (-1.3, -0.5, 0.6):
         series = _pcf_series(complex(nu), complex(3.2))
-        integral = _pcf_integral(nu, 3.2)
+        (integral,) = _pcf_integral((nu,), 3.2)
         assert rel_err(integral, series) < 1e-11
+
+
+def test_recurrence_route_against_mpmath():
+    # nu >= 1 at z >= 3 climbs the recurrence from D_{m-1} and D_m, m =
+    # frac(nu), both taken from one two-component integral; frac(nu) stays
+    # below ROADMAP item 1's near-integer defect
+    rng = random.Random(20161)
+    for _ in range(120):
+        nu = rng.randint(1, 2) + rng.uniform(0.0, 0.98)
+        z = rng.uniform(3.0, 40.0)
+        with mpmath.workdps(30):
+            want = float(mpmath.pcfd(nu, z))
+        assert rel_err(pcf_d(nu, z), want) < 1e-13, (nu, z)
+
+
+@pytest.mark.parametrize("nu, z", [(2.5, 8.0), (-0.75, 5.5)])
+def test_integral_route_makes_one_quadrature(monkeypatch, nu, z):
+    calls = []
+    quadrature = pcf_module.integrate_semi_infinite
+
+    def counted(f, spec, **kw):
+        calls.append(spec)
+        return quadrature(f, spec, **kw)
+
+    monkeypatch.setattr(pcf_module, "integrate_semi_infinite", counted)
+    pcf_d(nu, z)
+    assert len(calls) == 1
 
 
 def test_reflection_combinations():
