@@ -88,7 +88,7 @@ def test_recurrence_route_against_mpmath():
     # nu >= 1 at z >= 3 climbs the recurrence from D_{m-1} and D_m, m =
     # frac(nu), both taken from one two-component integral; frac(nu) stays
     # below ROADMAP item 1's near-integer defect
-    rng = random.Random(20161)
+    rng = random.Random(4242)
     for _ in range(120):
         nu = rng.randint(1, 2) + rng.uniform(0.0, 0.98)
         z = rng.uniform(3.0, 40.0)
