@@ -13,7 +13,8 @@ where the mass dies.
 
 Whether a point can be evaluated is decided here, before any integral:
 a case's validity predicate states its identity's hypotheses, and a
-closed form that a special function cannot evaluate is InvalidParams too.
+closed form that a special function cannot evaluate is InvalidParams too,
+and so is an error raised inside an integral (not quadrature NonConvergence).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .._exceptions import DomainError, InvalidParams, NonConvergence, PoleError
+from .._exceptions import DomainError, InvalidParams, LapcylError, NonConvergence, PoleError
 from ..quad import integrate_finite, integrate_semi_infinite
 from .cases import REGISTRY
 from .model import IdentityCase, ParamPoint, PointRecord, VerificationReport
@@ -87,6 +88,8 @@ def _integrate_pieces(pieces, ps=None):
             else:
                 res = integrate_finite(g, spec, distance_form=True)
         except NonConvergence as exc:
+            if exc.result is None:      # raised inside the integrand, not by quad
+                raise
             res = exc.result
         total = total + res.value
         evaluations += res.evaluations
@@ -196,7 +199,8 @@ def verify(case_id: str, grid=None, tol=None) -> VerificationReport:
 
     Every point passes check_points and has both closed forms evaluated
     before any integral; then each group of point_groups is evaluated
-    with one shared integral.  Records keep grid order.
+    with one shared integral; an error raised inside it is InvalidParams.
+    Records keep grid order.
     """
     case = get_case(case_id)
     points = case.default_grid if grid is None else tuple(grid)
@@ -206,7 +210,12 @@ def verify(case_id: str, grid=None, tol=None) -> VerificationReport:
     converged = [True] * len(points)
     if case.original is not None:
         for idx in point_groups(case.id, points):
-            values, evals, conv, _ = _rhs_detail(case, [points[i] for i in idx])
+            try:
+                values, evals, conv, _ = _rhs_detail(case, [points[i] for i in idx])
+            except (LapcylError, OverflowError) as exc:
+                pt = points[idx[0]]
+                raise InvalidParams(f"cannot integrate {case.id} at orders={pt.orders}, "
+                                    f"x={pt.x}, y={pt.y}: {type(exc).__name__}: {exc}") from None
             for i, value, c in zip(idx, values, conv):
                 rhs[i], evaluations[i], converged[i] = value, evals, c
     records = [PointRecord(params=pt, lhs=left, rhs=right, rel_error=_rel_error(left, right),

@@ -22,9 +22,10 @@ reassembled, and each region's routine sees the same lanes either way):
 
 Every infinite series here (Maclaurin, connection, logarithmic) is summed
 by the one driver in .hyper, which also holds the stopping rule.  Each
-series hands it a table of its term ratios and its argument array; the
-logarithmic series also pass their running digamma sums as term weights,
-one block of terms at a time.
+series hands it a table of its term ratios, its argument array and the
+largest |argument|, which sizes the first step and comes from the
+smallest and largest w; the logarithmic series also pass their running
+digamma sums as term weights.
 
 Every entry point goes through a Gauss2F1Plan: Gauss2F1Plan(a, b, c)
 checks the parameters, and plan(w) evaluates F(a, b; c; 1 - w).  What
@@ -54,7 +55,7 @@ import numpy as np
 
 from .._exceptions import DomainError, NonConvergence, ParameterPole
 from .gammafn import digamma, gamma, reciprocal_gamma
-from .hyper import _BLOCK, _Table, _reals, _sum_series
+from .hyper import _BLOCK, _Table, _gauss_rows, _reals, _sum_series
 
 _EULER_GAMMA = 0.57721566490153286061
 _INT_SNAP = 1e-12
@@ -129,14 +130,15 @@ def _poly_f21(a, b, c, z, degree):
 
 def _maclaurin(a, b, c):
     """The Maclaurin sum of F(a, b; c; z) for |z| <= 1/2 + margin, as a
-    function of a real or complex ndarray z that keeps its ratio table."""
+    function of a real or complex ndarray z, |z| <= zmax (1/2 by default),
+    that keeps its ratio table."""
     ra, rb, rc = _reals(a, b, c)
     ratios = _Table(lambda k0: np.array([(ra + k) * (rb + k) / ((rc + k) * (k + 1.0))
                                          for k in range(k0, k0 + _BLOCK)]))
 
-    def series(z):
+    def series(z, zmax=0.5):
         try:
-            return _sum_series(ratios, z, what="gauss_2f1 series")
+            return _sum_series(ratios, z, rows=_gauss_rows(zmax), what="gauss_2f1 series")
         except ZeroDivisionError:
             raise ParameterPole(
                 f"gauss_2f1 lower parameter {c} is a nonpositive integer"
@@ -265,18 +267,18 @@ class Gauss2F1Plan:
         aa, bb = (a, b) if a.real <= b.real else (b, a)
         return aa, Gauss2F1Plan(aa, c - bb, c)
 
-    def _connect_generic(self, w):
-        """A&S 15.3.6 for noninteger c-a-b, argument complement w in (0, 1/2)."""
+    def _connect_generic(self, w, hi):
+        """A&S 15.3.6 for noninteger c-a-b, argument complement w in (0, hi]."""
         d, p1, series1, p2, series2 = self._generic
         out = np.zeros(w.shape, dtype=complex)
         if p1 != 0.0:
-            out += p1 * series1(w)
+            out += p1 * series1(w, hi)
         if p2 != 0.0:
-            out += p2 * np.exp(d * np.log(w)) * series2(w)
+            out += p2 * np.exp(d * np.log(w)) * series2(w, hi)
         return out
 
-    def _connect_log(self, w):
-        """A&S 15.3.11: c = a + b + m with integer m >= 0, w in (0, 1/2).
+    def _connect_log(self, w, hi):
+        """A&S 15.3.11: c = a + b + m with integer m >= 0, w in (0, hi], hi < 1/2.
 
         At m = 0 the finite part is empty and this is A&S 15.3.10, term for
         term: the series is summed with 15.3.10's sign and weight (psi_nm
@@ -285,9 +287,10 @@ class Gauss2F1Plan:
         m = self._m
         ratios, psi, p_ser, p_fin = self._log
         logw = np.log(w)
+        rows = _gauss_rows(hi)
         total = _sum_series(
-            ratios, w, _Table(lambda k0: psi.block(k0 // _BLOCK)[:, None] - logw),
-            first=1.0 / math.factorial(m), what="gauss_2f1 logarithmic series")
+            ratios, w, _Table(lambda k0: psi.take(k0, rows)[:, None] - logw, rows),
+            first=1.0 / math.factorial(m), rows=rows, what="gauss_2f1 logarithmic series")
         if m == 0:
             return p_ser * total
         # finite part: Gamma(m) Gamma(c) / (Gamma(a+m) Gamma(b+m)) *
@@ -314,15 +317,15 @@ class Gauss2F1Plan:
         if region == 0:
             return np.full(w.shape, self._gauss_sum, dtype=complex)
         if region == 2:
-            return self._series(1.0 - w)
+            return self._series(1.0 - w, max(1.0 - lo, hi - 1.0))
         if region == 3:
             aa, inner = self._pfaff
             return np.exp(-aa * np.log(w)) * inner._at(1.0 / w, 1.0 / hi, 1.0 / lo)
         mi = self._m
         if mi is None:
-            return self._connect_generic(w)
+            return self._connect_generic(w, hi)
         if mi >= 0:
-            return self._connect_log(w)
+            return self._connect_log(w, hi)
         # Euler transformation flips c-a-b to -mi >= 1
         d, inner = self._euler
         return np.exp(d * np.log(w)) * inner._at(w, lo, hi)
@@ -366,7 +369,7 @@ def gauss_2f1(a, b, c, z):
                 if degree is not None:
                     return _finish(np.atleast_1d(_poly_f21(plan.a, plan.b, plan.c, zc, degree)),
                                    True)
-                return _finish(plan._series(np.array([zc])), True)
+                return _finish(plan._series(np.array([zc]), abs(zc)), True)
             raise DomainError("complex gauss_2f1 argument supported only for |z| <= 1/2")
         zarr = zarr.real
     zarr = np.asarray(zarr, dtype=float)

@@ -10,11 +10,12 @@ calls, and 2F2 and Phi build theirs per call.  The sum is float64 when z,
 the tables and c_0 are real, which is the arithmetic of the real parts of
 the complex sum, bit for bit, at a third of the cost of complex
 magnitudes; callers form real tables from parameters with no imaginary
-part (_reals).  Each step takes one table block, so the table sets the
-step length: 2F1 and 2F2 tables have _BLOCK rows formed in Python scalar
-arithmetic, so a pole in the term ratio raises ZeroDivisionError; Phi,
-which checks b for a pole up front, forms blocks of about as many rows as
-its series has terms, |z| + O(sqrt|z|), in numpy (complex ones in Python
+part (_reals).  A sum's first step takes as many terms as its largest
+argument predicts, so most sums take one step; each later step runs to
+the end of its table block.  2F1 tables have _BLOCK rows formed in
+Python scalar arithmetic, so a pole in the term ratio raises
+ZeroDivisionError; 2F2 and Phi, which check for poles up front, form
+blocks of the predicted length, Phi's in numpy (complex ones in Python
 arithmetic, as numpy's complex ufuncs round differently).  In a step,
 np.multiply.accumulate turns the ratios into terms and np.add.accumulate
 gives the running sums: the ufuncs that np.cumprod and np.cumsum wrap,
@@ -59,24 +60,41 @@ _ONE_LANE = np.ones(1)
 
 
 class _Table:
-    """Per-term values of one series, in blocks of `rows` rows.
+    """Per-term values of one series, formed `rows` rows at a time.
 
-    Sums reach the blocks in order.  Block i is `form(rows * i)`, formed
-    the first time a sum reaches it and kept for every later sum; a block
-    whose forming raises is not kept, so it raises again on the next sum
-    that reaches it.
+    Sums reach the rows in order.  The block at row k0 is `form(k0)`,
+    formed the first time a sum reaches it and kept for every later sum;
+    a block whose forming raises is not kept, so it raises again on the
+    next sum that reaches it.
     """
 
     def __init__(self, form, rows=_BLOCK):
         self._form = form
         self.rows = rows
-        self._blocks = []
+        self._formed = np.empty(0)      # the blocks so far, end to end
+
+    def take(self, k, n):
+        """Rows k .. k+n-1, across blocks."""
+        formed = self._formed
+        while len(formed) < k + n:
+            block = self._form(len(formed))
+            formed = self._formed = np.concatenate((formed, block)) if len(formed) else block
+        return formed[k:k + n]
 
     def block(self, i):
-        blocks = self._blocks
-        if i == len(blocks):
-            blocks.append(self._form(self.rows * i))
-        return blocks[i]
+        return self.take(self.rows * i, self.rows)
+
+
+def _confluent_rows(zmax):
+    """First-step rows at |z| <= zmax: a 1F1 or 2F2 sum takes about
+    zmax + 8.5 sqrt(zmax) + 14 terms."""
+    return min(int(zmax + 10.0 * math.sqrt(zmax)) + 24, _MAX_TERMS)
+
+
+def _gauss_rows(zmax):
+    """First-step rows at |z| <= zmax <= 1/2: a 2F1 sum's terms fall
+    about as zmax^k, below _REL_TAIL_TOL after log(_REL_TAIL_TOL) / log(zmax)."""
+    return int(math.log(_REL_TAIL_TOL) / math.log(min(max(zmax, _TINY), 0.5))) + 4
 
 
 def _reals(*values):
@@ -87,18 +105,19 @@ def _reals(*values):
     return [v.real for v in values]
 
 
-def _sum_series(ratios, z, weights=None, *, first=1.0, scaled=False, what):
+def _sum_series(ratios, z, weights=None, *, first=1.0, scaled=False, rows=None, what):
     """Sum2 of c_k w_k with c_0 = first and c_{k+1} = c_k * r_k * z.
 
     `z` is a 1-D ndarray of independent lanes and `ratios` the _Table
-    of the scalar r_k.  `weights` is a _Table with the rows of `ratios`
-    whose blocks hold w_k by the lanes (all ones when None); `what` names
-    the series in the NonConvergence message.  The sum comes back as a
-    complex ndarray, formed in float64 when z, both tables and `first`
-    are real; with `scaled` it is (value, log_scale), the sum being
-    value * exp(log_scale).  A lane whose sum went non-finite counts as
-    settled, so an overflow ends the loop and is left to the caller's
-    finiteness check.
+    of the scalar r_k.  `weights` is a _Table whose rows hold w_k by the
+    lanes (all ones when None); `what` names the series in the
+    NonConvergence message.  The first step takes `rows` rows (one table
+    block when None), each later one the rest of its block.  The sum
+    comes back as a complex ndarray, formed in float64 when z, both
+    tables and `first` are real; with `scaled` it is (value, log_scale),
+    the sum being value * exp(log_scale).  A lane whose sum went
+    non-finite counts as settled, so an overflow ends the loop and is
+    left to the caller's finiteness check.
     """
     dtype = np.result_type(z, first, ratios.block(0), 1.0 if weights is None else weights.block(0))
     total = comp = 0.0
@@ -106,9 +125,9 @@ def _sum_series(ratios, z, weights=None, *, first=1.0, scaled=False, what):
     scale = 0.0
     streak = 0
     k = 0
+    end = rows or ratios.rows
     while k < _MAX_TERMS:
-        i, off = divmod(k, ratios.rows)
-        r = ratios.block(i)[off:off + _MAX_TERMS - k]
+        r = ratios.take(k, min(end, _MAX_TERMS) - k)
         n = len(r)
         # row 1 carries c_k in and row j > 1 is the step to c_(k+j-1), so
         # that rows 1.. accumulate to c_k .. c_(k+n); then row 0 carries the
@@ -120,7 +139,7 @@ def _sum_series(ratios, z, weights=None, *, first=1.0, scaled=False, what):
         buf[0] = total
         terms = buf[:-1]
         if weights is not None:
-            terms = np.concatenate((buf[:1], coefs[:n] * weights.block(i)[off:off + n]))
+            terms = np.concatenate((buf[:1], coefs[:n] * weights.take(k, n)))
         sums = np.add.accumulate(terms, axis=0)
         mags, sum_mags = np.abs(terms[1:]), np.abs(sums[1:])
         over = False
@@ -149,6 +168,7 @@ def _sum_series(ratios, z, weights=None, *, first=1.0, scaled=False, what):
         streak = len(run) - len(run.rstrip(b"\0"))
         coef = coefs[used]
         k += used
+        end = (k // ratios.rows + 1) * ratios.rows
         if over:
             # carry on from the scaled term at the crossing
             total, comp = total / _RESCALE, comp / _RESCALE
@@ -170,8 +190,7 @@ def phi_scaled(a, b, z):
         value, scale = phi_scaled(b - a, b, -z)
         return value * cmath.exp(1j * z.imag), scale + z.real
     a, b, z = _reals(a, b, z)
-    # the series takes about |z| + 8.5 sqrt|z| + 14 terms: mostly one step
-    rows = min(int(abs(z) + 10.0 * math.sqrt(abs(z))) + 24, _MAX_TERMS)
+    rows = _confluent_rows(abs(z))
 
     def form(k0):
         if isinstance(z, complex):
@@ -218,9 +237,10 @@ def hyp_2f2(a1, a2, b1, b2, z):
     z1 = zarr.astype(complex if np.iscomplexobj(zarr) else float).reshape(-1)
     if not np.isfinite(z1).all():
         raise DomainError("hyp_2f2 needs a finite argument")
+    rows = _confluent_rows(float(np.abs(z1).max(initial=0.0)))
     total = _sum_series(
         _Table(lambda k0: np.array([(a1 + k) * (a2 + k) / ((b1 + k) * (b2 + k) * (k + 1.0))
-                                    for k in range(k0, k0 + _BLOCK)])),
+                                    for k in range(k0, k0 + rows)]), rows),
         z1, what="hyp_2f2 series")
     if not np.isfinite(total).all():
         raise NonConvergence("hyp_2f2 produced a non-finite value")

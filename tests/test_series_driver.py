@@ -3,13 +3,15 @@
 The driver sums the Gauss 2F1 Maclaurin, connection and logarithmic
 series, 2F2, and Kummer Phi (which also feeds the series route of pcf_d).
 
-Three kinds of check:
+Four kinds of check:
 - the driver against plain per-term Kahan loops, for Phi the scalar loop
   that phi_scaled ran before it went through the driver: the same sum to
   within 4 eps sum (k+1) |c_k| per lane, the same stopping index and an
   exact term budget, and no less accurate on cancelling series or
   against mpmath;
 - float64 sums against the same sums in complex, bit for bit;
+- a sum's first step, sized from its argument, against one _BLOCK per
+  step, bit for bit, and the step count that sizing buys;
 - every branch against mpmath at 40 digits.  Each row is one seeded draw
   of parameters, most with several argument lanes.  The draws come from a
   fixed seed, so rows and ids are the same on every run.
@@ -405,3 +407,74 @@ def test_pole_inside_first_block():
     # c + k = 0 at k = 3: the block's scalar ratios raise before any array work
     with pytest.raises(ParameterPole):
         gauss2f1._maclaurin(0.5, 0.7, -3.0)(np.array([0.1, 0.2]))
+
+
+def _gauss_regions(rng):
+    """Seeded gauss_2f1_cm calls, one per region and route, and a mixed array."""
+    calls = []
+    for _ in range(6):
+        a, b = rng.uniform(-3.0, 3.0, 2)
+        maclaurin = rng.uniform(0.5, 1.5, 7)
+        connection = 10.0 ** rng.uniform(-12.0, math.log10(0.49), 7)
+        pfaff = rng.uniform(1.5, 30.0, 7)
+        generic = a + b + rng.uniform(0.2, 0.8)
+        calls += [(a, b, generic, maclaurin), (a, b, generic, connection),
+                  (a, b, a + b, connection), (a, b, a + b + 1.0, connection),
+                  (a, b, a + b - 1.0, connection), (a, b, generic, pfaff),
+                  (a, b, generic, np.concatenate([[0.0], maclaurin[:2], connection[:2],
+                                                  pfaff[:2]])),
+                  (a, b, generic, float(connection[0]))]
+    return calls
+
+
+def test_sized_first_step_keeps_every_bit(monkeypatch):
+    # Each sum's first step is sized from its largest argument; with the
+    # sizing patched back to one _BLOCK per step every value keeps its bytes
+    rng = np.random.default_rng(SEED + 8)
+    calls = [(gauss_2f1_cm, args) for args in _gauss_regions(rng)]
+    for _ in range(10):
+        params = rng.uniform(-3.0, 3.0, 4)
+        calls += [(hyp_2f2, (*params, float(rng.uniform(0.0, 200.0)))),
+                  (hyp_2f2, (*params, rng.uniform(0.0, 200.0, 7)))]
+    sized = [np.asarray(fn(*args)).tobytes() for fn, args in calls]
+    monkeypatch.setattr(gauss2f1, "_gauss_rows", lambda zmax: hyper._BLOCK)
+    monkeypatch.setattr(hyper, "_confluent_rows", lambda zmax: hyper._BLOCK)
+    for (fn, args), got in zip(calls, sized):
+        assert np.asarray(fn(*args)).tobytes() == got, (fn.__name__, args)
+
+
+def _count_steps(monkeypatch):
+    """Counts of driver calls and driver steps: a step takes its ratio
+    rows with one _Table.take, and these calls carry no weights table.
+    _Table.block, which the driver reads once for the dtype, goes to the
+    uncounted take."""
+    counts = {"series": 0, "steps": 0}
+    take, summed = hyper._Table.take, hyper._sum_series
+
+    def counted_take(table, k, n):
+        counts["steps"] += 1
+        return take(table, k, n)
+
+    def counted_sum(*args, **kwargs):
+        counts["series"] += 1
+        return summed(*args, **kwargs)
+
+    monkeypatch.setattr(hyper._Table, "take", counted_take)
+    monkeypatch.setattr(hyper._Table, "block", lambda table, i: take(table, table.rows * i,
+                                                                      table.rows))
+    monkeypatch.setattr(hyper, "_sum_series", counted_sum)
+    monkeypatch.setattr(gauss2f1, "_sum_series", counted_sum)
+    return counts
+
+
+def test_one_step_per_series(monkeypatch):
+    # 2F2 at z = 60 takes about 140 terms, and each connection series of a
+    # 2F1 at w up to 0.4 about 40: one driver step each, where one _BLOCK
+    # per step took 9 and 3
+    plan = gauss2f1.Gauss2F1Plan(0.3, 0.7, 1.45)
+    counts = _count_steps(monkeypatch)
+    hyp_2f2(0.3, 0.5, 1.2, 0.7, 60.0)
+    assert counts == {"series": 1, "steps": 1}
+    counts.update(series=0, steps=0)
+    plan(np.linspace(0.01, 0.4, 15))
+    assert counts == {"series": 2, "steps": 2}
