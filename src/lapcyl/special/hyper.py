@@ -51,11 +51,13 @@ from .._exceptions import DomainError, NonConvergence, ParameterPole
 from .gammafn import _finite, is_nonpositive_integer
 
 _BLOCK = 16
+_STEP_ELEMS = 8192
 _MAX_TERMS = 10000
 _REL_TAIL_TOL = 1e-16
 _TINY = 1e-300
 _RESCALE = 1e250
 _LOG_RESCALE = math.log(_RESCALE)
+_LOG_TAIL = math.log(_REL_TAIL_TOL)
 _ONE_LANE = np.ones(1)
 
 
@@ -71,7 +73,7 @@ class _Table:
     def __init__(self, form, rows=_BLOCK):
         self._form = form
         self.rows = rows
-        self._formed = np.empty(0)      # the blocks so far, end to end
+        self._formed = ()               # the blocks so far, end to end
 
     def take(self, k, n):
         """Rows k .. k+n-1, across blocks."""
@@ -94,7 +96,7 @@ def _confluent_rows(zmax):
 def _gauss_rows(zmax):
     """First-step rows at |z| <= zmax <= 1/2: a 2F1 sum's terms fall
     about as zmax^k, below _REL_TAIL_TOL after log(_REL_TAIL_TOL) / log(zmax)."""
-    return int(math.log(_REL_TAIL_TOL) / math.log(min(max(zmax, _TINY), 0.5))) + 4
+    return int(_LOG_TAIL / math.log(min(max(zmax, _TINY), 0.5))) + 4
 
 
 def _reals(*values):
@@ -126,8 +128,10 @@ def _sum_series(ratios, z, weights=None, *, first=1.0, scaled=False, rows=None, 
     streak = 0
     k = 0
     end = rows or ratios.rows
+    # a step over about _STEP_ELEMS rows x lanes outgrows the cache and runs slower
+    cap = max(_BLOCK, _STEP_ELEMS // max(z.size, 1))
     while k < _MAX_TERMS:
-        r = ratios.take(k, min(end, _MAX_TERMS) - k)
+        r = ratios.take(k, min(end, k + cap, _MAX_TERMS) - k)
         n = len(r)
         # row 1 carries c_k in and row j > 1 is the step to c_(k+j-1), so
         # that rows 1.. accumulate to c_k .. c_(k+n); then row 0 carries the

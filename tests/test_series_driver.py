@@ -434,8 +434,10 @@ def test_sized_first_step_keeps_every_bit(monkeypatch):
     calls = [(gauss_2f1_cm, args) for args in _gauss_regions(rng)]
     for _ in range(10):
         params = rng.uniform(-3.0, 3.0, 4)
+        # 120 lanes cap a step at _STEP_ELEMS // 120 rows, below the sized one
         calls += [(hyp_2f2, (*params, float(rng.uniform(0.0, 200.0)))),
-                  (hyp_2f2, (*params, rng.uniform(0.0, 200.0, 7)))]
+                  (hyp_2f2, (*params, rng.uniform(0.0, 200.0, 7))),
+                  (hyp_2f2, (*params, rng.uniform(0.0, 200.0, 120)))]
     sized = [np.asarray(fn(*args)).tobytes() for fn, args in calls]
     monkeypatch.setattr(gauss2f1, "_gauss_rows", lambda zmax: hyper._BLOCK)
     monkeypatch.setattr(hyper, "_confluent_rows", lambda zmax: hyper._BLOCK)
