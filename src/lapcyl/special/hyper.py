@@ -12,11 +12,12 @@ the complex sum, bit for bit, at a third of the cost of complex
 magnitudes; callers form real tables from parameters with no imaginary
 part (_reals).  A sum's first step takes as many terms as its largest
 argument predicts, so most sums take one step; each later step runs to
-the end of its table block.  2F1 tables have _BLOCK rows formed in
-Python scalar arithmetic, so a pole in the term ratio raises
-ZeroDivisionError; 2F2 and Phi, which check for poles up front, form
-blocks of the predicted length, Phi's in numpy (complex ones in Python
-arithmetic, as numpy's complex ufuncs round differently).  In a step,
+the end of its table block, and no step outgrows about _STEP_ELEMS rows
+times lanes.  2F1 tables have _BLOCK rows formed in Python scalar
+arithmetic, so a pole in the term ratio raises ZeroDivisionError; 2F2
+and Phi, which check for poles up front, form blocks of the predicted
+length, Phi's in numpy (complex ones in Python arithmetic, as numpy's
+complex ufuncs round differently).  In a step,
 np.multiply.accumulate turns the ratios into terms and np.add.accumulate
 gives the running sums: the ufuncs that np.cumprod and np.cumsum wrap,
 called without the wrappers, so the order and the bits are the same.  The
@@ -113,13 +114,13 @@ def _sum_series(ratios, z, weights=None, *, first=1.0, scaled=False, rows=None, 
     `z` is a 1-D ndarray of independent lanes and `ratios` the _Table
     of the scalar r_k.  `weights` is a _Table whose rows hold w_k by the
     lanes (all ones when None); `what` names the series in the
-    NonConvergence message.  The first step takes `rows` rows (one table
-    block when None), each later one the rest of its block.  The sum
-    comes back as a complex ndarray, formed in float64 when z, both
-    tables and `first` are real; with `scaled` it is (value, log_scale),
-    the sum being value * exp(log_scale).  A lane whose sum went
-    non-finite counts as settled, so an overflow ends the loop and is
-    left to the caller's finiteness check.
+    NonConvergence message.  Steps end at row `rows` (one table block
+    when None), then at each block's end, and none takes more than `cap`
+    rows.  The sum comes back as a complex ndarray, formed in float64
+    when z, both tables and `first` are real; with `scaled` it is
+    (value, log_scale), the sum being value * exp(log_scale).  A lane
+    whose sum went non-finite counts as settled, so an overflow ends the
+    loop and is left to the caller's finiteness check.
     """
     dtype = np.result_type(z, first, ratios.block(0), 1.0 if weights is None else weights.block(0))
     total = comp = 0.0
@@ -172,7 +173,7 @@ def _sum_series(ratios, z, weights=None, *, first=1.0, scaled=False, rows=None, 
         streak = len(run) - len(run.rstrip(b"\0"))
         coef = coefs[used]
         k += used
-        end = (k // ratios.rows + 1) * ratios.rows
+        end = max(end, (k // ratios.rows + 1) * ratios.rows)
         if over:
             # carry on from the scaled term at the crossing
             total, comp = total / _RESCALE, comp / _RESCALE

@@ -424,7 +424,10 @@ def _gauss_regions(rng):
                   (a, b, generic, np.concatenate([[0.0], maclaurin[:2], connection[:2],
                                                   pfaff[:2]])),
                   (a, b, generic, float(connection[0]))]
-    return calls
+    # 300 lanes cap a step below the 57 rows sized for w up to 1/2
+    a, b = rng.uniform(-3.0, 3.0, 2)
+    return calls + [(a, b, a + b + 0.45, rng.uniform(0.3, 0.49, 300)),
+                    (a, b, a + b + 1.0, rng.uniform(0.3, 0.49, 300))]
 
 
 def test_sized_first_step_keeps_every_bit(monkeypatch):
