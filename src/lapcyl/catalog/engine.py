@@ -13,8 +13,9 @@ where the mass dies.
 
 Whether a point can be evaluated is decided here, before any integral:
 a case's validity predicate states its identity's hypotheses, and a
-closed form that a special function cannot evaluate is InvalidParams too,
-and so is an error raised inside an integral (not quadrature NonConvergence).
+closed form that a special function cannot evaluate is InvalidParams too
+(a NonConvergence of pcf_d's own quadrature included), and so is an
+error raised inside an integral (not that integral's NonConvergence).
 """
 
 from __future__ import annotations
@@ -145,12 +146,13 @@ def check_points(case_id: str, points):
 def _closed_forms(case: IdentityCase, points):
     """Both closed forms of every point: image values, and closed_rhs
     values for a reduction (None for the others).  A special function
-    that cannot evaluate a point, outside its domain, at a pole or
-    beyond double range, makes the point invalid."""
+    that cannot evaluate a point, outside its domain, at a pole, beyond
+    double range or through a quadrature that does not converge, makes
+    the point invalid."""
     try:
         lhs = [complex(case.image(pt)) for pt in points]
         rhs = [None if case.closed_rhs is None else complex(case.closed_rhs(pt)) for pt in points]
-    except (DomainError, PoleError, OverflowError) as exc:
+    except (DomainError, PoleError, OverflowError, NonConvergence) as exc:
         raise InvalidParams(
             f"invalid grid point for {case.id}: {type(exc).__name__}: {exc}") from None
     return lhs, rhs

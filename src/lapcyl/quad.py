@@ -28,11 +28,16 @@ components; the panel values and errors leave numpy as lists.
 
 Refinement halves one panel per step, as QUADPACK's dqagse bisects: the
 panel with the largest max_j err_j / target_j (targets of the estimate
-that refinement starts from; ties go to the older panel), whose two
-children arrive in one integrand call.  A panel too narrow to halve keeps
-its contribution and leaves the queue.  An infinite panel error keeps its
-component's estimate infinite, never NaN, until no panel carries one.
-Repeated runs produce bit-identical results.
+that refinement starts from; ties go to the older panel).  A split whose
+halves were not evaluated earlier makes one integrand call for six
+panels: the two halves and their four quarters.  Each half keeps its
+quarters, so a later split of that half needs no call; quarters join the
+panel store only when that split comes, and those of a half never split
+are dropped.  So the same panels are split in the same order as with one
+call per split, in about half the calls.  A panel too narrow to halve
+keeps its contribution and leaves the queue.  An infinite panel error
+keeps its component's estimate infinite, never NaN, until no panel
+carries one.  Repeated runs produce bit-identical results.
 
 After a numpy setup, refinement sums in Python floats and complex numbers,
 in numpy's order.  Complex magnitudes stay numpy's, whose last bits
@@ -164,8 +169,10 @@ class QuadratureResult:
     For an integrand that returns an (m, n) array, value, error_estimate
     and converged are length-m arrays, one entry per component; for a
     plain (n,) integrand they are scalars.  An error estimate is never
-    below 50 eps |value|.  evaluations counts abscissae, each once however
-    many components the integrand returns.
+    below 50 eps |value|.  evaluations counts the abscissae of the panels
+    the value is built from, each once however many components the
+    integrand returns; quarters evaluated for a split that never came are
+    not counted.
     """
 
     value: complex
@@ -196,11 +203,10 @@ class _Workspace:
         self.evaluations = 0
         self.plain = None       # the integrand returns (n,), set on its first call
 
-    def add(self, g, lo, hi):
-        """Evaluate the k panels [lo_i, hi_i] (sequences of floats) with one
-        call of g and store them; returns their K15 values and |K15 - G7|
-        errors, one list of m per panel.  A panel with a non-finite node
-        value counts as value 0, error inf."""
+    def evaluate(self, g, lo, hi):
+        """K15 values and |K15 - G7| errors of the k panels [lo_i, hi_i]
+        (sequences of floats) from one call of g, one list of m per panel.
+        A panel with a non-finite node value counts as value 0, error inf."""
         c = np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
         h = np.array([0.5 * (b - a) for a, b in zip(lo, hi)])
         t = (c[:, None] + h[:, None] * _NODES).ravel()
@@ -209,7 +215,6 @@ class _Workspace:
         with np.errstate(invalid="ignore"):
             rules = (y.reshape(-1, len(lo), _NODES.size) @ _RULES) * h[:, None]
             err = np.abs(rules[..., 0] - rules[..., 1])
-        self.evaluations += t.size
         if self.plain is None:
             self.plain = y.ndim == 1
         vals, errs = rules[..., 0].T.tolist(), err.T.tolist()
@@ -218,7 +223,18 @@ class _Workspace:
             if not all(map(cmath.isfinite, v)):
                 e[:] = [x if cmath.isfinite(k15) else math.inf for k15, x in zip(v, e)]
                 v[:] = [k15 if cmath.isfinite(k15) else 0j for k15 in v]
+        return vals, errs
+
+    def store(self, g, lo, hi, vals, errs):
+        """Keep evaluated panels; their nodes count as evaluations."""
+        self.evaluations += _NODES.size * len(lo)
         self.panels += [(g, a, b, v, e) for a, b, v, e in zip(lo, hi, vals, errs)]
+
+    def add(self, g, lo, hi):
+        """Evaluate and store the panels [lo_i, hi_i]; returns what
+        evaluate does."""
+        vals, errs = self.evaluate(g, lo, hi)
+        self.store(g, lo, hi, vals, errs)
         return vals, errs
 
     def _target(self, total):
@@ -274,6 +290,7 @@ class _Workspace:
         heapq.heapify(heap)
         total, toterr, weight = total.tolist(), toterr.tolist(), weight.tolist()
         frozen_err = [0.0] * len(total)     # errors of the panels too narrow to split
+        ahead = {}      # panel index -> its halves' values and errors, not yet stored
         splits = 0
         while True:
             # numpy's |v| decides a converged flag, but a component clearly
@@ -295,13 +312,25 @@ class _Workspace:
                     raise self._nonconvergence(
                         "quadrature cannot refine further, all panels at width floor",
                         total, toterr)
-                g, lo, hi, val, err = panels[heapq.heappop(heap)[1]]
+                index = heapq.heappop(heap)[1]
+                g, lo, hi, val, err = panels[index]
                 if hi - lo > _MIN_PANEL_WIDTH * max(1.0, abs(lo), abs(hi)):
                     break
                 frozen_err = [f + e for f, e in zip(frozen_err, err)]
             mid = 0.5 * (lo + hi)
             first = len(panels)
-            (v1, v2), (e1, e2) = self.add(g, (lo, mid), (mid, hi))
+            if index in ahead:
+                (v1, v2), (e1, e2) = ahead.pop(index)
+            else:
+                # the halves and their quarters in one call; each half
+                # keeps its quarters for its own split, if that comes
+                q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
+                vals, errs = self.evaluate(g, (lo, mid, lo, q1, mid, q3),
+                                           (mid, hi, q1, mid, q3, hi))
+                ahead[first] = vals[2:4], errs[2:4]
+                ahead[first + 1] = vals[4:], errs[4:]
+                (v1, v2), (e1, e2) = vals[:2], errs[:2]
+            self.store(g, (lo, mid), (mid, hi), (v1, v2), (e1, e2))
             for i, child in enumerate((e1, e2), first):
                 heapq.heappush(heap, (-max([e * w for e, w in zip(child, weight)]), i))
             total = [v + ((a + b) - old) for v, a, b, old in zip(total, v1, v2, val)]

@@ -1,8 +1,9 @@
 """Grid points that satisfy their case's validity predicate but that a
 special function cannot evaluate: outside pcf_d's or gauss_2f1's
-domain, or beyond double range in kummer_phi or math.exp.  The engine
-rejects each as an invalid point before any quadrature runs, and the
-CLI exits 2 on it without a traceback under any --jobs.  An original
+domain, beyond double range in kummer_phi or math.exp, or where
+pcf_d's own quadrature does not converge.  The engine rejects each as
+an invalid point before it integrates any original, and the CLI exits
+2 on it without a traceback under any --jobs.  An original
 that raises inside its integral is InvalidParams too, with the same
 exit code.
 """
@@ -33,6 +34,8 @@ ROWS = [
     ("NEG-T42 -0.5 -0.5 4 4 21", "DomainError"),
     ("RED-SUM-DIFF 0 0.5 50 50 1", "DomainError"),
     ("RED-2F1-EULER 0.3 0.7 1.1 1.5 1", "DomainError"),
+    # pcf_d(0.995, 5): its integral route passes 2,000 subdivisions (ROADMAP item 1)
+    ("RED-RECURRENCE 0 0.995 5 5 1", "NonConvergence"),
 ]
 
 

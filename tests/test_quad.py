@@ -1,5 +1,6 @@
 """Quadrature engine: node tables, endpoint substitutions, honesty."""
 
+import collections
 import heapq
 import itertools
 import math
@@ -440,14 +441,20 @@ def test_vector_evaluates_each_node_once():
     calls = []
 
     def f(t, d_lo, d_hi):
-        calls.append(t.size)
+        calls.append(t)
         return _kernels(ps)(t, d_lo, d_hi)
 
     res = integrate_semi_infinite(f, _kernel_spec(ps), distance_form=True)
+    sizes = [t.size for t in calls]
     # each call carries whole panels, several of them in most calls
-    assert all(n > 0 and n % 15 == 0 for n in calls)
-    assert res.evaluations == sum(calls)
-    assert len(calls) < sum(calls) // 15
+    assert all(n > 0 and n % 15 == 0 for n in sizes)
+    # no abscissa comes twice, whichever call carries it
+    nodes = np.concatenate(calls)
+    assert np.unique(nodes).size == nodes.size
+    # evaluations counts the stored panels, not the quarters of a split
+    # that never came
+    assert res.evaluations <= sum(sizes)
+    assert len(calls) < sum(sizes) // 15
 
 
 def test_permuted_components_are_bit_identical():
@@ -503,8 +510,10 @@ def test_marching_stops_relative_to_target():
 # ------------------------------------------------------------ batched calls
 
 def test_split_children_arrive_in_one_call():
-    # each refinement step halves one panel, and its two children, the
-    # adjacent halves of the split panel, cost one call of two panels
+    # each refinement step halves one panel.  A split whose halves were
+    # not evaluated earlier costs one call of six panels: the two adjacent
+    # halves, then their four quarters, which a later split of either
+    # half takes without a call
     calls = []
 
     def f(t):
@@ -515,14 +524,56 @@ def test_split_children_arrive_in_one_call():
     assert res.converged
     assert rel_err(res.value, math.sin(60.0) / 60.0) < 1e-10
     assert [t.size for t in calls[:2]] == [15, 15]
-    assert len(calls) > 10
+    assert len(calls) > 5
     for t in calls[2:]:
-        assert t.size == 30
-        left, right = sorted((t[:15], t[15:]), key=np.min)
-        assert left.max() < right.min()
-        assert math.isclose(np.ptp(left), np.ptp(right), rel_tol=1e-9)
+        assert t.size == 90
+        panels = t.reshape(6, 15)
+        centres, widths = panels[:, 7], np.ptp(panels, axis=1)
+        # halves, then quarters, each group adjacent and of equal width
+        # (the right-hand substitution runs from t = 1 down)
+        for group in (panels[:2], panels[2:]):
+            group = group[np.argsort(group.min(axis=1))]
+            assert (group[:-1].max(axis=1) < group[1:].min(axis=1)).all()
+        assert np.allclose(widths[:2], widths[0], rtol=1e-9, atol=0.0)
+        assert np.allclose(widths[2:], 0.5 * widths[0], rtol=1e-9, atol=0.0)
+        # quarters 1-2 halve the first half, quarters 3-4 the second
+        assert np.allclose(centres[2:].reshape(2, 2).mean(axis=1), centres[:2],
+                           rtol=1e-12, atol=0.0)
     assert all(t.max() < 0.5 or t.min() > 0.5 for t in calls)
-    assert res.evaluations == 15 * (2 * len(calls) - 2)
+    # every call stores its halves; some later splits stored quarters
+    assert 15 * (2 * len(calls) - 2) < res.evaluations <= sum(t.size for t in calls)
+
+
+def test_quarters_save_calls_and_each_panel_is_evaluated_once(monkeypatch):
+    # t^{-1/4} with no exponent hint: refinement bisects towards t = 0
+    # again and again, and every second split there takes its halves from
+    # the quarters of the split before
+    workspaces = []
+    refine = quad._Workspace.refine
+
+    def spy(self):
+        workspaces.append(self)
+        return refine(self)
+
+    monkeypatch.setattr(quad._Workspace, "refine", spy)
+    calls = []
+
+    def f(t, d_lo, d_hi):
+        calls.append(t.copy())
+        return d_lo ** -0.25
+
+    res = integrate_finite(f, QuadratureSpec(lower=0.0, upper=1.0), distance_form=True)
+    assert res.converged
+    assert rel_err(res.value, 4.0 / 3.0) < 1e-10
+    panels = workspaces[0].panels
+    splits = (len(panels) - 2) // 2
+    assert len(calls) < splits
+    # every stored panel's nodes are one 15-node run of exactly one call
+    runs = collections.Counter(c.tobytes() for t in calls for c in t.reshape(-1, 15))
+    for g, lo, hi, _, _ in panels:
+        g(0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES)
+        assert runs[calls.pop().tobytes()] == 1
+    assert res.evaluations == 15 * len(panels)
 
 
 def test_march_evaluates_in_blocks():
@@ -561,8 +612,10 @@ def test_estimate_has_a_rounding_floor(monkeypatch):
     def f(t, d_lo, d_hi):
         return np.stack([np.exp(t), np.cos(t), 1.0 / np.sqrt(np.abs(t - 0.3))])
 
-    with pytest.raises(NonConvergence) as exc:
-        integrate_finite(f, spec, distance_form=True)
+    # the third component is singular at t = 0.3, where a node may land
+    with np.errstate(divide="ignore"):
+        with pytest.raises(NonConvergence) as exc:
+            integrate_finite(f, spec, distance_form=True)
     res = exc.value.result
     assert res.converged.tolist() == [True, True, False]
     assert (res.error_estimate >= floor * np.abs(res.value)).all()
