@@ -3,9 +3,8 @@ special function cannot evaluate: outside pcf_d's or gauss_2f1's
 domain, beyond double range in kummer_phi or math.exp, or where
 pcf_d's own quadrature does not converge.  The engine rejects each as
 an invalid point before it integrates any original, and the CLI exits
-2 on it without a traceback under any --jobs.  An original
-that raises inside its integral is InvalidParams too, with the same
-exit code.
+2 on it without a traceback under any --jobs.  An original that raises
+inside its integral is InvalidParams too, with the same exit code.
 """
 
 import dataclasses
