@@ -2,11 +2,12 @@
 
 Conventions
 -----------
-* Laplace pairs: `image` is the transform-domain closed form; each
-  integral piece supplies the original WITHOUT the e^{-pt} kernel,
-  which the engine multiplies in.  Direct integrals carry their whole
-  integrand.  Constant prefactors are folded into the integrand
-  closures at build time, so a Piece is just (f, spec).
+* Every integral piece supplies its original WITHOUT the e^{-pt}
+  kernel, which the engine multiplies in at the point's p.  A direct
+  integral's validity pins p to the kernel its identity has: 1 for the
+  erf representations (their Laplace pairs' originals times a
+  constant), 0 for the others.  Constant prefactors are folded into
+  the integrand closures at build time, so a Piece is just (f, spec).
 * Integrands receive (t, d_lo, d_hi) arrays, d_lo/d_hi the exact
   displacements from the endpoints.  Powers of displacements must use
   d_lo/d_hi, never t - endpoint, or accuracy dies at strong endpoint
@@ -504,14 +505,16 @@ def _c321_image(pt):
     return math.exp(p * y) * erfc(math.sqrt(y * p)) * erf(math.sqrt(x * p))
 
 
-def _c321_original(pt):
+def _c321_original(pt, scale=1.0):
     x, y = pt.x, pt.y
+    c1 = scale * math.sqrt(y) / math.pi
+    c2 = -scale * math.sqrt(x) / math.pi
 
     def f1(t, d_lo, d_hi):
-        return math.sqrt(y) / math.pi / (np.sqrt(t) * (y + t))
+        return c1 / (np.sqrt(t) * (y + t))
 
     def f2(t, d_lo, d_hi):
-        return -math.sqrt(x) / math.pi / (np.sqrt(y + d_lo) * (y + t))
+        return c2 / (np.sqrt(y + d_lo) * (y + t))
 
     return (
         Piece(f1, _spec(0.0, x, lam_lo=-0.5)),
@@ -542,20 +545,16 @@ def _c321rep_image(pt):
 
 
 def _c321rep_original(pt):
-    x, y = pt.x, pt.y  # x = b^2, y = a^2
-    c1 = math.sqrt(y) * math.exp(-y) / math.pi
-    c2 = -math.sqrt(x) * math.exp(-(x + y)) / math.pi
+    # C321-ERF-MIX's original at p = 1, times e^{-a^2}
+    return _c321_original(pt, math.exp(-pt.y))
 
-    def f1(t, d_lo, d_hi):
-        return c1 * np.exp(-t) / (np.sqrt(t) * (t + y))
 
-    def f2(t, d_lo, d_hi):
-        return c2 * np.exp(-t) / ((t + x + y) * np.sqrt(t + y))
-
-    return (
-        Piece(f1, _spec(0.0, x, lam_lo=-0.5)),
-        Piece(f2, _spec(0.0, math.inf, decay=1.0)),
-    )
+def _v_erf_rep(pt):
+    if not (pt.x > 0.0 and pt.y > 0.0):
+        return "requires a > 0, b > 0"
+    if pt.p != 1.0:
+        return "requires p = 1"
+    return None
 
 
 _add(IdentityCase(
@@ -564,7 +563,7 @@ _add(IdentityCase(
     label="erfc(a) erf(b) as two exponential integrals",
     image=_c321rep_image,
     original=_c321rep_original,
-    validity=_v_pos_xyp,
+    validity=_v_erf_rep,
     default_grid=_ERF_AB,
     tol=1e-9,
 ))
@@ -768,14 +767,15 @@ def _c361_image(pt):
     return math.exp(p * (x + y)) * erfc(math.sqrt(y * p)) * erfc(math.sqrt(x * p))
 
 
-def _c361_original(pt):
+def _c361_original(pt, scale=1.0):
     x, y = pt.x, pt.y
+    c = math.pi / scale
 
     def f(t, d_lo, d_hi):
         xt = x + t
         yt = y + t
         return (math.sqrt(x) * np.sqrt(xt) + math.sqrt(y) * np.sqrt(yt)) / (
-            math.pi * (x + y + t) * np.sqrt(xt * yt))
+            c * (x + y + t) * np.sqrt(xt * yt))
 
     return (Piece(f, _spec(0.0, math.inf)),)
 
@@ -797,16 +797,8 @@ def _c361rep_image(pt):
 
 
 def _c361rep_original(pt):
-    x, y = pt.x, pt.y
-    c = math.exp(-(x + y)) / math.pi
-
-    def f(t, d_lo, d_hi):
-        tx = t + x
-        ty = t + y
-        return c * np.exp(-t) * (math.sqrt(y) * np.sqrt(ty) + math.sqrt(x) * np.sqrt(tx)) / (
-            (t + x + y) * np.sqrt(ty * tx))
-
-    return (Piece(f, _spec(0.0, math.inf, decay=1.0)),)
+    # C361-ERFC2's original at p = 1, times e^{-(a^2 + b^2)}
+    return _c361_original(pt, math.exp(-(pt.x + pt.y)))
 
 
 _add(IdentityCase(
@@ -815,7 +807,7 @@ _add(IdentityCase(
     label="erfc(a) erfc(b) as one exponential integral",
     image=_c361rep_image,
     original=_c361rep_original,
-    validity=_v_pos_xyp,
+    validity=_v_erf_rep,
     default_grid=_ERF_AB,
     tol=1e-9,
 ))
@@ -830,14 +822,16 @@ def _c361single_original(pt):
     c = math.sqrt(x) * math.exp(-x) / math.pi
 
     def f(t, d_lo, d_hi):
-        return c * np.exp(-t) / (np.sqrt(t) * (t + x))
+        return c / (np.sqrt(t) * (t + x))
 
-    return (Piece(f, _spec(0.0, math.inf, lam_lo=-0.5, decay=1.0)),)
+    return (Piece(f, _spec(0.0, math.inf, lam_lo=-0.5)),)
 
 
-def _v_pos_x(pt):
+def _v_c361single(pt):
     if not pt.x > 0.0:
         return "requires b > 0"
+    if pt.p != 1.0:
+        return "requires p = 1"
     return None
 
 
@@ -847,7 +841,7 @@ _add(IdentityCase(
     label="erfc(b) = (b/pi) e^{-b^2} int_0^inf e^{-t}/((t+b^2) sqrt(t)) dt",
     image=_c361single_image,
     original=_c361single_original,
-    validity=_v_pos_x,
+    validity=_v_c361single,
     default_grid=tuple(ParamPoint(orders=(), x=b * b, y=b * b, p=1.0)
                        for b in (0.25, 0.5, 1.0, 2.0)),
     tol=1e-9,
@@ -864,14 +858,14 @@ def _c361om_original(pt):
     c2 = math.sqrt(y) * math.exp(-y) / math.pi
 
     def f1(t, d_lo, d_hi):
-        return c1 * np.exp(-t) * (1.0 / (np.sqrt(t) * (t + x))
-                                  - math.exp(-y) / ((t + x + y) * np.sqrt(t + y)))
+        return c1 * (1.0 / (np.sqrt(t) * (t + x))
+                     - math.exp(-y) / ((t + x + y) * np.sqrt(t + y)))
 
     def f2(t, d_lo, d_hi):
-        return c2 * np.exp(-t) / (np.sqrt(t) * (t + y))
+        return c2 / (np.sqrt(t) * (t + y))
 
     return (
-        Piece(f1, _spec(0.0, math.inf, lam_lo=-0.5, decay=1.0)),
+        Piece(f1, _spec(0.0, math.inf, lam_lo=-0.5)),
         Piece(f2, _spec(0.0, x, lam_lo=-0.5)),
     )
 
@@ -882,7 +876,7 @@ _add(IdentityCase(
     label="1 - erf(a) erf(b), two-term exponential integral form",
     image=_c361om_image,
     original=_c361om_original,
-    validity=_v_pos_xyp,
+    validity=_v_erf_rep,
     default_grid=_ERF_AB,
     tol=1e-9,
 ))
@@ -903,9 +897,11 @@ def _ng69_original(pt):
     return (Piece(f, _spec(0.0, 1.0)),)
 
 
-def _v_pos_y(pt):
+def _v_ng69(pt):
     if not pt.y > 0.0:
         return "requires a > 0"
+    if pt.p != 0.0:
+        return "requires p = 0"
     return None
 
 
@@ -915,8 +911,8 @@ _add(IdentityCase(
     label="1 - erf(a)^2 = (4/pi) e^{-a^2} int_0^1 e^{-a^2 s^2}/(1+s^2) ds",
     image=_ng69_image,
     original=_ng69_original,
-    validity=_v_pos_y,
-    default_grid=tuple(ParamPoint(orders=(), x=a * a, y=a * a, p=1.0)
+    validity=_v_ng69,
+    default_grid=tuple(ParamPoint(orders=(), x=a * a, y=a * a, p=0.0)
                        for a in (0.25, 0.5, 1.0, 2.0)),
     tol=1e-10,
 ))
@@ -1097,10 +1093,12 @@ def _v_s51(pt):
         return "requires Re(mu + nu) < 1"
     if pt.mu + pt.nu == 0.0:
         return "requires mu + nu != 0 (coefficient pole)"
+    if pt.p != 0.0:
+        return "requires p = 0"
     return None
 
 
-_S5_GRID = _grid(_ORDER_SQUARE, _XY_NINE, (1.0,))
+_S5_GRID = _grid(_ORDER_SQUARE, _XY_NINE, (0.0,))
 
 _add(IdentityCase(
     id="S51-INT",
@@ -1133,6 +1131,8 @@ def _v_s52(pt):
         return "requires x > 0, y > 0"
     if not pt.mu + pt.nu < 0.0:
         return "requires Re(mu + nu) < 0"
+    if pt.p != 0.0:
+        return "requires p = 0"
     return None
 
 

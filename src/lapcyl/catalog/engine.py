@@ -1,15 +1,17 @@
 """Verification engine: evaluate either side of a case and compare.
 
-The engine owns the e^{-pt} kernel for Laplace pairs: case integrands
-never include it, so one original serves every p.  The points of a
-Laplace pair that share (orders, x, y) form a group: its original is
-built once and integrated as one vector-valued integral whose component
-j is the original times e^{-p_j t}, so each node evaluates the original
-once for the whole group, and each component keeps its own error
-target.  Every point of the group reports that shared integral's
-evaluations.  For semi-infinite supports the smallest p of the group is
-added to the piece's own decay rate so the marching quadrature knows
-where the mass dies.
+The engine owns the e^{-pt} kernel: case integrands never include it,
+so one original serves every p.  A Laplace pair reads p as its
+transform variable; a direct integral's p is the kernel its identity
+states (1 for the erf representations, 0 for the others).  The points
+that share (orders, x, y) form a group: its original is built once and
+integrated as one vector-valued integral whose component j is the
+original times e^{-p_j t}, so each node evaluates the original once
+for the whole group, and each component keeps its own error target.
+Every point of the group reports that shared integral's evaluations.
+For semi-infinite supports the smallest p of the group is added to the
+piece's own decay rate so the marching quadrature knows where the mass
+dies.
 
 Whether a point can be evaluated is decided here, before any integral:
 a case's validity predicate states its identity's hypotheses, and a
@@ -56,35 +58,31 @@ def list_cases():
     return [(c.id, c.kind, c.label, c.tol) for c in REGISTRY.values()]
 
 
-def _integrate_pieces(pieces, ps=None):
-    """Sum of the pieces' integrals, against e^{-p_j t} for each p_j of
-    ps when given.
+def _integrate_pieces(pieces, ps):
+    """Sum of the pieces' integrals against e^{-p_j t}, for each p_j of ps.
 
-    With ps each piece is one vector-valued integral, component j its
-    original times e^{-p_j t}, so the original runs once per node for
-    every p; value, converged and error_estimate are then arrays over
-    ps.  Returns (value, evaluations, converged, error_estimate); the
-    estimate is the sum of the per-piece quadrature estimates.
+    Each piece is one vector-valued integral, component j its original
+    times e^{-p_j t}, so the original runs once per node for every p;
+    value, converged and error_estimate are arrays over ps.  Returns
+    (value, evaluations, converged, error_estimate); the estimate is the
+    sum of the per-piece quadrature estimates.
     """
     total = 0.0 + 0.0j
     evaluations = 0
     converged = True
     err_est = 0.0
-    if ps is not None:
-        ps = np.asarray(ps, dtype=float)
+    ps = np.asarray(ps, dtype=float)
     for piece in pieces:
         spec = piece.spec
         f = piece.integrand
-        if ps is not None:
-            def g(t, d_lo, d_hi, _f=f):
-                return np.exp(np.multiply.outer(-ps, t)) * _f(t, d_lo, d_hi)
+
+        def g(t, d_lo, d_hi, _f=f):
+            return np.exp(np.multiply.outer(-ps, t)) * _f(t, d_lo, d_hi)
+
+        try:
             if math.isinf(spec.upper):
                 # the slowest-decaying component sets the marching width
                 spec = replace(spec, decay_rate=spec.decay_rate + float(ps.min()))
-        else:
-            g = f
-        try:
-            if math.isinf(spec.upper):
                 res = integrate_semi_infinite(g, spec, distance_form=True)
             else:
                 res = integrate_finite(g, spec, distance_form=True)
@@ -99,21 +97,15 @@ def _integrate_pieces(pieces, ps=None):
     return total, evaluations, converged, err_est
 
 
-def _group_key(case: IdentityCase, params: ParamPoint):
-    # a Laplace pair's original does not depend on p
-    if case.kind == "laplace_pair":
-        return (params.orders, params.x, params.y)
-    return params
-
-
 def point_groups(case_id: str, points):
     """Indices of the points that share one integral, grouped by
-    (orders, x, y) for a Laplace pair and by the whole point otherwise;
-    groups in order of their first point, indices in grid order."""
-    case = get_case(case_id)
+    (orders, x, y), since no original depends on p; groups in order of
+    their first point, indices in grid order.  An unknown case id
+    raises InvalidParams."""
+    get_case(case_id)
     groups = {}
     for i, pt in enumerate(points):
-        groups.setdefault(_group_key(case, pt), []).append(i)
+        groups.setdefault((pt.orders, pt.x, pt.y), []).append(i)
     return [tuple(idx) for idx in groups.values()]
 
 
@@ -122,8 +114,8 @@ def _rhs_detail(case: IdentityCase, points):
     (values, evaluations, converged, error_estimates), one entry per
     point except evaluations, which the group's shared integral spends."""
     n = len(points)
-    ps = [pt.p for pt in points] if case.kind == "laplace_pair" else None
-    value, evaluations, converged, err = _integrate_pieces(case.original(points[0]), ps)
+    value, evaluations, converged, err = _integrate_pieces(
+        case.original(points[0]), [pt.p for pt in points])
     return ([complex(v) for v in np.broadcast_to(value, n)], evaluations,
             [bool(c) for c in np.broadcast_to(converged, n)],
             [float(e) for e in np.broadcast_to(err, n)])

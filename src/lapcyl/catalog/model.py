@@ -67,9 +67,9 @@ class Piece:
 
     The integrand is called with (t, d_lo, d_hi) float64 arrays, where
     d_lo = t - spec.lower and d_hi = spec.upper - t are exact
-    displacements; any constant prefactor is folded in.  For laplace_pair
-    cases the integrand excludes the e^{-pt} kernel, which the engine
-    supplies.
+    displacements; any constant prefactor is folded in.  The integrand
+    excludes the e^{-pt} kernel, which the engine supplies at each
+    point's p, for every kind of case.
     """
 
     integrand: Callable

@@ -61,6 +61,7 @@ def _pcf_integral(orders, z: float) -> list[float]:
     # one integral, one component each
     nus = np.array(orders, dtype=float)[:, None]
 
+    @np.errstate(divide="ignore", over="ignore")
     def f(t):
         return t ** (-nus) * (t + z) * np.exp(-0.5 * t * t - z * t)
 

@@ -28,6 +28,7 @@ from lapcyl.catalog import (
 )
 from lapcyl.catalog.cases import REGISTRY
 from lapcyl.catalog.engine import _rhs_detail
+from lapcyl.quad import integrate_finite, integrate_semi_infinite
 from lapcyl.special import gamma, gauss_2f1_cm, reciprocal_gamma as rg
 
 LAPLACE_IDS = [r[0] for r in list_cases() if r[1] == "laplace_pair"]
@@ -435,7 +436,7 @@ class TestCaseVerdicts:
 
 
 class TestSharedIntegrals:
-    """The points of a Laplace pair that share (orders, x, y) share one
+    """The points of a case that share (orders, x, y) share one
     vector-valued integral."""
 
     @pytest.mark.parametrize("cid", LAPLACE_IDS)
@@ -478,6 +479,34 @@ class TestSharedIntegrals:
         rep = verify("T41-CORRECTED", grid=mixed)
         assert [r.params for r in rep.records] == list(mixed)
         assert point_groups("T41-CORRECTED", mixed)[0] == (0, 1, 14)
+
+
+class TestOneKernel:
+    """The engine applies e^{-pt} to every original: a kernel-free direct
+    integral runs at p = 0, and an erf representation is its Laplace
+    pair's original at p = 1 times a constant."""
+
+    @pytest.mark.parametrize("cid", ["C361-NG69", "S51-INT"])
+    def test_kernel_at_p_zero_is_exact(self, cid):
+        case = get_case(cid)
+        pt = case.default_grid[0]
+        assert pt.p == 0.0
+        (piece,) = case.original(pt)
+        integrate = integrate_semi_infinite if math.isinf(piece.spec.upper) else integrate_finite
+        res = integrate(piece.integrand, piece.spec, distance_form=True)
+        (rec,) = verify(cid, grid=[pt]).records
+        assert rec.rhs == complex(res.value)
+        assert rec.evaluations == res.evaluations
+
+    def test_erfc_product_is_the_pair_at_p_one(self):
+        reps = verify("C361-REP").records
+        pairs = verify("C361-ERFC2", grid=[dataclasses.replace(r.params, p=1.0)
+                                           for r in reps]).records
+        assert len(reps) == 16
+        for rep, pair in zip(reps, pairs):
+            assert rep.evaluations == pair.evaluations, rep.params
+            want = pair.rhs.real * math.exp(-(rep.params.x + rep.params.y))
+            assert abs(rep.rhs.real - want) <= 8 * np.spacing(want), rep.params
 
 
 class TestPlansPerPiece:

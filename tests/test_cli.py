@@ -305,6 +305,20 @@ class TestGridFile:
         assert res.returncode == 2
         assert "requires nu > 0" in res.stderr
 
+    @pytest.mark.parametrize("row, reason", [
+        ("S51-INT -1 -1 0.5 0.5 1", "invalid grid point for S51-INT: requires p = 0"),
+        ("C361-REP 0 0 1 1 2", "invalid grid point for C361-REP: requires p = 1"),
+    ])
+    def test_direct_integral_off_its_kernel_exits_two(self, tmp_path, row, reason):
+        # a direct integral's p is the kernel e^{-pt} its identity states
+        grid = tmp_path / "grid.txt"
+        grid.write_text(row + "\n")
+        res = run_cli("verify", "--case", row.split()[0], "--grid", str(grid))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert reason in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_image_argument_beyond_pcf_range_exits_two(self, tmp_path):
         # sqrt(2 x p) = 44.7 passes every order condition but not pcf_d's
         # |z| <= 40
