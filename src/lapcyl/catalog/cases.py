@@ -12,16 +12,22 @@ Conventions
   displacements from the endpoints.  Powers of displacements must use
   d_lo/d_hi, never t - endpoint, or accuracy dies at strong endpoint
   exponents.
-* Every power-law original (the building blocks, T31-T36 and their
-  corollaries) is a term list: each term (c, A, B, G, (a, b, c')) stands
-  for c t^A d^B Y^G 2F1(a, b; c'; 1 - cm), and a term whose 2F1 slot is
-  None has no 2F1 factor.  Three builders fix d, Y and cm per geometry:
-  `_lo_piece` on (0,x) with d = x - t, `_hi_piece` on (x,inf) with
-  d = t - x, `_pos_piece` on (0,inf) with d = x + t.  Each derives its
-  piece's endpoint hints from the same numbers, so no exponent is
-  written twice.  The other originals keep hand-written closures: their
-  factors ((y+t) on (x,inf), x+y+t, arcsin, a Gaussian 2F2) fit none of
-  the three geometries.
+* Every piece that a builder can state goes through one, and each
+  builder derives its piece's hints from the same numbers, so no
+  exponent or decay rate is written twice.
+  - Power-law pieces (the building blocks, T31-T36 and their
+    corollaries, and the erf pieces c t^{-1/2}/(t + x) or /(y + t)) are
+    term lists: each term (c, A, B, G, (a, b, c')) stands for
+    c t^A d^B Y^G 2F1(a, b; c'; 1 - cm), and a term whose 2F1 slot is
+    None has no 2F1 factor.  Three builders fix d, Y and cm per
+    geometry: `_lo_piece` on (0,x) with d = x - t, `_hi_piece` on
+    (x,inf) with d = t - x, `_pos_piece` on (0,inf) with d = x + t.
+  - `_gauss_piece` states the Gaussian-damped 2F2 original on (0,inf)
+    that T42, NEG-T42, S51 and S52 share.
+  - Closures are left only where no builder fits: (y+t) on (x,inf)
+    (C321-ERF-MIX's second piece), x+y+t (C361-ERFC2, C361-ONE-MINUS's
+    first piece), arcsin or arccos (T41, NEG-T41), and C361-NG69's
+    e^{-y t^2}/(1 + t^2) on (0,1).
 * Every 2F1 of an original is a Gauss2F1Plan built with its piece,
   outside the integrand, so the work that depends only on the 2F1's
   parameters is done once per integral, not on every integrand call.
@@ -84,21 +90,6 @@ def _spec(lower, upper, lam_lo=0.0, lam_up=0.0, decay=0.0):
     )
 
 
-def _masked_2f2(a1, a2, b1, b2, z):
-    """2F2 on a float array, zeroed where z > 200.
-
-    Used only inside Gaussian-damped integrands whose damping exponent
-    is at least 2z, so the dropped region contributes below e^{-200};
-    evaluating the series there would overflow instead.
-    """
-    z = np.asarray(z)
-    out = np.zeros(z.shape, dtype=complex)
-    m = z <= 200.0
-    if m.any():
-        out[m] = hyp_2f2(a1, a2, b1, b2, z[m])
-    return out
-
-
 def _grid(orders_list, xy_list, p_list):
     return tuple(
         ParamPoint(orders=o, x=float(xx), y=float(yy), p=float(pp))
@@ -127,8 +118,8 @@ def _add(case: IdentityCase):
 
 
 # ----------------------------------------------------------------------
-# Term-list builders: an original as c t^A d^B Y^G [2F1] terms over one
-# of three geometries
+# Builders: an original as c t^A d^B Y^G [2F1] terms over one of three
+# geometries, or as one Gaussian-damped 2F2
 # ----------------------------------------------------------------------
 
 def _term_sum(terms, cm_of):
@@ -195,6 +186,26 @@ def _pos_piece(pt, terms):
         return total(t, x + t, y + t)
 
     return Piece(f, _spec(0.0, math.inf, lam_lo=min(A for _, A, _, _, _ in terms)))
+
+
+def _gauss_piece(pt, c, A, damp, w):
+    """(0,inf) piece c t^A e^{-damp t^2} 2F2(-mu, -nu; -s/2, (1-s)/2; t^2/w),
+    s = mu + nu.  2F2(z) grows like e^z, so the tail's net Gaussian rate
+    is damp - 1/w, whose root is the decay hint.  Every caller has
+    damp >= 2/w, so the 2F2 is zeroed where t^2/w > 200: the dropped
+    region contributes below e^{-200}, where the series would overflow."""
+    mu, nu = pt.mu, pt.nu
+    s = mu + nu
+
+    def f(t, d_lo, d_hi):
+        z = t * t / w
+        F = np.zeros(z.shape, dtype=complex)
+        m = z <= 200.0
+        if m.any():
+            F[m] = hyp_2f2(-mu, -nu, -s / 2.0, (1.0 - s) / 2.0, z[m])
+        return c * t ** A * np.exp(-damp * t * t) * F
+
+    return Piece(f, _spec(0.0, math.inf, lam_lo=A, decay=math.sqrt(damp - 1.0 / w)))
 
 
 # ----------------------------------------------------------------------
@@ -507,19 +518,13 @@ def _c321_image(pt):
 
 def _c321_original(pt, scale=1.0):
     x, y = pt.x, pt.y
-    c1 = scale * math.sqrt(y) / math.pi
     c2 = -scale * math.sqrt(x) / math.pi
-
-    def f1(t, d_lo, d_hi):
-        return c1 / (np.sqrt(t) * (y + t))
 
     def f2(t, d_lo, d_hi):
         return c2 / (np.sqrt(y + d_lo) * (y + t))
 
-    return (
-        Piece(f1, _spec(0.0, x, lam_lo=-0.5)),
-        Piece(f2, _spec(x, math.inf)),
-    )
+    return (_lo_piece(pt, [(scale * math.sqrt(y) / math.pi, -0.5, 0.0, -1.0, None)]),
+            Piece(f2, _spec(x, math.inf)))
 
 
 def _v_pos_xyp(pt):
@@ -819,12 +824,7 @@ def _c361single_image(pt):
 
 def _c361single_original(pt):
     x = pt.x
-    c = math.sqrt(x) * math.exp(-x) / math.pi
-
-    def f(t, d_lo, d_hi):
-        return c / (np.sqrt(t) * (t + x))
-
-    return (Piece(f, _spec(0.0, math.inf, lam_lo=-0.5)),)
+    return (_pos_piece(pt, [(math.sqrt(x) * math.exp(-x) / math.pi, -0.5, -1.0, 0.0, None)]),)
 
 
 def _v_c361single(pt):
@@ -861,13 +861,8 @@ def _c361om_original(pt):
         return c1 * (1.0 / (np.sqrt(t) * (t + x))
                      - math.exp(-y) / ((t + x + y) * np.sqrt(t + y)))
 
-    def f2(t, d_lo, d_hi):
-        return c2 / (np.sqrt(t) * (t + y))
-
-    return (
-        Piece(f1, _spec(0.0, math.inf, lam_lo=-0.5)),
-        Piece(f2, _spec(0.0, x, lam_lo=-0.5)),
-    )
+    return (Piece(f1, _spec(0.0, math.inf, lam_lo=-0.5)),
+            _lo_piece(pt, [(c2, -0.5, 0.0, -1.0, None)]))
 
 
 _add(IdentityCase(
@@ -993,16 +988,8 @@ _add(IdentityCase(
 
 
 def _t42_original(pt):
-    mu, nu, y = pt.mu, pt.nu, pt.y
-    s = mu + nu
-    c = rg(-s) * y ** (s / 2.0)
-
-    def f(t, d_lo, d_hi):
-        F = _masked_2f2(-mu, -nu, -s / 2.0, (1.0 - s) / 2.0, t * t / (4.0 * y))
-        return c * t ** (-(1.0 + s)) * np.exp(-t * t / (2.0 * y)) * F
-
-    return (Piece(f,
-                  _spec(0.0, math.inf, lam_lo=-(1.0 + s), decay=0.5 / math.sqrt(y))),)
+    s, y = pt.mu + pt.nu, pt.y
+    return (_gauss_piece(pt, rg(-s) * y ** (s / 2.0), -(1.0 + s), 0.5 / y, 4.0 * y),)
 
 
 def _t42_image(pt):
@@ -1068,22 +1055,11 @@ def _s51_image(pt):
     return pref * (f1 - nu * y / (s * (x + y)) * f2)
 
 
-def _s5_integrand(pt, extra_power):
-    mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
-    s = mu + nu
-    damp = (x + y) / (4.0 * x * y)
-
-    def f(t, d_lo, d_hi):
-        F = _masked_2f2(-mu, -nu, -s / 2.0, (1.0 - s) / 2.0, t * t / (8.0 * x))
-        return t ** (-s - extra_power) * np.exp(-damp * t * t) * F
-
-    return f, math.sqrt((2.0 * x + y) / (8.0 * x * y))
-
-
-def _s51_original(pt):
-    f, decay = _s5_integrand(pt, 0.0)
-    return (Piece(f,
-                  _spec(0.0, math.inf, lam_lo=-(pt.mu + pt.nu), decay=decay)),)
+def _s51_original(pt, k=0.0):
+    # T42's original at a^2 = 2x, times e^{-t^2/(4y)}, is S52's integrand
+    # (k = 1); S51's is that times t
+    x, y = pt.x, pt.y
+    return (_gauss_piece(pt, 1.0, -(pt.mu + pt.nu) - k, (x + y) / (4.0 * x * y), 8.0 * x),)
 
 
 def _v_s51(pt):
@@ -1121,9 +1097,7 @@ def _s52_image(pt):
 
 
 def _s52_original(pt):
-    f, decay = _s5_integrand(pt, 1.0)
-    return (Piece(f,
-                  _spec(0.0, math.inf, lam_lo=-(1.0 + pt.mu + pt.nu), decay=decay)),)
+    return _s51_original(pt, 1.0)
 
 
 def _v_s52(pt):

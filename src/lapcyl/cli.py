@@ -27,6 +27,7 @@ import csv
 import fnmatch
 import io
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -110,6 +111,8 @@ def _load_grid(path):
             mu, nu, x, y, p = (float(tok) for tok in tokens[1:])
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: non-numeric parameter") from None
+        if not all(map(math.isfinite, (mu, nu, x, y, p))):
+            raise ConfigError(f"{path}:{lineno}: non-finite parameter")
         table.setdefault(cid, []).append(
             ParamPoint(orders=(mu, nu), x=x, y=y, p=p))
     return {cid: tuple(pts) for cid, pts in table.items()}

@@ -29,13 +29,17 @@ from lapcyl.catalog import (
 from lapcyl.catalog.cases import REGISTRY
 from lapcyl.catalog.engine import _rhs_detail
 from lapcyl.quad import integrate_finite, integrate_semi_infinite
-from lapcyl.special import gamma, gauss_2f1_cm, reciprocal_gamma as rg
+from lapcyl.special import gamma, gauss_2f1_cm, hyp_2f2, reciprocal_gamma as rg
 
 LAPLACE_IDS = [r[0] for r in list_cases() if r[1] == "laplace_pair"]
-# the term-list originals beyond the T31-T34 family, once hand-written closures
+# the originals beyond the T31-T34 family whose pieces are built from
+# data (term lists, Gaussian-2F2 pieces), once hand-written closures
+GAUSS_ORIGINALS = ["T42-CORRECTED", "NEG-T42", "S51-INT", "S52-INT"]
 TERM_ORIGINALS = [
     "ILT-PCF-BLOCK", "ILT-PCF-BLOCK2", "ILT-KUM-BLOCK", "ILT-KUM-BLOCK-32",
     "ILT-KUM-BLOCK-12", "C341-SINGLE", "T35-POS-HALF", "T36-POS",
+    "C321-ERF-MIX", "C321-REP", "C361-ERFC-SINGLE", "C361-ONE-MINUS",
+    *GAUSS_ORIGINALS,
 ]
 
 EXPECTED_IDS = [
@@ -285,9 +289,9 @@ class TestZeroOrders:
             assert abs(rep.records[0].lhs - single) <= 1e-14 * abs(single)
 
 
-# The endpoint exponents the term-list originals declared by hand before
-# their hints were derived from the terms: the (0,x) piece's 2F1 argument
-# tends to -infinity at x, the (x,inf) piece's to 1 at x.
+# The endpoint exponents the built originals declared by hand before their
+# hints were derived from the builders' data: the (0,x) piece's 2F1
+# argument tends to -infinity at x, the (x,inf) piece's to 1 at x.
 def _lam_inf(explicit, fa, fb):
     return explicit + min(0.0, fa, fb)
 
@@ -309,6 +313,14 @@ def _hand_hints(cid, mu, nu):
         "C341-SINGLE": [(nu / 2.0, -(1.0 + nu) / 2.0), (-(1.0 + nu) / 2.0, 0.0)],
         "T35-POS-HALF": [(-(1.0 + s) / 2.0, 0.0)],
         "T36-POS": [(-1.0 - s / 2.0, 0.0)],
+        "C321-ERF-MIX": [(-0.5, 0.0), (0.0, 0.0)],
+        "C321-REP": [(-0.5, 0.0), (0.0, 0.0)],
+        "C361-ERFC-SINGLE": [(-0.5, 0.0)],
+        "C361-ONE-MINUS": [(-0.5, 0.0), (-0.5, 0.0)],
+        "T42-CORRECTED": [(-(1.0 + s), 0.0)],
+        "NEG-T42": [(-(1.0 + s), 0.0)],
+        "S51-INT": [(-s, 0.0)],
+        "S52-INT": [(-(1.0 + mu + nu), 0.0)],
     }
     if cid in plain:
         return plain[cid]
@@ -331,23 +343,66 @@ class TestDerivedHints:
     ])
     def test_hints_equal_hand_derived(self, cid):
         case = get_case(cid)
-        for pt in case.default_grid:
-            got = [(pc.spec.exponent_at_lower, pc.spec.exponent_at_upper)
-                   for pc in case.original(pt)]
+        for pt in (*case.default_grid, *_off_diagonal(case)):
+            pieces = case.original(pt)
             want = _hand_hints(cid, pt.mu, pt.nu)
-            assert len(got) == len(want), pt
-            for g, w in zip(got, want):
+            decay = _gauss_rates(cid, pt)[1]
+            assert len(pieces) == len(want), pt
+            for pc, w in zip(pieces, want):
+                g = (pc.spec.exponent_at_lower, pc.spec.exponent_at_upper)
                 assert abs(g[0] - w[0]) <= 1e-15 and abs(g[1] - w[1]) <= 1e-15, (pt, g, w)
+                assert abs(pc.spec.decay_rate - decay) <= 4 * np.spacing(decay), (pt, pc.spec)
 
 
-# The originals of the cases that became term lists after the T31-T34
-# family, each written out as one line in (t, d_lo, d_hi) as their
-# hand-written integrands were, one function per piece.  A function
-# returns the parts whose sum is the original: T36's brace is a
-# difference that can cancel, so the test scales by the parts' magnitudes.
+def _off_diagonal(case):
+    """A few default points moved to x != y, either way round."""
+    return [dataclasses.replace(pt, x=xx, y=yy)
+            for pt in case.default_grid[:: len(case.default_grid) // 4]
+            for xx, yy in ((0.3, 1.7), (2.5, 0.4))]
+
+
+def _gauss_rates(cid, pt):
+    """(damp, decay) of a Gaussian-2F2 original as written by hand: its
+    e^{-damp t^2} factor and its decay hint; (0, 0) for any other case."""
+    x, y = pt.x, pt.y
+    if cid in ("T42-CORRECTED", "NEG-T42"):
+        return 0.5 / y, 0.5 / math.sqrt(y)
+    if cid in ("S51-INT", "S52-INT"):
+        return (x + y) / (4.0 * x * y), math.sqrt((2.0 * x + y) / (8.0 * x * y))
+    return 0.0, 0.0
+
+
+# The originals of TERM_ORIGINALS, each written out as one line in
+# (t, d_lo, d_hi) as their hand-written integrands were, one function per
+# piece, the pieces that stay closures included.  A function returns the
+# parts whose sum is the original: T36's brace and C361-ONE-MINUS's first
+# piece are differences that can cancel, so the test scales by the parts'
+# magnitudes.
 def _one_line_originals(cid, pt):
     mu, nu, x, y = pt.mu, pt.nu, pt.x, pt.y
     s = mu + nu
+    if cid in ("C321-ERF-MIX", "C321-REP"):
+        sc = math.exp(-y) if cid == "C321-REP" else 1.0
+        return [lambda t, dl, dh: [sc * math.sqrt(y) / math.pi / (np.sqrt(t) * (y + t))],
+                lambda t, dl, dh: [-sc * math.sqrt(x) / math.pi / (np.sqrt(y + dl) * (y + t))]]
+    if cid == "C361-ERFC-SINGLE":
+        return [lambda t, dl, dh: [math.sqrt(x) * math.exp(-x) / math.pi / (np.sqrt(t) * (t + x))]]
+    if cid == "C361-ONE-MINUS":
+        cx, cy = (math.sqrt(v) * math.exp(-v) / math.pi for v in (x, y))
+        return [lambda t, dl, dh: [cx / (np.sqrt(t) * (t + x)),
+                                   -cx * math.exp(-y) / ((t + x + y) * np.sqrt(t + y))],
+                lambda t, dl, dh: [cy / (np.sqrt(t) * (t + y))]]
+
+    def f22(z):  # zeroed past z = 200, where the Gaussian has won
+        return hyp_2f2(-mu, -nu, -s / 2.0, (1.0 - s) / 2.0, np.minimum(z, 200.0)) * (z <= 200.0)
+
+    if cid in ("T42-CORRECTED", "NEG-T42"):
+        return [lambda t, dl, dh: [rg(-s) * y ** (s / 2.0) * t ** (-(1.0 + s))
+                                   * np.exp(-t * t / (2.0 * y)) * f22(t * t / (4.0 * y))]]
+    if cid in ("S51-INT", "S52-INT"):
+        k = 1.0 if cid == "S52-INT" else 0.0
+        return [lambda t, dl, dh: [t ** (-s - k) * np.exp(-(x + y) / (4.0 * x * y) * t * t)
+                                   * f22(t * t / (8.0 * x))]]
     if cid == "ILT-PCF-BLOCK":
         return [lambda t, dl, dh: [2.0 ** (-nu) * math.sqrt(y) * t ** (nu - 1.0)
                                    * (t + y) ** (-nu - 0.5)]]
@@ -393,19 +448,19 @@ def _nodes(rng, lower, upper):
 
 
 class TestTermOriginals:
-    """Every piece of a term-list original equals its original written out
-    by hand at seeded nodes.  The off-diagonal points have x != y, so a
-    term whose d and Y slots were swapped shows here; the ILT-PCF grids
-    have x = y, so verify alone could not see it."""
+    """Every piece of a built original equals its original written out by
+    hand at seeded nodes.  The off-diagonal points have x != y, so a term
+    whose d and Y slots were swapped shows here; the ILT-PCF grids have
+    x = y, so verify alone could not see it.  Off powers of two the
+    builder's exponent -damp t^2 rounds unlike the hand-written one, so a
+    Gaussian piece's bound grows with damp t^2."""
 
     @pytest.mark.parametrize("cid", TERM_ORIGINALS)
     def test_pieces_match_one_line_originals(self, cid):
         case = get_case(cid)
-        off_diagonal = [dataclasses.replace(pt, x=xx, y=yy)
-                        for pt in case.default_grid[:: len(case.default_grid) // 4]
-                        for xx, yy in ((0.3, 1.7), (2.5, 0.4))]
         rng = np.random.default_rng(13)
-        for pt in (*case.default_grid, *off_diagonal):
+        for pt in (*case.default_grid, *_off_diagonal(case)):
+            damp = _gauss_rates(cid, pt)[0]
             assert case.validity(pt) is None, pt
             pieces = case.original(pt)
             wants = _one_line_originals(cid, pt)
@@ -416,7 +471,8 @@ class TestTermOriginals:
                 args = (t, t - lo, up - t)
                 parts = want(*args)
                 err = np.abs(pc.integrand(*args) - sum(parts))
-                assert np.all(err <= 1e-15 * sum(map(np.abs, parts))), (pt, pc.spec)
+                bound = 1e-15 * (1.0 + damp * t * t) * sum(map(np.abs, parts))
+                assert np.all(err <= bound), (pt, pc.spec)
 
 
 class TestCaseVerdicts:

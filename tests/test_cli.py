@@ -319,6 +319,19 @@ class TestGridFile:
         assert reason in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("row", [
+        "RED-ERFC-REFLECT 0 0 nan nan 1",   # a NaN input read as a wrong identity
+        "C361-ERFC-SINGLE 0 0 inf inf 1",   # 60,150 evaluations, then fail
+    ])
+    def test_non_finite_parameter_exits_two(self, tmp_path, row):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(row + "\n")
+        res = run_cli("verify", "--case", row.split()[0], "--grid", str(grid))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert ":1:" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_image_argument_beyond_pcf_range_exits_two(self, tmp_path):
         # sqrt(2 x p) = 44.7 passes every order condition but not pcf_d's
         # |z| <= 40
