@@ -320,8 +320,10 @@ class TestGridFile:
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("row", [
-        "RED-ERFC-REFLECT 0 0 nan nan 1",   # a NaN input read as a wrong identity
-        "C361-ERFC-SINGLE 0 0 inf inf 1",   # 60,150 evaluations, then fail
+        # unchecked, the first reads as a wrong identity (fail, exit 1), and
+        # the second spends 60,150 evaluations on a fail
+        "RED-ERFC-REFLECT 0 0 nan nan 1",
+        "C361-ERFC-SINGLE 0 0 inf inf 1",
     ])
     def test_non_finite_parameter_exits_two(self, tmp_path, row):
         grid = tmp_path / "grid.txt"
