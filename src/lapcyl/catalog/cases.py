@@ -228,6 +228,9 @@ def _v_pcf_block(pt):
     return None
 
 
+_BLOCK_GRID = _grid([(v,) for v in (0.25, 0.5, 1.0)],
+                    [(a, a) for a in (0.5, 1.0, 2.0)], (0.5, 1.0, 3.0))
+
 _add(IdentityCase(
     id="ILT-PCF-BLOCK",
     kind="laplace_pair",
@@ -235,8 +238,7 @@ _add(IdentityCase(
     image=_pcf_block_image,
     original=_pcf_block_original,
     validity=_v_pcf_block,
-    default_grid=_grid([(v,) for v in (0.25, 0.5, 1.0)],
-                       [(a, a) for a in (0.5, 1.0, 2.0)], (0.5, 1.0, 3.0)),
+    default_grid=_BLOCK_GRID,
     tol=1e-9,
 ))
 
@@ -259,8 +261,7 @@ _add(IdentityCase(
     image=_pcf_block2_image,
     original=_pcf_block2_original,
     validity=_v_pcf_block,
-    default_grid=_grid([(v,) for v in (0.25, 0.5, 1.0)],
-                       [(a, a) for a in (0.5, 1.0, 2.0)], (0.5, 1.0, 3.0)),
+    default_grid=_BLOCK_GRID,
     tol=1e-9,
 ))
 
@@ -289,8 +290,7 @@ _add(IdentityCase(
     image=_kum_block_image,
     original=_kum_block_original,
     validity=_v_kum_block,
-    default_grid=_grid([(v,) for v in (0.25, 0.5, 1.0)],
-                       [(x, x) for x in (0.5, 1.0, 2.0)], (0.5, 1.0, 3.0)),
+    default_grid=_BLOCK_GRID,
     tol=1e-9,
 ))
 
@@ -940,6 +940,9 @@ def _v_t41(pt):
     return None
 
 
+_T41_GRID = _grid([(v,) for v in (-0.5, 0.25, 0.7)],
+                  [(a * a, a * a) for a in (0.5, 1.0, 2.0)], (0.5, 1.0, 2.0))
+
 _add(IdentityCase(
     id="T41-CORRECTED",
     kind="laplace_pair",
@@ -947,8 +950,7 @@ _add(IdentityCase(
     image=_t41_image,
     original=_t41_original,
     validity=_v_t41,
-    default_grid=_grid([(v,) for v in (-0.5, 0.25, 0.7)],
-                       [(a * a, a * a) for a in (0.5, 1.0, 2.0)], (0.5, 1.0, 2.0)),
+    default_grid=_T41_GRID,
     tol=1e-8,
 ))
 
@@ -980,8 +982,7 @@ _add(IdentityCase(
     image=_t41_image,
     original=_neg_t41_original,
     validity=_v_neg_t41,
-    default_grid=_grid([(v,) for v in (-0.5, 0.25, 0.7)],
-                       [(a * a, a * a) for a in (0.5, 1.0, 2.0)], (0.5, 1.0, 2.0)),
+    default_grid=_T41_GRID,
     tol=1e-8,
     negative_control=True,
 ))
@@ -1202,6 +1203,10 @@ def _f21_grid(points):
     return tuple(ParamPoint(orders=(a, b), x=c, y=z, p=1.0) for (a, b, c, z) in points)
 
 
+_F21_GRID = _f21_grid([(0.3, 0.7, 1.1, 0.3), (-0.6, 1.2, 2.3, 0.45),
+                       (0.25, 0.75, 1.75, -0.35), (1.1, 0.4, 2.6, 0.2)])
+
+
 def _red_euler_lhs(pt):
     a, b = pt.orders
     return gauss_2f1(a, b, pt.x, pt.y)
@@ -1219,8 +1224,7 @@ _add(IdentityCase(
     label="2F1 Euler transformation (1-z)^{c-a-b} flip",
     image=_red_euler_lhs,
     closed_rhs=_red_euler_rhs,
-    default_grid=_f21_grid([(0.3, 0.7, 1.1, 0.3), (-0.6, 1.2, 2.3, 0.45),
-                            (0.25, 0.75, 1.75, -0.35), (1.1, 0.4, 2.6, 0.2)]),
+    default_grid=_F21_GRID,
     tol=1e-10,
 ))
 
@@ -1304,8 +1308,7 @@ _add(IdentityCase(
     label="2F1 three-term contiguous relation in the first parameter",
     image=_red_contig_lhs,
     closed_rhs=_red_contig_rhs,
-    default_grid=_f21_grid([(0.3, 0.7, 1.1, 0.3), (-0.6, 1.2, 2.3, 0.45),
-                            (0.25, 0.75, 1.75, -0.35), (1.1, 0.4, 2.6, 0.2)]),
+    default_grid=_F21_GRID,
     tol=1e-10,
 ))
 

@@ -16,8 +16,10 @@ dies.
 Whether a point can be evaluated is decided here, before any integral:
 a case's validity predicate states its identity's hypotheses, and a
 closed form that a special function cannot evaluate is InvalidParams too
-(a NonConvergence of pcf_d's own quadrature included), and so is an
-error raised inside an integral (not that integral's NonConvergence).
+(a NonConvergence of pcf_d's own quadrature included).  So is an error
+raised while a group's original is built, such as the DomainError of a
+QuadratureSpec whose endpoint exponent is not above -1, or inside its
+integral (not that integral's NonConvergence).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .._exceptions import DomainError, InvalidParams, LapcylError, NonConvergence, PoleError
+from .._exceptions import InvalidParams, LapcylError, NonConvergence
 from ..quad import integrate_finite, integrate_semi_infinite
 from .cases import REGISTRY
 from .model import IdentityCase, ParamPoint, PointRecord, VerificationReport
@@ -97,28 +99,14 @@ def _integrate_pieces(pieces, ps):
     return total, evaluations, converged, err_est
 
 
-def point_groups(case_id: str, points):
+def point_groups(points):
     """Indices of the points that share one integral, grouped by
     (orders, x, y), since no original depends on p; groups in order of
-    their first point, indices in grid order.  An unknown case id
-    raises InvalidParams."""
-    get_case(case_id)
+    their first point, indices in grid order."""
     groups = {}
     for i, pt in enumerate(points):
         groups.setdefault((pt.orders, pt.x, pt.y), []).append(i)
     return [tuple(idx) for idx in groups.values()]
-
-
-def _rhs_detail(case: IdentityCase, points):
-    """Integral side of one group of points with its bookkeeping:
-    (values, evaluations, converged, error_estimates), one entry per
-    point except evaluations, which the group's shared integral spends."""
-    n = len(points)
-    value, evaluations, converged, err = _integrate_pieces(
-        case.original(points[0]), [pt.p for pt in points])
-    return ([complex(v) for v in np.broadcast_to(value, n)], evaluations,
-            [bool(c) for c in np.broadcast_to(converged, n)],
-            [float(e) for e in np.broadcast_to(err, n)])
 
 
 def _rel_error(lhs: complex, rhs: complex) -> float:
@@ -144,7 +132,7 @@ def _closed_forms(case: IdentityCase, points):
     try:
         lhs = [complex(case.image(pt)) for pt in points]
         rhs = [None if case.closed_rhs is None else complex(case.closed_rhs(pt)) for pt in points]
-    except (DomainError, PoleError, OverflowError, NonConvergence) as exc:
+    except (LapcylError, OverflowError) as exc:
         raise InvalidParams(
             f"invalid grid point for {case.id}: {type(exc).__name__}: {exc}") from None
     return lhs, rhs
@@ -179,7 +167,7 @@ def build_report(case_id: str, records, tol=None) -> VerificationReport:
     errors = [r.rel_error for r in records]
     max_rel = math.nan if any(map(math.isnan, errors)) else max(errors)
     ok = all(point_passes(r, tol) for r in records)
-    groups = point_groups(case.id, [r.params for r in records])
+    groups = point_groups([r.params for r in records])
     return VerificationReport(
         id=case.id, kind=case.kind, records=records,
         max_rel_error=max_rel, tol=tol,
@@ -193,8 +181,8 @@ def verify(case_id: str, grid=None, tol=None) -> VerificationReport:
 
     Every point passes check_points and has both closed forms evaluated
     before any integral; then each group of point_groups is evaluated
-    with one shared integral; an error raised inside it is InvalidParams.
-    Records keep grid order.
+    with one shared integral; an error raised while its original is
+    built, or inside it, is InvalidParams.  Records keep grid order.
     """
     case = get_case(case_id)
     points = case.default_grid if grid is None else tuple(grid)
@@ -203,14 +191,15 @@ def verify(case_id: str, grid=None, tol=None) -> VerificationReport:
     evaluations = [0] * len(points)
     converged = [True] * len(points)
     if case.original is not None:
-        for idx in point_groups(case.id, points):
+        for idx in point_groups(points):
+            pt = points[idx[0]]
             try:
-                values, evals, conv, _ = _rhs_detail(case, [points[i] for i in idx])
+                values, evals, conv, _ = _integrate_pieces(case.original(pt),
+                                                           [points[i].p for i in idx])
             except (LapcylError, OverflowError) as exc:
-                pt = points[idx[0]]
                 raise InvalidParams(f"cannot integrate {case.id} at orders={pt.orders}, "
                                     f"x={pt.x}, y={pt.y}: {type(exc).__name__}: {exc}") from None
-            for i, value, c in zip(idx, values, conv):
+            for i, value, c in zip(idx, values.tolist(), conv.tolist()):
                 rhs[i], evaluations[i], converged[i] = value, evals, c
     records = [PointRecord(params=pt, lhs=left, rhs=right, rel_error=_rel_error(left, right),
                            evaluations=e, converged=c)

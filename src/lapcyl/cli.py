@@ -8,8 +8,8 @@ malformed grid files, an --out path that cannot be written, `eval`
 arguments outside a function's domain or range) and for grid points a
 case cannot evaluate.  Every point's validity predicate is checked, and
 the --out files are opened, before any task runs; a closed form that
-a special function cannot evaluate, or an integral that raises, stops
-the run when its group runs.
+a special function cannot evaluate, an original that cannot be built
+or an integral that raises stops the run when its group runs.
 Reports are deterministic byte for byte across runs and across --jobs:
 a task is one group of points that share an integral (`point_groups`),
 evaluated whole in one process, and records keep grid order.  A row's
@@ -146,7 +146,7 @@ def _run_verify(args, points):
     tasks = []
     layout = []
     for cid, pts in points.items():
-        groups = point_groups(cid, pts)
+        groups = point_groups(pts)
         layout.append((cid, len(pts), groups))
         tasks.extend((cid, tuple(pts[i] for i in idx)) for idx in groups)
     if args.jobs > 1:

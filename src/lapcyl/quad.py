@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._exceptions import NonConvergence
+from ._exceptions import DomainError, NonConvergence
 
 __all__ = [
     "QuadratureSpec",
@@ -147,19 +147,19 @@ class QuadratureSpec:
 
     def __post_init__(self):
         if not math.isfinite(self.lower):
-            raise ValueError("lower endpoint must be finite")
+            raise DomainError("lower endpoint must be finite")
         if not self.lower < self.upper:
-            raise ValueError(f"need lower < upper, got [{self.lower}, {self.upper}]")
+            raise DomainError(f"need lower < upper, got [{self.lower}, {self.upper}]")
         if not self.exponent_at_lower > -1.0:
-            raise ValueError(f"exponent_at_lower must be > -1, got {self.exponent_at_lower}")
+            raise DomainError(f"exponent_at_lower must be > -1, got {self.exponent_at_lower}")
         if not self.exponent_at_upper > -1.0:
-            raise ValueError(f"exponent_at_upper must be > -1, got {self.exponent_at_upper}")
+            raise DomainError(f"exponent_at_upper must be > -1, got {self.exponent_at_upper}")
         if self.decay_rate < 0.0:
-            raise ValueError("decay_rate must be >= 0")
+            raise DomainError("decay_rate must be >= 0")
         if not self.rel_tol >= 1e-13:
-            raise ValueError(f"rel_tol must be >= 1e-13, got {self.rel_tol}")
+            raise DomainError(f"rel_tol must be >= 1e-13, got {self.rel_tol}")
         if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
+            raise DomainError("abs_tol must be positive")
 
 
 @dataclass(frozen=True)

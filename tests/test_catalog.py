@@ -27,7 +27,7 @@ from lapcyl.catalog import (
     verify,
 )
 from lapcyl.catalog.cases import REGISTRY
-from lapcyl.catalog.engine import _rhs_detail
+from lapcyl.catalog.engine import _integrate_pieces
 from lapcyl.quad import integrate_finite, integrate_semi_infinite
 from lapcyl.special import gamma, gauss_2f1_cm, hyp_2f2, reciprocal_gamma as rg
 
@@ -204,8 +204,9 @@ class TestQuadratureHonesty:
         tight = dataclasses.replace(case, original=lambda pt: tuple(
             dataclasses.replace(pc, spec=dataclasses.replace(pc.spec, rel_tol=1e-13))
             for pc in case.original(pt)))
-        v1, _, conv1, est1 = _rhs_detail(case, group)
-        v2, _, conv2, _ = _rhs_detail(tight, group)
+        ps = [pt.p for pt in group]
+        v1, _, conv1, est1 = _integrate_pieces(case.original(mid), ps)
+        v2, _, conv2, _ = _integrate_pieces(tight.original(mid), ps)
         assert all(conv1) and all(conv2)
         for a, b, est in zip(v1, v2, est1):
             assert est > 0.0
@@ -517,7 +518,7 @@ class TestSharedIntegrals:
     def test_report_counts_each_shared_integral_once(self):
         case = get_case("T41-CORRECTED")
         rep = verify(case.id)
-        groups = point_groups(case.id, case.default_grid)
+        groups = point_groups(case.default_grid)
         assert len(groups) == 9 and all(len(idx) == 3 for idx in groups)
         shared = []
         for idx in groups:
@@ -525,7 +526,7 @@ class TestSharedIntegrals:
             assert len(counts) == 1
             shared.append(counts.pop())
         group = [case.default_grid[i] for i in groups[0]]
-        assert shared[0] == _rhs_detail(case, group)[1]
+        assert shared[0] == _integrate_pieces(case.original(group[0]), [pt.p for pt in group])[1]
         assert rep.evaluations == sum(shared)
         assert rep.evaluations < sum(r.evaluations for r in rep.records)
 
@@ -534,7 +535,7 @@ class TestSharedIntegrals:
         mixed = grid[::2] + grid[1::2]
         rep = verify("T41-CORRECTED", grid=mixed)
         assert [r.params for r in rep.records] == list(mixed)
-        assert point_groups("T41-CORRECTED", mixed)[0] == (0, 1, 14)
+        assert point_groups(mixed)[0] == (0, 1, 14)
 
 
 class TestOneKernel:
@@ -592,7 +593,7 @@ class TestPlansPerPiece:
 
         monkeypatch.setattr(cases, "Gauss2F1Plan", Counting)
         grid = get_case(cid).default_grid
-        group = [grid[i] for i in point_groups(cid, grid)[0]]
+        group = [grid[i] for i in point_groups(grid)[0]]
         rep = verify(cid, grid=group)
         assert rep.verdict == "pass"
         assert len(built) == terms

@@ -107,15 +107,24 @@ def test_integrand_error_is_invalid_params(monkeypatch, error):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_cli_exits_two_when_the_integrand_raises(tmp_path, jobs):
+@pytest.mark.parametrize("row, prefix, error", [
     # The original's 2F1 complement overflows at an underflowed node of the
     # endpoint substitution and gauss_2f1_cm raises DomainError.  ROADMAP
     # item 1 (endpoint powers as declared weights) retires this row: once
-    # it passes, pick another integrand that raises, or drop this test.
-    res = run_grid(tmp_path, "T31-DIFF-HALF -0.5 0.999 1 1 1", jobs)
+    # it passes, pick another integrand that raises, or drop this row.
+    ("T31-DIFF-HALF -0.5 0.999 1 1 1",
+     "error: cannot integrate T31-DIFF-HALF at orders=(-0.5, 0.999)", ": DomainError: "),
+    # The (0, x) piece's t^{nu/2} is not integrable at 0 for nu <= -2, so
+    # building the original's QuadratureSpec raises DomainError.
+    ("C341-SINGLE -2.3 -2.3 1 1 1",
+     "error: cannot integrate C341-SINGLE at orders=(-2.3, -2.3)",
+     ": DomainError: exponent_at_lower must be > -1"),
+], ids=["T31-DIFF-HALF", "C341-SINGLE"])
+def test_cli_exits_two_when_the_integrand_raises(tmp_path, jobs, row, prefix, error):
+    res = run_grid(tmp_path, row, jobs)
     assert res.returncode == 2
     assert res.stdout == ""
     assert "Traceback" not in res.stderr
     last = res.stderr.splitlines()[-1]
-    assert last.startswith("error: cannot integrate T31-DIFF-HALF at orders=(-0.5, 0.999)")
-    assert ": DomainError: " in last
+    assert last.startswith(prefix)
+    assert error in last

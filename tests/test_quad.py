@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lapcyl.quad as quad
-from lapcyl import NonConvergence
+from lapcyl import DomainError, NonConvergence
 from lapcyl.quad import (
     QuadratureSpec,
     integrate_finite,
@@ -56,15 +56,17 @@ def test_gauss_rule_degree():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    # the package's own error, still a ValueError for outside callers
+    assert issubclass(DomainError, ValueError)
+    with pytest.raises(DomainError):
         QuadratureSpec(lower=1.0, upper=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         QuadratureSpec(lower=0.0, upper=1.0, exponent_at_lower=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         QuadratureSpec(lower=0.0, upper=1.0, exponent_at_upper=-1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         QuadratureSpec(lower=0.0, upper=1.0, rel_tol=1e-14)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         QuadratureSpec(lower=-math.inf, upper=1.0)
 
 
