@@ -37,6 +37,12 @@ Conventions
   Single-parameter transforms mirror their lone scale into both x and y
   so grid files stay uniform.  Reduction cases note their packing
   inline.
+* A validity predicate is `_requires(*rules)` over ordered (test, reason)
+  rules, and gives the reason of the first rule whose test does not hold,
+  or None; a NaN parameter fails each rule that compares it by <, > or ==.
+  A hypothesis that several identities share is one module constant, such
+  as `_XYP_POS` or `_NU_BELOW_1`; a rule that tests the same thing under
+  another reason (the erf cases' a, b > 0, T36's convergence) keeps its own.
 * NEG-* cases encode published-but-wrong right-hand sides on purpose;
   the harness must reject them, and the exit-code layer treats that
   rejection as success.
@@ -107,6 +113,27 @@ _ERF_AB = tuple(
     for a in (0.25, 0.5, 1.0, 2.0)
     for b in (0.25, 0.5, 1.0, 2.0)
 )
+
+
+def _requires(*rules):
+    """The validity predicate of (test, reason) rules: the reason of the
+    first rule whose test does not hold at a point, or None."""
+    def validity(pt):
+        return next((reason for test, reason in rules if not test(pt)), None)
+
+    return validity
+
+
+# Hypotheses that several identities share, each stated once
+_XYP_POS = (lambda pt: pt.x > 0.0 and pt.y > 0.0 and pt.p > 0.0, "requires x > 0, y > 0, p > 0")
+_XP_POS = (lambda pt: pt.x > 0.0 and pt.p > 0.0, "requires x > 0, p > 0")
+_AP_POS = (lambda pt: pt.y > 0.0 and pt.p > 0.0, "requires a > 0, p > 0")
+_XY_POS = (lambda pt: pt.x > 0.0 and pt.y > 0.0, "requires x > 0, y > 0")
+_NU_BELOW_1 = (lambda pt: pt.nu < 1.0, "requires Re nu < 1")
+_SUM_NEG = (lambda pt: pt.mu + pt.nu < 0.0, "requires Re(mu + nu) < 0")
+_SUM_BELOW_1 = (lambda pt: pt.mu + pt.nu < 1.0, "requires Re(mu + nu) < 1")
+_P_ZERO = (lambda pt: pt.p == 0.0, "requires p = 0")
+_P_ONE = (lambda pt: pt.p == 1.0, "requires p = 1")
 
 REGISTRY: dict = {}
 
@@ -222,10 +249,8 @@ def _pcf_block_original(pt):
     return (_pos_piece(pt, [(2.0 ** (-nu) * math.sqrt(pt.y), nu - 1.0, 0.0, -nu - 0.5, None)]),)
 
 
-def _v_pcf_block(pt):
-    if not (pt.nu > 0.0 and pt.y > 0.0 and pt.p > 0.0):
-        return "requires nu > 0, a > 0, p > 0"
-    return None
+_v_pcf_block = _requires(
+    (lambda pt: pt.nu > 0.0 and pt.y > 0.0 and pt.p > 0.0, "requires nu > 0, a > 0, p > 0"))
 
 
 _BLOCK_GRID = _grid([(v,) for v in (0.25, 0.5, 1.0)],
@@ -277,10 +302,8 @@ def _kum_block_original(pt):
     return (_lo_piece(pt, [(c, 0.25, nu - 1.0, 0.0, None)]),)
 
 
-def _v_kum_block(pt):
-    if not (pt.nu > 0.0 and pt.x > 0.0 and pt.p > 0.0):
-        return "requires nu > 0, x > 0, p > 0"
-    return None
+_v_kum_block = _requires(
+    (lambda pt: pt.nu > 0.0 and pt.x > 0.0 and pt.p > 0.0, "requires nu > 0, x > 0, p > 0"))
 
 
 _add(IdentityCase(
@@ -306,12 +329,7 @@ def _kum32_original(pt):
     return (_lo_piece(pt, [(1.0, nu / 2.0, -(1.0 + nu) / 2.0, 0.0, None)]),)
 
 
-def _v_kum32(pt):
-    if not (-2.0 < pt.nu < 1.0):
-        return "requires -2 < nu < 1"
-    if not (pt.x > 0.0 and pt.p > 0.0):
-        return "requires x > 0, p > 0"
-    return None
+_v_kum32 = _requires((lambda pt: -2.0 < pt.nu < 1.0, "requires -2 < nu < 1"), _XP_POS)
 
 
 _add(IdentityCase(
@@ -338,12 +356,7 @@ def _kum12_original(pt):
     return (_lo_piece(pt, [(1.0, (nu - 1.0) / 2.0, -nu / 2.0 - 1.0, 0.0, None)]),)
 
 
-def _v_kum12(pt):
-    if not (-1.0 < pt.nu < 0.0):
-        return "requires -1 < nu < 0"
-    if not (pt.x > 0.0 and pt.p > 0.0):
-        return "requires x > 0, p > 0"
-    return None
+_v_kum12 = _requires((lambda pt: -1.0 < pt.nu < 0.0, "requires -1 < nu < 0"), _XP_POS)
 
 
 _add(IdentityCase(
@@ -395,14 +408,9 @@ def _pcf_pair(mu, nu, x, y, p):
         nu, -math.sqrt(2.0 * x * p))
 
 
-def _v_thm31(pt):
-    if not (pt.x > 0.0 and pt.y > 0.0 and pt.p > 0.0):
-        return "requires x > 0, y > 0, p > 0"
-    if not pt.nu < 1.0:
-        return "requires Re nu < 1"
-    if not pt.mu < min(1.0 - pt.nu, 2.0 + pt.nu):
-        return "requires Re mu < min(1 - nu, 2 + nu)"
-    return None
+_v_thm31 = _requires(
+    _XYP_POS, _NU_BELOW_1,
+    (lambda pt: pt.mu < min(1.0 - pt.nu, 2.0 + pt.nu), "requires Re mu < min(1 - nu, 2 + nu)"))
 
 
 def _t31_image(pt):
@@ -443,14 +451,8 @@ def _t31k_original(pt):
     return _lo_piece(pt, [_t31_lo_term(pt, c1)]), _hi_piece(pt, [_hi32_term(pt, c2)])
 
 
-def _v_t31k(pt):
-    if not (pt.x > 0.0 and pt.y > 0.0 and pt.p > 0.0):
-        return "requires x > 0, y > 0, p > 0"
-    if not pt.mu < 0.0:
-        return "requires Re mu < 0"
-    if not (-2.0 < pt.nu < 1.0):
-        return "requires -2 < Re nu < 1"
-    return None
+_v_t31k = _requires(_XYP_POS, (lambda pt: pt.mu < 0.0, "requires Re mu < 0"),
+                    (lambda pt: -2.0 < pt.nu < 1.0, "requires -2 < Re nu < 1"))
 
 
 _add(IdentityCase(
@@ -486,16 +488,10 @@ def _t32_original(pt):
     return _lo_piece(pt, lo), _hi_piece(pt, hi)
 
 
-def _v_t32(pt):
-    if not (pt.x > 0.0 and pt.y > 0.0 and pt.p > 0.0):
-        return "requires x > 0, y > 0, p > 0"
-    if not pt.nu < 1.0:
-        return "requires Re nu < 1"
-    if not pt.mu < min(-pt.nu, 1.0 + pt.nu):
-        return "requires Re mu < min(-nu, 1 + nu)"
-    if pt.mu == -1.0:
-        return "requires mu != -1 (coefficient pole)"
-    return None
+_v_t32 = _requires(
+    _XYP_POS, _NU_BELOW_1,
+    (lambda pt: pt.mu < min(-pt.nu, 1.0 + pt.nu), "requires Re mu < min(-nu, 1 + nu)"),
+    (lambda pt: pt.mu != -1.0, "requires mu != -1 (coefficient pole)"))
 
 
 _add(IdentityCase(
@@ -527,10 +523,7 @@ def _c321_original(pt, scale=1.0):
             Piece(f2, _spec(x, math.inf)))
 
 
-def _v_pos_xyp(pt):
-    if not (pt.x > 0.0 and pt.y > 0.0 and pt.p > 0.0):
-        return "requires x > 0, y > 0, p > 0"
-    return None
+_v_pos_xyp = _requires(_XYP_POS)
 
 
 _add(IdentityCase(
@@ -554,12 +547,7 @@ def _c321rep_original(pt):
     return _c321_original(pt, math.exp(-pt.y))
 
 
-def _v_erf_rep(pt):
-    if not (pt.x > 0.0 and pt.y > 0.0):
-        return "requires a > 0, b > 0"
-    if pt.p != 1.0:
-        return "requires p = 1"
-    return None
+_v_erf_rep = _requires((lambda pt: pt.x > 0.0 and pt.y > 0.0, "requires a > 0, b > 0"), _P_ONE)
 
 
 _add(IdentityCase(
@@ -585,6 +573,8 @@ def _t33_original(pt):
     return _t31_lo(pt), _hi_piece(pt, [_hi12_term(pt, c2)])
 
 
+_T3_GRID = _grid(_ORDER_SQUARE, _XY_THREE, (0.5, 3.0))
+
 _add(IdentityCase(
     id="T33-SUM-HALF",
     kind="laplace_pair",
@@ -592,7 +582,7 @@ _add(IdentityCase(
     image=_t33_image,
     original=_t33_original,
     validity=_v_thm31,
-    default_grid=_grid(_ORDER_SQUARE, _XY_THREE, (0.5, 3.0)),
+    default_grid=_T3_GRID,
     tol=1e-8,
 ))
 
@@ -612,14 +602,8 @@ def _t33k_original(pt):
             _hi_piece(pt, [_hi12_term(pt, c2)]))
 
 
-def _v_t33k(pt):
-    if not (pt.x > 0.0 and pt.y > 0.0 and pt.p > 0.0):
-        return "requires x > 0, y > 0, p > 0"
-    if not (-1.0 < pt.nu < 0.0):
-        return "requires -1 < Re nu < 0"
-    if not pt.mu < 1.0:
-        return "requires Re mu < 1"
-    return None
+_v_t33k = _requires(_XYP_POS, (lambda pt: -1.0 < pt.nu < 0.0, "requires -1 < Re nu < 0"),
+                    (lambda pt: pt.mu < 1.0, "requires Re mu < 1"))
 
 
 _add(IdentityCase(
@@ -657,7 +641,7 @@ _add(IdentityCase(
     image=_t34_image,
     original=_t34_original,
     validity=_v_thm31,
-    default_grid=_grid(_ORDER_SQUARE, _XY_THREE, (0.5, 3.0)),
+    default_grid=_T3_GRID,
     tol=1e-8,
 ))
 
@@ -675,12 +659,7 @@ def _c341_original(pt):
     return _lo_piece(pt, [(c1, A, B, 0.0, None)]), _hi_piece(pt, [(c2, A, B, 0.0, None)])
 
 
-def _v_c341(pt):
-    if not (pt.x > 0.0 and pt.p > 0.0):
-        return "requires x > 0, p > 0"
-    if not pt.nu < 1.0:
-        return "requires Re nu < 1"
-    return None
+_v_c341 = _requires(_XP_POS, _NU_BELOW_1)
 
 
 _add(IdentityCase(
@@ -710,12 +689,7 @@ def _t35_original(pt):
                              (-mu / 2.0, -nu / 2.0, (1.0 - s) / 2.0))]),)
 
 
-def _v_t35(pt):
-    if not (pt.x > 0.0 and pt.y > 0.0 and pt.p > 0.0):
-        return "requires x > 0, y > 0, p > 0"
-    if not pt.mu + pt.nu < 1.0:
-        return "requires Re(mu + nu) < 1"
-    return None
+_v_t35 = _requires(_XYP_POS, _SUM_BELOW_1)
 
 
 _add(IdentityCase(
@@ -725,7 +699,7 @@ _add(IdentityCase(
     image=_t35_image,
     original=_t35_original,
     validity=_v_t35,
-    default_grid=_grid(_ORDER_SQUARE, _XY_THREE, (0.5, 3.0)),
+    default_grid=_T3_GRID,
     tol=1e-8,
 ))
 
@@ -747,12 +721,8 @@ def _t36_original(pt):
                              (-mu / 2.0, (1.0 - nu) / 2.0, 1.0 - s / 2.0))]),)
 
 
-def _v_t36(pt):
-    if not (pt.x > 0.0 and pt.y > 0.0 and pt.p > 0.0):
-        return "requires x > 0, y > 0, p > 0"
-    if not pt.mu + pt.nu < 0.0:
-        return "requires Re(mu + nu) < 0 for a convergent original"
-    return None
+_v_t36 = _requires(_XYP_POS, (lambda pt: pt.mu + pt.nu < 0.0,
+                               "requires Re(mu + nu) < 0 for a convergent original"))
 
 
 _add(IdentityCase(
@@ -762,7 +732,7 @@ _add(IdentityCase(
     image=_t36_image,
     original=_t36_original,
     validity=_v_t36,
-    default_grid=_grid(_ORDER_SQUARE, _XY_THREE, (0.5, 3.0)),
+    default_grid=_T3_GRID,
     tol=1e-8,
 ))
 
@@ -827,12 +797,7 @@ def _c361single_original(pt):
     return (_pos_piece(pt, [(math.sqrt(x) * math.exp(-x) / math.pi, -0.5, -1.0, 0.0, None)]),)
 
 
-def _v_c361single(pt):
-    if not pt.x > 0.0:
-        return "requires b > 0"
-    if pt.p != 1.0:
-        return "requires p = 1"
-    return None
+_v_c361single = _requires((lambda pt: pt.x > 0.0, "requires b > 0"), _P_ONE)
 
 
 _add(IdentityCase(
@@ -892,12 +857,7 @@ def _ng69_original(pt):
     return (Piece(f, _spec(0.0, 1.0)),)
 
 
-def _v_ng69(pt):
-    if not pt.y > 0.0:
-        return "requires a > 0"
-    if pt.p != 0.0:
-        return "requires p = 0"
-    return None
+_v_ng69 = _requires((lambda pt: pt.y > 0.0, "requires a > 0"), _P_ZERO)
 
 
 _add(IdentityCase(
@@ -934,10 +894,7 @@ def _t41_original(pt):
     return (Piece(f, _spec(lower, math.inf, lam_lo=-0.5)),)
 
 
-def _v_t41(pt):
-    if not (pt.y > 0.0 and pt.p > 0.0):
-        return "requires a > 0, p > 0"
-    return None
+_v_t41 = _requires(_AP_POS)
 
 
 _T41_GRID = _grid([(v,) for v in (-0.5, 0.25, 0.7)],
@@ -966,13 +923,8 @@ def _neg_t41_original(pt):
     return (Piece(f, _spec(a, math.inf, lam_lo=-0.5)),)
 
 
-def _v_neg_t41(pt):
-    base = _v_t41(pt)
-    if base:
-        return base
-    if pt.a > 2.0:
-        return "requires a <= 2 so the printed arccos argument stays in [-1, 1]"
-    return None
+_v_neg_t41 = _requires(_AP_POS, (lambda pt: not pt.a > 2.0,
+                                  "requires a <= 2 so the printed arccos argument stays in [-1, 1]"))
 
 
 _add(IdentityCase(
@@ -1003,12 +955,7 @@ def _neg_t42_image(pt):
     return math.exp(0.25 * pt.y * pt.p * pt.p) * pcf_d(pt.mu, z) * pcf_d(pt.nu, z)
 
 
-def _v_t42(pt):
-    if not (pt.y > 0.0 and pt.p > 0.0):
-        return "requires a > 0, p > 0"
-    if not pt.mu + pt.nu < 0.0:
-        return "requires Re(mu + nu) < 0"
-    return None
+_v_t42 = _requires(_AP_POS, _SUM_NEG)
 
 
 _T42_GRID = _grid(_ORDER_SQUARE, [(a * a, a * a) for a in (0.5, 1.0, 2.0)], (0.5, 1.0, 2.0))
@@ -1063,16 +1010,9 @@ def _s51_original(pt, k=0.0):
     return (_gauss_piece(pt, 1.0, -(pt.mu + pt.nu) - k, (x + y) / (4.0 * x * y), 8.0 * x),)
 
 
-def _v_s51(pt):
-    if not (pt.x > 0.0 and pt.y > 0.0):
-        return "requires x > 0, y > 0"
-    if not pt.mu + pt.nu < 1.0:
-        return "requires Re(mu + nu) < 1"
-    if pt.mu + pt.nu == 0.0:
-        return "requires mu + nu != 0 (coefficient pole)"
-    if pt.p != 0.0:
-        return "requires p = 0"
-    return None
+_v_s51 = _requires(_XY_POS, _SUM_BELOW_1,
+                   (lambda pt: pt.mu + pt.nu != 0.0, "requires mu + nu != 0 (coefficient pole)"),
+                   _P_ZERO)
 
 
 _S5_GRID = _grid(_ORDER_SQUARE, _XY_NINE, (0.0,))
@@ -1101,14 +1041,7 @@ def _s52_original(pt):
     return _s51_original(pt, 1.0)
 
 
-def _v_s52(pt):
-    if not (pt.x > 0.0 and pt.y > 0.0):
-        return "requires x > 0, y > 0"
-    if not pt.mu + pt.nu < 0.0:
-        return "requires Re(mu + nu) < 0"
-    if pt.p != 0.0:
-        return "requires p = 0"
-    return None
+_v_s52 = _requires(_XY_POS, _SUM_NEG, _P_ZERO)
 
 
 _add(IdentityCase(
@@ -1359,10 +1292,9 @@ def _red_gauss_sum_rhs(pt):
     return _GAUSS_SUM_TARGETS[(a, b, pt.x)]
 
 
-def _v_gauss_sum(pt):
-    if (*pt.orders, pt.x) not in _GAUSS_SUM_TARGETS:
-        return f"requires (a, b, c) with a frozen target, one of {sorted(_GAUSS_SUM_TARGETS)}"
-    return None
+_v_gauss_sum = _requires(
+    (lambda pt: (*pt.orders, pt.x) in _GAUSS_SUM_TARGETS,
+     f"requires (a, b, c) with a frozen target, one of {sorted(_GAUSS_SUM_TARGETS)}"))
 
 
 _add(IdentityCase(

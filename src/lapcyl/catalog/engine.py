@@ -19,7 +19,8 @@ closed form that a special function cannot evaluate is InvalidParams too
 (a NonConvergence of pcf_d's own quadrature included).  So is an error
 raised while a group's original is built, such as the DomainError of a
 QuadratureSpec whose endpoint exponent is not above -1, or inside its
-integral (not that integral's NonConvergence).
+integral (not that integral's NonConvergence).  An error here is any
+LapcylError or ArithmeticError.
 """
 
 from __future__ import annotations
@@ -128,11 +129,12 @@ def _closed_forms(case: IdentityCase, points):
     values for a reduction (None for the others).  A special function
     that cannot evaluate a point, outside its domain, at a pole, beyond
     double range or through a quadrature that does not converge, makes
-    the point invalid."""
+    the point invalid, as does any ArithmeticError, such as a division by
+    a product that underflowed to zero."""
     try:
         lhs = [complex(case.image(pt)) for pt in points]
         rhs = [None if case.closed_rhs is None else complex(case.closed_rhs(pt)) for pt in points]
-    except (LapcylError, OverflowError) as exc:
+    except (LapcylError, ArithmeticError) as exc:
         raise InvalidParams(
             f"invalid grid point for {case.id}: {type(exc).__name__}: {exc}") from None
     return lhs, rhs
@@ -196,7 +198,7 @@ def verify(case_id: str, grid=None, tol=None) -> VerificationReport:
             try:
                 values, evals, conv, _ = _integrate_pieces(case.original(pt),
                                                            [points[i].p for i in idx])
-            except (LapcylError, OverflowError) as exc:
+            except (LapcylError, ArithmeticError) as exc:
                 raise InvalidParams(f"cannot integrate {case.id} at orders={pt.orders}, "
                                     f"x={pt.x}, y={pt.y}: {type(exc).__name__}: {exc}") from None
             for i, value, c in zip(idx, values.tolist(), conv.tolist()):

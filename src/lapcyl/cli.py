@@ -171,17 +171,16 @@ def _run_verify(args, points):
 
 def _point_rows(reports):
     for rep in reports:
-        case = get_case(rep.id)
         for rec in rep.records:
-            yield case, rep, rec, "pass" if point_passes(rec, rep.tol) else "fail"
+            yield rep, rec, "pass" if point_passes(rec, rep.tol) else "fail"
 
 
 def _render_json(reports):
     rows = []
-    for case, rep, rec, verdict in _point_rows(reports):
+    for rep, rec, verdict in _point_rows(reports):
         rows.append({
-            "id": case.id,
-            "kind": case.kind,
+            "id": rep.id,
+            "kind": rep.kind,
             "params": {"mu": rec.params.mu, "nu": rec.params.nu,
                        "x": rec.params.x, "y": rec.params.y, "p": rec.params.p},
             "lhs": [rec.lhs.real, rec.lhs.imag],
@@ -199,8 +198,8 @@ def _render_csv(reports):
     writer.writerow(["id", "kind", "mu", "nu", "x", "y", "p",
                      "lhs_re", "lhs_im", "rhs_re", "rhs_im",
                      "rel_error", "verdict", "evaluations"])
-    for case, rep, rec, verdict in _point_rows(reports):
-        writer.writerow([case.id, case.kind,
+    for rep, rec, verdict in _point_rows(reports):
+        writer.writerow([rep.id, rep.kind,
                          rec.params.mu, rec.params.nu, rec.params.x,
                          rec.params.y, rec.params.p,
                          rec.lhs.real, rec.lhs.imag,
@@ -299,7 +298,7 @@ def cmd_eval(args):
     names, fn = _EVAL_FNS[args.fn]
     try:
         result = fn(*(getattr(args, name) for name in names))
-    except (LapcylError, OverflowError) as exc:
+    except (LapcylError, ArithmeticError) as exc:
         raise ConfigError(f"eval {args.fn}: {type(exc).__name__}: {exc}") from None
     sys.stdout.write(_format_value(result) + "\n")
     return EXIT_OK

@@ -134,7 +134,7 @@ class QuadratureSpec:
     exponent_at_lower/upper: the leading power lambda of the integrand at
     that endpoint (integrand ~ |t - endpoint|^lambda); must be > -1.
     decay_rate: e^{-ct} scale of the tail for semi-infinite ranges (panel
-    width is its reciprocal); 0 means "no hint".
+    width is its reciprocal); finite and >= 0, where 0 means "no hint".
     """
 
     lower: float
@@ -154,8 +154,8 @@ class QuadratureSpec:
             raise DomainError(f"exponent_at_lower must be > -1, got {self.exponent_at_lower}")
         if not self.exponent_at_upper > -1.0:
             raise DomainError(f"exponent_at_upper must be > -1, got {self.exponent_at_upper}")
-        if self.decay_rate < 0.0:
-            raise DomainError("decay_rate must be >= 0")
+        if not 0.0 <= self.decay_rate < math.inf:
+            raise DomainError(f"decay_rate must be finite and >= 0, got {self.decay_rate}")
         if not self.rel_tol >= 1e-13:
             raise DomainError(f"rel_tol must be >= 1e-13, got {self.rel_tol}")
         if not self.abs_tol > 0.0:

@@ -98,10 +98,15 @@ def _terminating_degree(a, b, c):
     """Degree of the polynomial F reduces to, or None for a true series.
 
     When a or b is a nonpositive integer the series terminates, at the
-    smaller degree; otherwise c at a nonpositive integer is a pole.
+    smaller degree n, and c exactly at one of 0, -1, ..., 1 - n is a pole,
+    where a term divides by zero; otherwise c at a nonpositive integer is
+    a pole.
     """
     degrees = [-n for n in (_near_int(a), _near_int(b)) if n is not None and n <= 0]
     if degrees:
+        if c.imag == 0.0 and c.real.is_integer() and -min(degrees) < c.real <= 0.0:
+            raise ParameterPole(
+                f"gauss_2f1 lower parameter {c} hits a pole before the series terminates")
         return min(degrees)
     n = _near_int(c)
     if n is not None and n <= 0:
@@ -112,31 +117,30 @@ def _terminating_degree(a, b, c):
 # an overflowing term ends as a non-finite value, which _finish reports
 @np.errstate(over="ignore", invalid="ignore")
 def _poly_f21(a, b, c, z, degree):
-    """Terminating series sum_{k=0}^{degree}; z may be scalar or ndarray."""
+    """Terminating series sum_{k=0}^{degree}; z may be scalar or ndarray.
+    The sum stops early at its first non-finite value, or at a term that is
+    zero in every lane, after which every term is zero."""
     zc = np.asarray(z, dtype=complex)
     total = np.ones_like(zc)
     term = np.ones_like(zc)
-    try:
-        for k in range(degree):
-            ratio = (a + k) * (b + k) / ((c + k) * (k + 1.0))
-            term = term * ratio * zc
-            total = total + term
-    except ZeroDivisionError:
-        raise ParameterPole(
-            f"gauss_2f1 lower parameter {c} hits a pole before the series terminates"
-        ) from None
+    for k in range(degree):
+        ratio = (a + k) * (b + k) / ((c + k) * (k + 1.0))
+        term = term * ratio * zc
+        total = total + term
+        if not (term.any() and np.isfinite(total).all()):
+            break
     return total
 
 
 def _maclaurin(a, b, c):
-    """The Maclaurin sum of F(a, b; c; z) for |z| <= 1/2 + margin, as a
-    function of a real or complex ndarray z, |z| <= zmax (1/2 by default),
+    """The Maclaurin sum of F(a, b; c; z) for |z| <= 1/2, as a function
+    series(z, zmax) of a real or complex ndarray z with |z| <= zmax <= 1/2,
     that keeps its ratio table."""
     ra, rb, rc = _reals(a, b, c)
     ratios = _Table(lambda k0: np.array([(ra + k) * (rb + k) / ((rc + k) * (k + 1.0))
                                          for k in range(k0, k0 + _BLOCK)]))
 
-    def series(z, zmax=0.5):
+    def series(z, zmax):
         try:
             return _sum_series(ratios, z, rows=_gauss_rows(zmax), what="gauss_2f1 series")
         except ZeroDivisionError:

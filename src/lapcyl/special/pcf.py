@@ -21,7 +21,8 @@ z = 10.  There the function switches to the integral form
 recurrence D_{m+1}(z) = z D_m(z) - m D_{m-1}(z) when nu >= 1.  The
 recurrence's two seeds D_{m-1} and D_m, m = frac(nu), share that integral's
 range, decay and factor (t+z) e^{-t^2/2 - z t}, so they come from one
-two-component quadrature.
+two-component quadrature.  The climb raises OverflowError at its first
+value beyond double range, so it never runs more steps than that.
 """
 
 from __future__ import annotations
@@ -85,6 +86,8 @@ def _pcf_large_real(nu: float, z: float) -> float:
     d_prev, d_cur = _pcf_integral((m - 1.0, m), z)
     for _ in range(steps):
         d_prev, d_cur = d_cur, z * d_cur - m * d_prev
+        if not math.isfinite(d_cur):
+            raise OverflowError("pcf_d magnitude exceeds double precision range")
         m += 1.0
     return d_cur
 

@@ -85,9 +85,28 @@ def test_bad_first_seed_exits_2_before_any_checkout(monkeypatch, tmp_path, capsy
     assert not out.exists()
 
 
+def test_next_seed_is_one_past_the_largest_recorded(tmp_path):
+    assert bench_pairs.next_seed(tmp_path) == 1
+
+    def write(name, seeds, traced=()):
+        doc = {"runs": [_run("laplace", s, "parent", 1.0, 12.0) for s in seeds],
+               "traced_runs": [_run("scalar", s, "change", 1.0, 12.0) for s in traced]}
+        (tmp_path / name).write_text(json.dumps(doc))
+
+    write("BENCH_3.json", [41, 40], [40])
+    write("BENCH_12.json", [7], [52])     # a traced run holds the largest seed
+    write("OTHER.json", [99])             # not a BENCH file
+    (tmp_path / "BENCH_6.json").write_text(json.dumps({"runs": []}))
+    assert bench_pairs.next_seed(tmp_path) == 53
+
+
+# first None: the seed next_seed derives from the checkout's BENCH files
 @pytest.mark.parametrize("argv, first", [
-    ([], 21), (["--first-seed", "40"], 40), (["--claim", "scalar:wall_s"], 21)])
+    pytest.param([], None, id="argv0-derived"), (["--first-seed", "40"], 40),
+    pytest.param(["--claim", "scalar:wall_s"], None, id="argv2-derived")])
 def test_seeds_start_at_first_seed(monkeypatch, tmp_path, argv, first):
+    if first is None:
+        first = bench_pairs.next_seed(bench_pairs.ROOT)
     names = [m["name"] for m in json.loads((_PATH.parent.parent / "BENCHMARK.json")
                                            .read_text())["end_to_end"]]
     calls = []

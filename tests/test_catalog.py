@@ -100,7 +100,92 @@ class TestRegistry:
                 assert len(case.default_grid) >= 24, case.id
 
 
+# `id mu nu x y p` and the reason the case's validity gives there.  Each
+# predicate gets one row per rule, in order, whose point meets the rules
+# before it and fails that one; a predicate of two or more rules also gets
+# a point that fails every rule it can (S51's Re(mu + nu) < 1 and
+# mu + nu != 0 exclude each other), which gets the first rule's reason.
+# The NaN and inf rows pin that a rule fails unless its test holds.
+REASONS = [
+    ("ILT-PCF-BLOCK 0 -0.5 1 1 1", "requires nu > 0, a > 0, p > 0"),
+    ("ILT-KUM-BLOCK 0 0.5 1 1 0", "requires nu > 0, x > 0, p > 0"),
+    ("ILT-KUM-BLOCK-32 0 1 1 1 1", "requires -2 < nu < 1"),
+    ("ILT-KUM-BLOCK-32 0 0.5 0 1 1", "requires x > 0, p > 0"),
+    ("ILT-KUM-BLOCK-32 0 -2 -1 1 0", "requires -2 < nu < 1"),
+    ("ILT-KUM-BLOCK-32 0 -inf 1 1 1", "requires -2 < nu < 1"),
+    ("ILT-KUM-BLOCK-12 0 0 1 1 1", "requires -1 < nu < 0"),
+    ("ILT-KUM-BLOCK-12 0 -0.5 1 1 -1", "requires x > 0, p > 0"),
+    ("ILT-KUM-BLOCK-12 0 -1 0 1 0", "requires -1 < nu < 0"),
+    ("T31-DIFF-HALF -0.5 -0.5 1 0 1", "requires x > 0, y > 0, p > 0"),
+    ("T31-DIFF-HALF -0.5 1 1 1 1", "requires Re nu < 1"),
+    ("T31-DIFF-HALF 0.5 0.5 1 1 1", "requires Re mu < min(1 - nu, 2 + nu)"),
+    ("T31-DIFF-HALF 2 1 -1 1 1", "requires x > 0, y > 0, p > 0"),
+    ("T31-DIFF-HALF -0.5 -0.5 1 1 nan", "requires x > 0, y > 0, p > 0"),
+    ("T31-KUMMER -0.5 -0.5 1 1 0", "requires x > 0, y > 0, p > 0"),
+    ("T31-KUMMER 0 -0.5 1 1 1", "requires Re mu < 0"),
+    ("T31-KUMMER -0.5 -2 1 1 1", "requires -2 < Re nu < 1"),
+    ("T31-KUMMER 0 1 0 1 1", "requires x > 0, y > 0, p > 0"),
+    ("T32-DIFF -0.75 -0.5 -1 1 1", "requires x > 0, y > 0, p > 0"),
+    ("T32-DIFF -0.75 1 1 1 1", "requires Re nu < 1"),
+    ("T32-DIFF 0.25 -0.25 1 1 1", "requires Re mu < min(-nu, 1 + nu)"),
+    ("T32-DIFF -1 -0.5 1 1 1", "requires mu != -1 (coefficient pole)"),
+    ("T32-DIFF -1 2 -1 1 1", "requires x > 0, y > 0, p > 0"),
+    ("T32-DIFF nan -0.5 1 1 1", "requires Re mu < min(-nu, 1 + nu)"),
+    ("C321-ERF-MIX 0 0 1 1 -1", "requires x > 0, y > 0, p > 0"),
+    ("C321-REP 0 0 0 1 1", "requires a > 0, b > 0"),
+    ("C321-REP 0 0 1 1 0.5", "requires p = 1"),
+    ("C321-REP 0 0 1 0 0", "requires a > 0, b > 0"),
+    ("C321-REP 0 0 1 1 nan", "requires p = 1"),
+    ("T33-KUMMER -0.6 -0.45 1 1 0", "requires x > 0, y > 0, p > 0"),
+    ("T33-KUMMER -0.6 0 1 1 1", "requires -1 < Re nu < 0"),
+    ("T33-KUMMER 1 -0.45 1 1 1", "requires Re mu < 1"),
+    ("T33-KUMMER 1 -1 1 -1 1", "requires x > 0, y > 0, p > 0"),
+    ("C341-SINGLE 0 -0.5 0 0 1", "requires x > 0, p > 0"),
+    ("C341-SINGLE 0 1 1 1 1", "requires Re nu < 1"),
+    ("C341-SINGLE 0 1 1 1 0", "requires x > 0, p > 0"),
+    ("T35-POS-HALF -0.5 -0.5 1 1 0", "requires x > 0, y > 0, p > 0"),
+    ("T35-POS-HALF 0.5 0.5 1 1 1", "requires Re(mu + nu) < 1"),
+    ("T35-POS-HALF 0.5 0.5 -1 1 1", "requires x > 0, y > 0, p > 0"),
+    ("T36-POS -0.5 -0.5 0 1 1", "requires x > 0, y > 0, p > 0"),
+    ("T36-POS 0.5 -0.5 1 1 1", "requires Re(mu + nu) < 0 for a convergent original"),
+    ("T36-POS 0 0 1 1 -1", "requires x > 0, y > 0, p > 0"),
+    ("C361-ERFC-SINGLE 0 0 0 1 1", "requires b > 0"),
+    ("C361-ERFC-SINGLE 0 0 1 1 2", "requires p = 1"),
+    ("C361-ERFC-SINGLE 0 0 -1 1 0", "requires b > 0"),
+    ("C361-NG69 0 0 1 0 0", "requires a > 0"),
+    ("C361-NG69 0 0 1 1 1", "requires p = 0"),
+    ("C361-NG69 0 0 1 -1 1", "requires a > 0"),
+    ("T41-CORRECTED 0 0.25 1 1 0", "requires a > 0, p > 0"),
+    ("NEG-T41 0 0.25 1 0 1", "requires a > 0, p > 0"),
+    ("NEG-T41 0 0.25 9 9 1", "requires a <= 2 so the printed arccos argument stays in [-1, 1]"),
+    ("NEG-T41 0 0.25 9 9 0", "requires a > 0, p > 0"),
+    ("NEG-T41 0 0.25 1 inf 1", "requires a <= 2 so the printed arccos argument stays in [-1, 1]"),
+    ("T42-CORRECTED -0.5 -0.5 1 1 0", "requires a > 0, p > 0"),
+    ("T42-CORRECTED 0.5 -0.5 1 1 1", "requires Re(mu + nu) < 0"),
+    ("T42-CORRECTED 0.5 0.5 1 -1 1", "requires a > 0, p > 0"),
+    ("S51-INT -0.5 -0.5 1 0 0", "requires x > 0, y > 0"),
+    ("S51-INT 0.5 0.5 1 1 0", "requires Re(mu + nu) < 1"),
+    ("S51-INT 0.5 -0.5 1 1 0", "requires mu + nu != 0 (coefficient pole)"),
+    ("S51-INT -0.5 -0.5 1 1 1", "requires p = 0"),
+    ("S51-INT 1 1 -1 1 1", "requires x > 0, y > 0"),
+    ("S51-INT nan 0 1 1 0", "requires Re(mu + nu) < 1"),
+    ("S52-INT -0.5 -0.5 0 1 0", "requires x > 0, y > 0"),
+    ("S52-INT 0.5 -0.5 1 1 0", "requires Re(mu + nu) < 0"),
+    ("S52-INT -0.5 -0.5 1 1 3", "requires p = 0"),
+    ("S52-INT 1 1 1 -1 1", "requires x > 0, y > 0"),
+    ("RED-GAUSS-SUM 0.1 0.2 1.5 1 1", "requires (a, b, c) with a frozen target, one of "
+                                      "[(-0.5, 0.5, 1.5), (0.25, 0.25, 1.0), (0.3, 0.4, 2.2)]"),
+]
+
+
 class TestValidity:
+    @pytest.mark.parametrize("row, reason", REASONS)
+    def test_each_rule_gives_its_reason(self, row, reason):
+        cid, *values = row.split()
+        mu, nu, x, y, p = map(float, values)
+        assert get_case(cid).validity(ParamPoint(orders=(mu, nu), x=x, y=y, p=p)) == reason
+
+
     def test_out_of_range_order_rejected(self):
         pt = ParamPoint(orders=(0.5, 1.5), x=1.0, y=1.0, p=1.0)
         with pytest.raises(InvalidParams, match="T31-DIFF-HALF"):

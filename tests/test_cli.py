@@ -69,6 +69,10 @@ class TestEval:
          "DomainError"),
         (["f1", "--a", "0.5", "--b1", "0.3", "--b2", "0.3", "--c", "1.5", "--z1", "nan",
           "--z2", "0.1"], "DomainError"),
+        # b1 b2 underflows to 0 in the series' ratio table
+        (["2f2", "--a1", "1", "--a2", "1", "--b1", "1e-200", "--b2", "1e-200", "--z", "0.5"],
+         "ZeroDivisionError"),
+        (["D", "--nu", "400.5", "--z", "5"], "OverflowError"),
     ])
     def test_bad_argument_is_reported_cleanly(self, args, reason):
         res = run_cli("eval", *args)

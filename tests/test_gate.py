@@ -8,6 +8,8 @@ inside its integral is InvalidParams too, with the same exit code.
 """
 
 import dataclasses
+import os
+import signal
 import subprocess
 import sys
 
@@ -35,6 +37,10 @@ ROWS = [
     ("RED-2F1-EULER 0.3 0.7 1.1 1.5 1", "DomainError"),
     # pcf_d(0.995, 5): its integral route passes 2,000 subdivisions (ROADMAP item 1)
     ("RED-RECURRENCE 0 0.995 5 5 1", "NonConvergence"),
+    # D_400.5(5) is about 2.7e433: the recurrence leaves double range
+    ("RED-RECURRENCE 0 400.5 5 5 1", "OverflowError"),
+    # x y underflows to 0, and the closed form's prefactor divides by it
+    ("S51-INT -1.5 -1.5 5e-324 0.5 0", "ZeroDivisionError"),
 ]
 
 
@@ -61,12 +67,21 @@ def test_engine_rejects_before_any_quadrature(row, error, monkeypatch):
     assert str(info.value).startswith(f"invalid grid point for {cid}: {error}: ")
 
 
-def run_grid(tmp_path, row, jobs):
+def run_grid(tmp_path, row, jobs, timeout=None):
+    """The CLI on a one-row grid file.  On a timeout its whole process
+    group, pool workers included, is killed before TimeoutExpired."""
     grid = tmp_path / "grid.txt"
     grid.write_text(row + "\n")
     cmd = [sys.executable, "-m", "lapcyl.cli", "verify", "--case", row.split()[0],
            "--grid", str(grid), "--jobs", str(jobs)]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(cmd, proc.returncode, out, err)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -86,7 +101,7 @@ def test_gauss_sum_without_frozen_target_exits_two(tmp_path):
     assert "Traceback" not in res.stderr
 
 
-@pytest.mark.parametrize("error", [DomainError, NonConvergence, OverflowError])
+@pytest.mark.parametrize("error", [DomainError, NonConvergence, OverflowError, ZeroDivisionError])
 def test_integrand_error_is_invalid_params(monkeypatch, error):
     # a special function raising inside the integrand, not the quadrature
     # giving up: NonConvergence here carries no partial result
@@ -119,7 +134,11 @@ def test_integrand_error_is_invalid_params(monkeypatch, error):
     ("C341-SINGLE -2.3 -2.3 1 1 1",
      "error: cannot integrate C341-SINGLE at orders=(-2.3, -2.3)",
      ": DomainError: exponent_at_lower must be > -1"),
-], ids=["T31-DIFF-HALF", "C341-SINGLE"])
+    # e^{-(x+y)} underflows to 0, and the original divides by it
+    ("C361-REP 0 0 800 1 1",
+     "error: cannot integrate C361-REP at orders=(0.0, 0.0), x=800.0, y=1.0",
+     ": ZeroDivisionError: "),
+], ids=["T31-DIFF-HALF", "C341-SINGLE", "C361-REP"])
 def test_cli_exits_two_when_the_integrand_raises(tmp_path, jobs, row, prefix, error):
     res = run_grid(tmp_path, row, jobs)
     assert res.returncode == 2
@@ -128,3 +147,19 @@ def test_cli_exits_two_when_the_integrand_raises(tmp_path, jobs, row, prefix, er
     last = res.stderr.splitlines()[-1]
     assert last.startswith(prefix)
     assert error in last
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("row, error", [
+    # a terminating 2F1 of degree 1e300, whose sum overflows at its second term
+    ("RED-2F1-EULER -1e300 0.7 1.1 0.3 1", "NonConvergence"),
+    # 1e12 recurrence steps, of which a few hundred reach double range
+    ("RED-RECURRENCE 0 1e12 5 5 1", "OverflowError"),
+], ids=["RED-2F1-EULER", "RED-RECURRENCE"])
+def test_cli_exits_two_before_a_huge_loop_ends(tmp_path, row, error, jobs):
+    # a loop that ran as many steps as its input asks for would hang here
+    res = run_grid(tmp_path, row, jobs, timeout=60)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert f"invalid grid point for {row.split()[0]}: {error}: " in res.stderr
+    assert "Traceback" not in res.stderr

@@ -121,6 +121,12 @@ def test_parameter_pole():
     got = gauss_2f1(-2.0, 0.7, -3.0, 0.5)
     want = 1.0 + (-2.0) * 0.7 / (-3.0) * 0.5 + ((-2.0) * (-1.0) * 0.7 * 1.7) / ((-3.0) * (-2.0) * 2.0) * 0.25
     assert rel_err(got, want) < 1e-14
+    # a sum that overflows before it reaches c's pole, or an argument that
+    # zeroes every term after the first, still meets the pole
+    with pytest.raises(ParameterPole):
+        gauss_2f1(-1e6, 1.0, -200.0, 0.5)
+    with pytest.raises(ParameterPole):
+        gauss_2f1(-5.0, 1.0, -2.0, 0.0)
 
 
 TERMINATING_OR_POLE = [

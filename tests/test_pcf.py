@@ -57,6 +57,12 @@ def test_frozen_oracle_points():
     assert rel_err(pcf_d(0.7, -3.2), -1.5819305662756600529) < 1e-13
 
 
+def test_recurrence_beyond_double_range_raises():
+    # D_400.5(5) is about 2.7e433: the climb stops at its first infinite value
+    with pytest.raises(OverflowError, match="double precision range"):
+        pcf_d(400.5, 5.0)
+
+
 def test_recurrence_small_z():
     for nu in (-1.5, -0.5, 0.5, 1.5):
         for z in (0.1, 0.5, 2.0, -1.3):

@@ -68,6 +68,10 @@ def test_spec_validation():
         QuadratureSpec(lower=0.0, upper=1.0, rel_tol=1e-14)
     with pytest.raises(DomainError):
         QuadratureSpec(lower=-math.inf, upper=1.0)
+    # nan < 0 is False, and an infinite rate makes the first panel zero wide
+    for rate in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            QuadratureSpec(lower=0.0, upper=math.inf, decay_rate=rate)
 
 
 def test_smooth_finite():

@@ -11,10 +11,11 @@ run back to back, the parent first on odd seeds and the change first on
 even ones, so a drift in the load of the machine falls on both sides
 alike.  Each workload gets PAIRS[workload] pairs, and the claimed one at
 least CLAIM_PAIRS, the pairs a gain is judged on; they run on seeds N,
-N+1, ... from --first-seed N (default FIRST_SEED, the seeds of the
-earlier BENCH files).  One traced run per side at seed N follows on each
-workload in TRACED.  A change measured while it was written can have its
-claim run on seeds it was not tuned on.
+N+1, ... from --first-seed N (default: one past the largest seed that a
+BENCH_*.json file in the checkout records, so no run reuses a seed).
+One traced run per side at seed N follows on each workload in TRACED.
+A change measured while it was written can have its claim run on seeds
+it was not tuned on.
 
 The summary gives, per workload and end-to-end metric of BENCHMARK.json,
 each side's quartiles, the change/parent ratio of medians and the number
@@ -41,7 +42,16 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = {"laplace": 10, "direct": 5, "scalar": 5, "catalog-jobs2": 5}
 CLAIM_PAIRS = 10
 TRACED = ("laplace", "scalar")
-FIRST_SEED = 21
+
+
+def next_seed(root):
+    """One past the largest seed of a run recorded in root's BENCH_*.json
+    files, or 1 when there is none."""
+    seeds = []
+    for path in root.glob("BENCH_*.json"):
+        doc = json.loads(path.read_text())
+        seeds += [run["seed"] for key in ("runs", "traced_runs") for run in doc.get(key, ())]
+    return max(seeds, default=0) + 1
 
 
 def _quartiles(values):
@@ -132,8 +142,9 @@ def main(argv=None):
     parser.add_argument("--change", required=True, help="git revision or tree of the change")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--claim", help="workload:metric the change claims a gain on")
-    parser.add_argument("--first-seed", type=int, default=FIRST_SEED,
-                        help=f"seed of the first pair and the traced runs (default {FIRST_SEED})")
+    parser.add_argument("--first-seed", type=int, default=next_seed(ROOT),
+                        help="seed of the first pair and the traced runs (default %(default)s, "
+                             "one past the largest seed in the checkout's BENCH_*.json files)")
     args = parser.parse_args(argv)
     if args.first_seed < 0:
         parser.error(f"--first-seed must be a nonnegative integer; got {args.first_seed}")
