@@ -153,7 +153,7 @@ def test_cli_exits_two_when_the_integrand_raises(tmp_path, jobs, row, prefix, er
 @pytest.mark.parametrize("row, error", [
     # a terminating 2F1 of degree 1e300, whose sum overflows at its second term
     ("RED-2F1-EULER -1e300 0.7 1.1 0.3 1", "NonConvergence"),
-    # 1e12 recurrence steps, of which a few hundred reach double range
+    # 1e12 recurrence steps, whose values leave double range within a few hundred
     ("RED-RECURRENCE 0 1e12 5 5 1", "OverflowError"),
 ], ids=["RED-2F1-EULER", "RED-RECURRENCE"])
 def test_cli_exits_two_before_a_huge_loop_ends(tmp_path, row, error, jobs):
