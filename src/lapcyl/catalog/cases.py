@@ -620,7 +620,8 @@ _add(IdentityCase(
 
 
 def _t34_image(pt):
-    dmu, dplus, dminus = _pcf_pair(pt.mu, pt.nu, pt.x, pt.y, pt.p)
+    dmu = pcf_d(pt.mu, math.sqrt(2.0 * pt.y * pt.p))
+    dminus = pcf_d(pt.nu, -math.sqrt(2.0 * pt.x * pt.p))
     return math.exp(0.5 * pt.p * (pt.y - pt.x)) / math.sqrt(pt.p) * dmu * dminus
 
 

@@ -71,15 +71,10 @@ def _select_cases(args):
         return ids
     if not args.case:
         raise ConfigError("select cases with --case or pass --all")
-    chosen = []
     for pat in args.case:
-        hits = [cid for cid in ids if fnmatch.fnmatchcase(cid, pat)]
-        if not hits:
+        if not any(fnmatch.fnmatchcase(cid, pat) for cid in ids):
             raise ConfigError(f"no case matches {pat!r}")
-        for cid in hits:
-            if cid not in chosen:
-                chosen.append(cid)
-    return sorted(chosen, key=ids.index)
+    return [cid for cid in ids if any(fnmatch.fnmatchcase(cid, pat) for pat in args.case)]
 
 
 def _load_grid(path):

@@ -63,7 +63,6 @@ a converged flag.
 
 from __future__ import annotations
 
-import cmath
 import heapq
 import math
 from dataclasses import dataclass
@@ -217,13 +216,10 @@ class _Workspace:
             err = np.abs(rules[..., 0] - rules[..., 1])
         if self.plain is None:
             self.plain = y.ndim == 1
-        vals, errs = rules[..., 0].T.tolist(), err.T.tolist()
-        for v, e in zip(vals, errs):
-            # every K15 weight is positive, so a non-finite node shows in v
-            if not all(map(cmath.isfinite, v)):
-                e[:] = [x if cmath.isfinite(k15) else math.inf for k15, x in zip(v, e)]
-                v[:] = [k15 if cmath.isfinite(k15) else 0j for k15 in v]
-        return vals, errs
+        # every K15 weight is positive, so a non-finite node shows in K15
+        finite = np.isfinite(rules[..., 0])
+        return (np.where(finite, rules[..., 0], 0.0).T.tolist(),
+                np.where(finite, err, math.inf).T.tolist())
 
     def store(self, g, lo, hi, vals, errs):
         """Keep evaluated panels; their nodes count as evaluations."""
@@ -347,32 +343,18 @@ class _Workspace:
             splits += 1
 
 
-def _left_sub(fw, a, width, b, q):
-    """Map u in (0,1) to t in (a, a + width) clustering at a when q > 1."""
+def _endpoint_sub(fw, a, b, width, lam, at_lower):
+    """Map u in (0,1) to t = a + width u^q (at_lower) or b - width u^q, clustering there."""
+    q = 1.0 / (1.0 + lam) if lam < 0.0 else 1.0
+
     def g(u):
         d = width * u ** q
-        t = a + d
+        t = a + d if at_lower else b - d
         jac = width * q * u ** (q - 1.0)
-        y = np.asarray(fw(t, d, b - t), dtype=complex)
+        y = np.asarray(fw(t, d, b - t) if at_lower else fw(t, t - a, d), dtype=complex)
         with np.errstate(invalid="ignore"):     # complex inf * jac is NaN
             return y * jac
     return g
-
-
-def _right_sub(fw, a, width, b, q):
-    """Map u in (0,1) to t in (b - width, b) clustering at b when q > 1."""
-    def g(u):
-        d = width * u ** q
-        t = b - d
-        jac = width * q * u ** (q - 1.0)
-        y = np.asarray(fw(t, t - a, d), dtype=complex)
-        with np.errstate(invalid="ignore"):     # complex inf * jac is NaN
-            return y * jac
-    return g
-
-
-def _power(lam):
-    return 1.0 / (1.0 + lam) if lam < 0.0 else 1.0
 
 
 def integrate_finite(f, spec: QuadratureSpec, *, distance_form: bool = False) -> QuadratureResult:
@@ -383,8 +365,8 @@ def integrate_finite(f, spec: QuadratureSpec, *, distance_form: bool = False) ->
     a, b = spec.lower, spec.upper
     m = 0.5 * (a + b)
     ws = _Workspace(spec)
-    ws.add(_left_sub(fw, a, m - a, b, _power(spec.exponent_at_lower)), (0.0,), (1.0,))
-    ws.add(_right_sub(fw, a, b - m, b, _power(spec.exponent_at_upper)), (0.0,), (1.0,))
+    ws.add(_endpoint_sub(fw, a, b, m - a, spec.exponent_at_lower, True), (0.0,), (1.0,))
+    ws.add(_endpoint_sub(fw, a, b, b - m, spec.exponent_at_upper, False), (0.0,), (1.0,))
     return ws.refine()
 
 
@@ -402,7 +384,7 @@ def integrate_semi_infinite(f, spec: QuadratureSpec, *, distance_form: bool = Fa
     ws = _Workspace(spec)
 
     # first panel with the endpoint substitution
-    vals, _ = ws.add(_left_sub(fw, a, h, math.inf, _power(spec.exponent_at_lower)),
+    vals, _ = ws.add(_endpoint_sub(fw, a, math.inf, h, spec.exponent_at_lower, True),
                      (0.0,), (1.0,))
     total = np.array(vals[0])
 

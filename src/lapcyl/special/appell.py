@@ -46,8 +46,4 @@ def appell_f1(a, b1, b2, c, z1, z2) -> complex:
     res = integrate_finite(f, spec, distance_form=True)
     pref = gamma(c) * reciprocal_gamma(a) * reciprocal_gamma(c - a)
     out = pref * res.value
-    if out.imag == 0.0 or (abs(out.imag) < 1e-14 * abs(out.real) and z1.imag == 0.0
-                           and z2.imag == 0.0 and a.imag == 0.0 and b1.imag == 0.0
-                           and b2.imag == 0.0 and c.imag == 0.0):
-        return complex(out.real, 0.0)
-    return out
+    return complex(out.real, 0.0) if out.imag == 0.0 else out   # -0.0 becomes +0.0

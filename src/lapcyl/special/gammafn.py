@@ -57,10 +57,23 @@ def _lanczos_sum(z: complex) -> complex:
     return acc
 
 
-def _gamma_right(z: complex) -> complex:
-    # Re z >= 0.5
+def _gamma_right(z: complex, s: float = 1.0) -> complex:
+    # Gamma(z)^s for s = 1 or -1, Re z >= 0.5
     base = z + _LANCZOS_G - 0.5
-    return math.sqrt(2.0 * math.pi) * base ** (z - 0.5) * cmath.exp(-base) * _lanczos_sum(z)
+    try:
+        out = math.sqrt(2.0 * math.pi) * base ** (z - 0.5) * cmath.exp(-base) * _lanczos_sum(z)
+    except OverflowError:
+        out = math.inf
+    if cmath.isfinite(out):
+        return out if s > 0.0 else 1.0 / out
+    # base^(z - 1/2) overflowed: half of base^(s(z - 1/2)) on each side of
+    # e^(-s base); a half that underflows to 0 leaves 1/Gamma below double range
+    half = base ** (s * (z - 0.5) / 2.0)
+    out = (half * cmath.exp(-s * base) * half if half else 0j) * (
+        math.sqrt(2.0 * math.pi) * _lanczos_sum(z)) ** s
+    if not cmath.isfinite(out):
+        raise OverflowError(f"Gamma({z}) ** {s:g} lies past double range")
+    return out
 
 
 def gamma(z) -> complex:
@@ -70,7 +83,10 @@ def gamma(z) -> complex:
         raise PoleError(f"gamma pole at {z}")
     if z.real < 0.5:
         # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * _gamma_right(1.0 - z))
+        try:
+            return math.pi / (cmath.sin(math.pi * z) * _gamma_right(1.0 - z))
+        except OverflowError:   # Gamma(1 - z) past double range: Gamma(z) is tiny
+            return math.pi * _gamma_right(1.0 - z, -1.0) / cmath.sin(math.pi * z)
     return _gamma_right(z)
 
 
@@ -81,7 +97,7 @@ def reciprocal_gamma(z) -> complex:
         return 0.0 + 0.0j
     if z.real < 0.5:
         return cmath.sin(math.pi * z) * _gamma_right(1.0 - z) / math.pi
-    return 1.0 / _gamma_right(z)
+    return _gamma_right(z, -1.0)
 
 
 def digamma(z) -> complex:

@@ -1,7 +1,9 @@
 """Appell F1 (Euler-integral implementation)."""
 
 import math
+import random
 
+import mpmath
 import pytest
 
 from lapcyl.special import appell, appell_f1, gauss_2f1
@@ -37,6 +39,27 @@ def test_degenerate_c_sum_identity():
     lhs = appell_f1(a, b1, b2, b1 + b2, z1, z2)
     rhs = (1.0 - z2) ** (-a) * gauss_2f1(a, b1, b1 + b2, (z1 - z2) / (1.0 - z2))
     assert rel_err(lhs, rhs) < 1e-10
+
+
+def test_real_inputs_give_positive_zero_imaginary_part():
+    # the lhs_im column of RED-APPELL prints this sign
+    rng = random.Random(2404)
+    for _ in range(30):
+        a = rng.uniform(0.1, 1.5)
+        c = a + rng.uniform(0.1, 1.5)
+        b1, b2 = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        z1, z2 = rng.uniform(-3.0, 0.95), rng.uniform(-3.0, 0.95)
+        got = appell_f1(a, b1, b2, c, z1, z2)
+        assert math.copysign(1.0, got.imag) == 1.0 and got.imag == 0.0, (a, b1, b2, c, z1, z2)
+
+
+def test_complex_input_keeps_its_imaginary_part():
+    args = (0.4, 0.3 + 0.2j, 0.7, 1.0, 0.2, -0.5)
+    with mpmath.workdps(25):
+        want = complex(mpmath.appellf1(*args))
+    got = appell_f1(*args)
+    assert abs(want.imag) > 1e-3
+    assert rel_err(got, want) < 1e-11
 
 
 def test_domain_errors():

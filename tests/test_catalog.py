@@ -265,6 +265,22 @@ class TestImageAlgebra:
             scale = max(abs(v31), abs(v33), abs(v34), 1e-300)
             assert abs(v34 - 0.5 * (v31 + v33)) <= 1e-12 * scale
 
+    def test_single_product_image_makes_two_pcf_calls(self, monkeypatch):
+        # D_mu(sqrt(2yp)) and D_nu(-sqrt(2xp)); D_nu(+sqrt(2xp)) is not needed
+        from lapcyl.catalog import cases
+
+        calls, pcf_d = [], cases.pcf_d
+
+        def counting(nu, z):
+            calls.append((nu, z))
+            return pcf_d(nu, z)
+
+        monkeypatch.setattr(cases, "pcf_d", counting)
+        grid = get_case("T34-NEG-HALF").default_grid
+        for pt in grid:
+            image("T34-NEG-HALF", pt)
+        assert len(calls) == 2 * len(grid)
+
     @pytest.mark.parametrize("cid", ["T35-POS-HALF", "T36-POS"])
     def test_positive_product_images_are_symmetric(self, cid):
         case = get_case(cid)

@@ -2,18 +2,22 @@
 
 Every invocation goes through `python -m lapcyl.cli` so the argument
 parsing, exit codes, and report bytes are exercised exactly as a user
-sees them.  Two checks are the exception: the pool-size check and the
+sees them.  Three checks are the exception: the pool-size check and the
 check that an unwritable --out stops the run before any task call
 `main` in-process, with a fake executor or task, so that they start no
-worker and can see which tasks ran.
+worker and can see which tasks ran, and the check of which cases
+overlapping --case globs select calls `_select_cases` without running
+them.
 """
 
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 CLI = [sys.executable, "-m", "lapcyl.cli"]
@@ -82,6 +86,18 @@ class TestEval:
         assert reason in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("z", ["142.6", "150"])
+    def test_gamma_where_its_power_overflows(self, z):
+        # base^(z - 1/2) passes double range before e^-base brings the
+        # product back; Gamma(142.6) printed (nan+nanj) and Gamma(150) raised
+        res = run_cli("eval", "gamma", "--z", z)
+        assert res.returncode == 0
+        got = float(res.stdout)
+        assert math.isfinite(got)
+        with mpmath.workdps(30):
+            want = float(mpmath.gamma(float(z)))
+        assert abs(got - want) <= 1e-14 * want
+
     def test_non_finite_value_prints(self):
         res = run_cli("eval", "erf", "--x", "nan")
         assert res.returncode == 0
@@ -127,6 +143,20 @@ class TestVerifyExitCodes:
         res = run_cli("verify", "--case", "NOT-A-CASE")
         assert res.returncode == 2
         assert "NOT-A-CASE" in res.stderr
+
+    def test_later_pattern_matching_nothing_exits_two(self):
+        res = run_cli("verify", "--case", "T3*", "--case", "NOT-A-CASE*")
+        assert res.returncode == 2
+        assert "no case matches 'NOT-A-CASE*'" in res.stderr
+
+    def test_overlapping_globs_select_each_case_once_in_registry_order(self):
+        from lapcyl import cli
+
+        args = cli.build_parser().parse_args(
+            ["verify", "--case", "T3*", "--case", "T31-DIFF-HALF", "--case", "T31-*"])
+        want = [row[0] for row in cli.list_cases() if row[0].startswith("T3")]
+        assert len(want) > 2
+        assert cli._select_cases(args) == want
 
     def test_no_selection_exits_two(self):
         res = run_cli("verify")

@@ -2,7 +2,10 @@
 
 import cmath
 import math
+import random
+import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -111,3 +114,51 @@ def test_digamma_poles():
 def test_conjugate_symmetry():
     z = 0.7 + 1.3j
     assert cmath.isclose(gamma(z.conjugate()), gamma(z).conjugate(), rel_tol=1e-13)
+
+
+def _mp(fn, x):
+    with mpmath.workdps(30):
+        return complex(fn(mpmath.mpf(x)))
+
+
+def test_large_argument_against_mpmath():
+    # base^(z - 1/2) leaves double range from z = 142.58 on, before e^-base
+    # brings the product back: both functions returned NaN or raised there
+    rng = random.Random(2401)
+    for x in [142.6, 171.6] + [rng.uniform(140.0, 171.6) for _ in range(40)]:
+        assert rel_err(gamma(x), _mp(mpmath.gamma, x)) < 1e-14, x
+        assert rel_err(reciprocal_gamma(x), _mp(mpmath.rgamma, x)) < 1e-14, x
+
+
+def test_large_negative_argument_against_mpmath():
+    # the reflection's own accuracy there, about 1e-11
+    rng = random.Random(2402)
+    for x in [-141.6] + [rng.uniform(-170.5, -140.0) for _ in range(40)]:
+        assert rel_err(gamma(x), _mp(mpmath.gamma, x)) < 1e-10, x
+        assert rel_err(reciprocal_gamma(x), _mp(mpmath.rgamma, x)) < 1e-10, x
+
+
+def test_reciprocal_gamma_underflows_to_subnormal_or_zero():
+    assert reciprocal_gamma(180.0) == 0.0
+    assert reciprocal_gamma(200.75) == 0.0
+    rng = random.Random(2403)
+    for x in [171.7, 175.0] + [rng.uniform(171.6, 178.0) for _ in range(20)]:
+        got = reciprocal_gamma(x)
+        assert got.imag == 0.0 and 0.0 <= got.real < sys.float_info.min, x
+        assert abs(got - _mp(mpmath.rgamma, x)) <= 1e-310, x
+
+
+def test_never_nan_across_the_real_line():
+    # a value, PoleError or OverflowError, never NaN; gamma raises
+    # OverflowError only where |Gamma| passes double range
+    for x in [-400.0 + 0.37 * k for k in range(2163)]:
+        for fn in (gamma, reciprocal_gamma):
+            try:
+                got = fn(x)
+            except OverflowError:
+                if fn is gamma:
+                    assert abs(mpmath.gamma(x)) > sys.float_info.max, x
+                continue
+            except PoleError:
+                continue
+            assert cmath.isfinite(got), (fn.__name__, x)

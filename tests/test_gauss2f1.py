@@ -224,6 +224,14 @@ def test_live_oracle_sweep():
         assert rel_err(gauss_2f1_cm(a, b, c, w), want) < 5e-12
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4: a real z below 1.1e-16 rounds to w = 1 - z = 1, so it "
+    "acts as z = 0 and F = 1 however large |a b z / c| is"))
+def test_tiny_argument_with_huge_parameter():
+    # (1 - z)^(1e20) at z = 1e-20 is e^-1
+    assert rel_err(gauss_2f1(-1e20, 1.0, 1.0, 1e-20), math.exp(-1.0)) < 1e-10
+
+
 def _bits(value):
     return np.asarray(value).tobytes()
 

@@ -162,6 +162,23 @@ def test_integral_route_near_integer_order(nu, z):
     assert rel_err(pcf_d(nu, z), want) < 1e-12
 
 
+_SERIES_CANCELLATION = (
+    "ROADMAP item 4: the series route (real z < 3) loses digits to "
+    "cancellation at large |nu| as z nears 3 and raises nothing")
+
+
+@pytest.mark.xfail(strict=True, reason=_SERIES_CANCELLATION)
+@pytest.mark.parametrize("nu, z", [
+    (-40.5, 2.9),       # -1.036e-32 where D is +1.131e-32
+    (-280.5, 1.0),      # 6.1e-3
+    (170.5, 2.9),       # 5.7e-3
+])
+def test_series_route_at_large_order(nu, z):
+    with mpmath.workdps(40):
+        want = complex(mpmath.pcfd(nu, z))
+    assert rel_err(pcf_d(nu, z), want) < 1e-10
+
+
 def test_conjugate_symmetry():
     nu = 0.3 + 0.4j
     z = 1.2
