@@ -217,9 +217,10 @@ class _Workspace:
         if self.plain is None:
             self.plain = y.ndim == 1
         # every K15 weight is positive, so a non-finite node shows in K15
-        finite = np.isfinite(rules[..., 0])
-        return (np.where(finite, rules[..., 0], 0.0).T.tolist(),
-                np.where(finite, err, math.inf).T.tolist())
+        bad = ~np.isfinite(rules[..., 0])
+        rules[..., 0][bad] = 0.0
+        err[bad] = math.inf
+        return rules[..., 0].T.tolist(), err.T.tolist()
 
     def store(self, g, lo, hi, vals, errs):
         """Keep evaluated panels; their nodes count as evaluations."""
