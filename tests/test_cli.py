@@ -2,12 +2,12 @@
 
 Every invocation goes through `python -m lapcyl.cli` so the argument
 parsing, exit codes, and report bytes are exercised exactly as a user
-sees them.  Three checks are the exception: the pool-size check and the
+sees them.  Three checks are the exception.  The pool-size check and the
 check that an unwritable --out stops the run before any task call
 `main` in-process, with a fake executor or task, so that they start no
-worker and can see which tasks ran, and the check of which cases
-overlapping --case globs select calls `_select_cases` without running
-them.
+worker and can see which tasks ran.  The check of which cases
+overlapping --case globs select calls `_select_cases`, so that it runs
+none of them.
 """
 
 import csv
