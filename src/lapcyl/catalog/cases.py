@@ -403,9 +403,9 @@ def _hi12_term(pt, c):
     return (c, nu / 2.0, -(1.0 + (mu + nu)) / 2.0, mu / 2.0, (-mu / 2.0, -nu / 2.0, 0.5))
 
 
-def _pcf_pair(mu, nu, x, y, p):
-    return pcf_d(mu, math.sqrt(2.0 * y * p)), pcf_d(nu, math.sqrt(2.0 * x * p)), pcf_d(
-        nu, -math.sqrt(2.0 * x * p))
+def _pcf_pair(pt, signs=(1.0, -1.0)):
+    return [pcf_d(pt.mu, math.sqrt(2.0 * pt.y * pt.p))] + [
+        pcf_d(pt.nu, s * math.sqrt(2.0 * pt.x * pt.p)) for s in signs]
 
 
 _v_thm31 = _requires(
@@ -414,7 +414,7 @@ _v_thm31 = _requires(
 
 
 def _t31_image(pt):
-    dmu, dplus, dminus = _pcf_pair(pt.mu, pt.nu, pt.x, pt.y, pt.p)
+    dmu, dplus, dminus = _pcf_pair(pt)
     return math.exp(0.5 * pt.p * (pt.y - pt.x)) / math.sqrt(pt.p) * dmu * (dminus - dplus)
 
 
@@ -469,7 +469,7 @@ _add(IdentityCase(
 
 
 def _t32_image(pt):
-    dmu, dplus, dminus = _pcf_pair(pt.mu, pt.nu, pt.x, pt.y, pt.p)
+    dmu, dplus, dminus = _pcf_pair(pt)
     return math.exp(0.5 * pt.p * (pt.y - pt.x)) * dmu * (dminus - dplus)
 
 
@@ -563,7 +563,7 @@ _add(IdentityCase(
 
 
 def _t33_image(pt):
-    dmu, dplus, dminus = _pcf_pair(pt.mu, pt.nu, pt.x, pt.y, pt.p)
+    dmu, dplus, dminus = _pcf_pair(pt)
     return math.exp(0.5 * pt.p * (pt.y - pt.x)) / math.sqrt(pt.p) * dmu * (dminus + dplus)
 
 
@@ -620,8 +620,7 @@ _add(IdentityCase(
 
 
 def _t34_image(pt):
-    dmu = pcf_d(pt.mu, math.sqrt(2.0 * pt.y * pt.p))
-    dminus = pcf_d(pt.nu, -math.sqrt(2.0 * pt.x * pt.p))
+    dmu, dminus = _pcf_pair(pt, (-1.0,))
     return math.exp(0.5 * pt.p * (pt.y - pt.x)) / math.sqrt(pt.p) * dmu * dminus
 
 
@@ -677,9 +676,8 @@ _add(IdentityCase(
 
 
 def _t35_image(pt):
-    mu, nu, x, y, p = pt.mu, pt.nu, pt.x, pt.y, pt.p
-    return (math.exp(0.5 * p * (y + x)) / math.sqrt(p)
-            * pcf_d(mu, math.sqrt(2.0 * y * p)) * pcf_d(nu, math.sqrt(2.0 * x * p)))
+    dmu, dplus = _pcf_pair(pt, (1.0,))
+    return math.exp(0.5 * pt.p * (pt.y + pt.x)) / math.sqrt(pt.p) * dmu * dplus
 
 
 def _t35_original(pt):
@@ -706,9 +704,8 @@ _add(IdentityCase(
 
 
 def _t36_image(pt):
-    mu, nu, x, y, p = pt.mu, pt.nu, pt.x, pt.y, pt.p
-    return (math.exp(0.5 * p * (y + x))
-            * pcf_d(mu, math.sqrt(2.0 * y * p)) * pcf_d(nu, math.sqrt(2.0 * x * p)))
+    dmu, dplus = _pcf_pair(pt, (1.0,))
+    return math.exp(0.5 * pt.p * (pt.y + pt.x)) * dmu * dplus
 
 
 def _t36_original(pt):

@@ -153,27 +153,22 @@ def point_passes(record: PointRecord, tol: float) -> bool:
 def build_report(case_id: str, records, tol=None) -> VerificationReport:
     """Assemble a report from already-computed point records.
 
-    The case passes when every point does; max_rel_error is NaN when
-    any point's error is.  Records of one group (see point_groups) carry
-    their shared integral's evaluations, counted once here.
+    The case passes when every point does, and is skipped with none;
+    max_rel_error is NaN when any point's error is, or there is none.
+    Records of one group (see point_groups) carry their shared
+    integral's evaluations, counted once here.
     """
     case = get_case(case_id)
     tol = case.tol if tol is None else float(tol)
     records = tuple(records)
-    if not records:
-        return VerificationReport(
-            id=case.id, kind=case.kind, records=records,
-            max_rel_error=math.nan, tol=tol, verdict="skipped",
-            evaluations=0,
-        )
     errors = [r.rel_error for r in records]
-    max_rel = math.nan if any(map(math.isnan, errors)) else max(errors)
+    max_rel = math.nan if any(map(math.isnan, errors)) else max(errors, default=math.nan)
     ok = all(point_passes(r, tol) for r in records)
     groups = point_groups([r.params for r in records])
     return VerificationReport(
         id=case.id, kind=case.kind, records=records,
         max_rel_error=max_rel, tol=tol,
-        verdict="pass" if ok else "fail",
+        verdict="skipped" if not records else "pass" if ok else "fail",
         evaluations=sum(records[idx[0]].evaluations for idx in groups),
     )
 

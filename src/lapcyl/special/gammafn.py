@@ -57,20 +57,28 @@ def _lanczos_sum(z: complex) -> complex:
     return acc
 
 
-def _gamma_right(z: complex, s: float = 1.0) -> complex:
-    # Gamma(z)^s for s = 1 or -1, Re z >= 0.5
-    base = z + _LANCZOS_G - 0.5
+def _gamma_pow(z: complex, s: float) -> complex:
+    # Gamma(z)^s for s = 1 or -1: the Lanczos product at w = z, or at w = 1 - z
+    # through the reflection Gamma(z) Gamma(1-z) = pi / sin(pi z) when Re z < 1/2
+    right = z.real >= 0.5
+    w = z if right else 1.0 - z
+    base = w + _LANCZOS_G - 0.5
     try:
-        out = math.sqrt(2.0 * math.pi) * base ** (z - 0.5) * cmath.exp(-base) * _lanczos_sum(z)
+        g = math.sqrt(2.0 * math.pi) * base ** (w - 0.5) * cmath.exp(-base) * _lanczos_sum(w)
     except OverflowError:
-        out = math.inf
-    if cmath.isfinite(out):
-        return out if s > 0.0 else 1.0 / out
-    # base^(z - 1/2) overflowed: half of base^(s(z - 1/2)) on each side of
-    # e^(-s base); a half that underflows to 0 leaves 1/Gamma below double range
-    half = base ** (s * (z - 0.5) / 2.0)
-    out = (half * cmath.exp(-s * base) * half if half else 0j) * (
-        math.sqrt(2.0 * math.pi) * _lanczos_sum(z)) ** s
+        g = 0.0
+    if g and cmath.isfinite(g):
+        if right:
+            return g if s > 0.0 else 1.0 / g
+        sin = cmath.sin(math.pi * z)
+        return math.pi / (sin * g) if s > 0.0 else sin * g / math.pi
+    # g left double range: base^(t(w - 1/2)) in halves around the other factors, and
+    # sin(pi z) = (-1)^n sin(pi (z - n)), z - n exact: no digits lost near a pole
+    n = round(z.real)
+    t, scale = (s, 1.0) if right else (-s, ((-1) ** n * math.pi / cmath.sin(math.pi * (z - n))) ** s)
+    half = base ** (t * (w - 0.5) / 2.0)
+    out = (half * (scale * cmath.exp(-t * base) * (math.sqrt(2.0 * math.pi) * _lanczos_sum(w)) ** t)
+           * half if half else 0j)
     if not cmath.isfinite(out):
         raise OverflowError(f"Gamma({z}) ** {s:g} lies past double range")
     return out
@@ -81,13 +89,7 @@ def gamma(z) -> complex:
     z = _finite(z, "gamma")
     if is_nonpositive_integer(z):
         raise PoleError(f"gamma pole at {z}")
-    if z.real < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        try:
-            return math.pi / (cmath.sin(math.pi * z) * _gamma_right(1.0 - z))
-        except OverflowError:   # Gamma(1 - z) past double range: Gamma(z) is tiny
-            return math.pi * _gamma_right(1.0 - z, -1.0) / cmath.sin(math.pi * z)
-    return _gamma_right(z)
+    return _gamma_pow(z, 1.0)
 
 
 def reciprocal_gamma(z) -> complex:
@@ -95,9 +97,7 @@ def reciprocal_gamma(z) -> complex:
     z = _finite(z, "reciprocal_gamma")
     if is_nonpositive_integer(z):
         return 0.0 + 0.0j
-    if z.real < 0.5:
-        return cmath.sin(math.pi * z) * _gamma_right(1.0 - z) / math.pi
-    return _gamma_right(z, -1.0)
+    return _gamma_pow(z, -1.0)
 
 
 def digamma(z) -> complex:

@@ -22,7 +22,7 @@ recurrence D_{m+1}(z) = z D_m(z) - m D_{m-1}(z) when nu >= 1.  The
 recurrence's two seeds D_{m-1} and D_m, m = frac(nu), share that integral's
 range, decay and factor (t+z) e^{-t^2/2 - z t}, so they come from one
 two-component quadrature.  The climb raises OverflowError at its first
-value beyond double range, so it never runs more steps than that.
+value beyond double range, and the integral where 1/Gamma(1-nu) underflows.
 """
 
 from __future__ import annotations
@@ -60,6 +60,9 @@ def _pcf_series(nu: complex, z: complex) -> complex:
 def _pcf_integral(orders, z: float) -> list[float]:
     # every order < 1, z > 0; caller guarantees both.  The orders share
     # one integral, one component each
+    rgs = [reciprocal_gamma(1.0 - nu).real for nu in orders]
+    if min(map(abs, rgs)) < np.finfo(float).tiny:
+        raise OverflowError("1/Gamma(1 - nu) underflows, so pcf_d's integral would lose its digits")
     nus = np.array(orders, dtype=float)[:, None]
 
     @np.errstate(divide="ignore", over="ignore")
@@ -74,8 +77,7 @@ def _pcf_integral(orders, z: float) -> list[float]:
     )
     res = integrate_semi_infinite(f, spec)
     damp = math.exp(-0.25 * z * z)
-    return [damp * reciprocal_gamma(1.0 - nu).real * float(v.real)
-            for nu, v in zip(orders, res.value)]
+    return [damp * rg * float(v.real) for rg, v in zip(rgs, res.value)]
 
 
 def _pcf_large_real(nu: float, z: float) -> float:

@@ -138,6 +138,27 @@ def test_large_negative_argument_against_mpmath():
         assert rel_err(reciprocal_gamma(x), _mp(mpmath.rgamma, x)) < 1e-10, x
 
 
+@pytest.mark.parametrize("x", [-174.0 + 1e-10, -176.5, -178.0 + 1e-10, -180.5])
+def test_reflection_to_subnormal_against_mpmath(x):
+    # 1/Gamma(1 - x) is subnormal or 0 here: pi / sin(pi x) goes in before the
+    # last product, so Gamma(x) keeps the digits its own magnitude allows
+    want = _mp(mpmath.gamma, x)
+    assert abs(gamma(x) - want) <= max(1e-14 * abs(want), 5e-324), x
+
+
+@pytest.mark.parametrize("x", [-170.97, -172.00001, -174.0 + 1e-10])
+def test_reciprocal_reflection_past_gamma_range(x):
+    # Gamma(1 - x) passes double range, sin(pi x) brings 1/Gamma(x) back
+    assert rel_err(reciprocal_gamma(x), _mp(mpmath.rgamma, x)) < 1e-14, x
+
+
+def test_large_imaginary_part_underflow_and_overflow():
+    # |Gamma(1/2 + 500i)| = sqrt(pi / cosh(500 pi)), about e^-785
+    assert gamma(0.5 + 500j) == 0.0
+    with pytest.raises(OverflowError, match="double range"):
+        reciprocal_gamma(0.5 + 500j)
+
+
 def test_reciprocal_gamma_underflows_to_subnormal_or_zero():
     assert reciprocal_gamma(180.0) == 0.0
     assert reciprocal_gamma(200.75) == 0.0
@@ -149,15 +170,14 @@ def test_reciprocal_gamma_underflows_to_subnormal_or_zero():
 
 
 def test_never_nan_across_the_real_line():
-    # a value, PoleError or OverflowError, never NaN; gamma raises
-    # OverflowError only where |Gamma| passes double range
+    # a value, PoleError or OverflowError, never NaN; each raises
+    # OverflowError only where its value passes double range
     for x in [-400.0 + 0.37 * k for k in range(2163)]:
-        for fn in (gamma, reciprocal_gamma):
+        for fn, exact in ((gamma, mpmath.gamma), (reciprocal_gamma, mpmath.rgamma)):
             try:
                 got = fn(x)
             except OverflowError:
-                if fn is gamma:
-                    assert abs(mpmath.gamma(x)) > sys.float_info.max, x
+                assert abs(exact(x)) > sys.float_info.max, (fn.__name__, x)
                 continue
             except PoleError:
                 continue

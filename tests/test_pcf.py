@@ -63,6 +63,13 @@ def test_recurrence_beyond_double_range_raises():
         pcf_d(400.5, 5.0)
 
 
+def test_integral_route_raises_where_reciprocal_gamma_underflows():
+    # 1/Gamma(201.5) is below the smallest subnormal: multiplied by the
+    # integral (about 1e158) it would give 0 where D_-200.5(5) is about 7e-218
+    with pytest.raises(OverflowError, match="1/Gamma"):
+        pcf_d(-200.5, 5.0)
+
+
 def test_recurrence_small_z():
     for nu in (-1.5, -0.5, 0.5, 1.5):
         for z in (0.1, 0.5, 2.0, -1.3):
@@ -172,6 +179,7 @@ _SERIES_CANCELLATION = (
     (-40.5, 2.9),       # -1.036e-32 where D is +1.131e-32
     (-280.5, 1.0),      # 6.1e-3
     (170.5, 2.9),       # 5.7e-3
+    (-290.5, 2.0),      # -3.1e-296 where D is +2.3e-310
 ])
 def test_series_route_at_large_order(nu, z):
     with mpmath.workdps(40):
