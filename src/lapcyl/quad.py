@@ -332,10 +332,8 @@ class _Workspace:
                 heapq.heappush(heap, (-max([e * w for e, w in zip(child, weight)]), i))
             total = [v + ((a + b) - old) for v, a, b, old in zip(total, v1, v2, val)]
             grown = [a + b for a, b in zip(e1, e2)]
-            if math.inf not in err:
-                toterr = [e + (gr - old) for e, gr, old in zip(toterr, grown, err)]
-            elif all(gr == math.inf for gr, old in zip(grown, err) if old == math.inf):
-                # each infinite error lives on in a child (inf - inf is NaN)
+            if all(gr == math.inf for gr, old in zip(grown, err) if old == math.inf):
+                # each infinite error, if any, lives on in a child (inf - inf is NaN)
                 toterr = [e + (gr - (0.0 if old == math.inf else old))
                           for e, gr, old in zip(toterr, grown, err)]
             else:

@@ -1,13 +1,17 @@
 """Gamma, reciprocal gamma and digamma for complex arguments.
 
-gamma uses the Lanczos approximation (g = 607/128, 15 coefficients) in the
-right half plane and the Euler reflection formula for Re z < 1/2, which is
-good to about 1e-15 relative over the parameter ranges this library uses.
-reciprocal_gamma returns exactly 0.0 at the poles; the identity catalog
-relies on that to switch off vanishing prefactors instead of special-casing
-them.  digamma feeds the logarithmic branches of the Gauss series and is
-evaluated by upward recurrence into Re z >= 10 followed by the Bernoulli
-asymptotic series.  All three raise DomainError at a non-finite argument.
+gamma and reciprocal_gamma share one route: the Lanczos approximation
+(g = 607/128, 15 coefficients) at w = z for Re z >= 1/2, and at w = 1 - z
+through the reflection formula, with sin(pi z) at the exact z - n.  Half of
+the power base^(w - 1/2) goes on each side of the other factors, so a value
+past double range raises OverflowError and one below it underflows to a
+subnormal or 0.  About 1e-15 relative, plus the rounding of 1 - z (up to
+7e-14 near z = -127).  reciprocal_gamma returns exactly 0.0 at the poles;
+the identity catalog relies on that to switch off vanishing prefactors.
+digamma feeds the logarithmic branches of the Gauss series: upward
+recurrence into Re z >= 10, then the Bernoulli asymptotic series, and a
+reflection whose cot is taken at the exact z - n.  All three raise
+DomainError at a non-finite argument.
 """
 
 from __future__ import annotations
@@ -58,27 +62,24 @@ def _lanczos_sum(z: complex) -> complex:
 
 
 def _gamma_pow(z: complex, s: float) -> complex:
-    # Gamma(z)^s for s = 1 or -1: the Lanczos product at w = z, or at w = 1 - z
-    # through the reflection Gamma(z) Gamma(1-z) = pi / sin(pi z) when Re z < 1/2
+    # Gamma(z)^s for s = 1 or -1, with Gamma(z) Gamma(1-z) = pi / sin(pi z) and
+    # sin(pi z) = (-1)^n sin(pi (z - n)) when Re z < 1/2
     right = z.real >= 0.5
     w = z if right else 1.0 - z
     base = w + _LANCZOS_G - 0.5
-    try:
-        g = math.sqrt(2.0 * math.pi) * base ** (w - 0.5) * cmath.exp(-base) * _lanczos_sum(w)
-    except OverflowError:
-        g = 0.0
-    if g and cmath.isfinite(g):
-        if right:
-            return g if s > 0.0 else 1.0 / g
-        sin = cmath.sin(math.pi * z)
-        return math.pi / (sin * g) if s > 0.0 else sin * g / math.pi
-    # g left double range: base^(t(w - 1/2)) in halves around the other factors, and
-    # sin(pi z) = (-1)^n sin(pi (z - n)), z - n exact: no digits lost near a pole
-    n = round(z.real)
-    t, scale = (s, 1.0) if right else (-s, ((-1) ** n * math.pi / cmath.sin(math.pi * (z - n))) ** s)
-    half = base ** (t * (w - 0.5) / 2.0)
-    out = (half * (scale * cmath.exp(-t * base) * (math.sqrt(2.0 * math.pi) * _lanczos_sum(w)) ** t)
-           * half if half else 0j)
+    t = s if right else -s
+    scale, expo = 1.0, -t * base
+    if not right:
+        n = round(z.real)
+        x = math.pi * (z - n)
+        if abs(x.imag) < 20.0:
+            scale = ((-1) ** n * math.pi / cmath.sin(x)) ** s
+        else:
+            # pi / sin x = -sg 2 pi i e^(i sg x) to double precision, where sin x can overflow
+            sg = math.copysign(1.0, x.imag)
+            scale, expo = (-sg * (-1) ** n * 2j * math.pi) ** s, expo + s * sg * 1j * x
+    half = base ** (t * (w - 0.5) / 2.0) * cmath.exp(expo / 2.0)
+    out = half * (scale * (math.sqrt(2.0 * math.pi) * _lanczos_sum(w)) ** t) * half if half else 0j
     if not cmath.isfinite(out):
         raise OverflowError(f"Gamma({z}) ** {s:g} lies past double range")
     return out
@@ -106,8 +107,8 @@ def digamma(z) -> complex:
     if is_nonpositive_integer(z):
         raise PoleError(f"digamma pole at {z}")
     if z.real < 0.5:
-        # psi(z) = psi(1-z) - pi cot(pi z)
-        return digamma(1.0 - z) - math.pi / cmath.tan(math.pi * z)
+        # psi(z) = psi(1-z) - pi cot(pi (z - n)), z - n exact
+        return digamma(1.0 - z) - math.pi / cmath.tan(math.pi * (z - round(z.real)))
     acc = 0.0 + 0.0j
     while z.real < 10.0:
         acc -= 1.0 / z

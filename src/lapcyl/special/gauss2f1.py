@@ -358,23 +358,20 @@ def gauss_2f1_cm(a, b, c, one_minus_z):
 def gauss_2f1(a, b, c, z):
     """Gauss hypergeometric F(a,b;c;z) for real z <= 1 (scalar or ndarray).
 
-    A scalar complex z is accepted when |z| <= 1/2 (direct series
-    region); everywhere else the argument must be real.  z > 1 raises
-    DomainError, z = 1 requires Re(c-a-b) > 0 unless the series
-    terminates.
+    Where every |z| <= 1/2, real or complex, the Maclaurin series is summed
+    in z itself; everywhere else the argument must be real and goes to the
+    plan as w = 1 - z.  z > 1 raises DomainError, z = 1 requires
+    Re(c-a-b) > 0 unless the series terminates.
     """
     plan = Gauss2F1Plan(a, b, c)
     zarr = np.asarray(z)
-    if np.iscomplexobj(zarr):
-        if np.any(np.atleast_1d(zarr).imag != 0.0):
-            if zarr.ndim == 0 and abs(complex(zarr)) <= 0.5:
-                zc = complex(zarr)
-                degree = plan._degree
-                if degree is not None:
-                    return _finish(np.atleast_1d(_poly_f21(plan.a, plan.b, plan.c, zc, degree)),
-                                   True)
-                return _finish(plan._series(np.array([zc]), abs(zc)), True)
-            raise DomainError("complex gauss_2f1 argument supported only for |z| <= 1/2")
-        zarr = zarr.real
-    zarr = np.asarray(zarr, dtype=float)
-    return plan(1.0 - zarr)
+    zmax = float(np.abs(zarr).max(initial=0.0))
+    if zmax <= 0.5:
+        # the Maclaurin sum in z itself: w = 1 - z would round a z below 1.1e-16 to 0
+        degree = plan._degree
+        vals = (_poly_f21(plan.a, plan.b, plan.c, zarr, degree) if degree is not None
+                else plan._series(zarr.reshape(-1), zmax).reshape(zarr.shape))
+        return _finish(vals, zarr.ndim == 0)
+    if np.any(zarr.imag != 0.0):
+        raise DomainError("complex gauss_2f1 argument supported only for |z| <= 1/2")
+    return plan(1.0 - np.asarray(zarr.real, dtype=float))

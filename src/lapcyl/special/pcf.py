@@ -17,12 +17,12 @@ z = 10.  There the function switches to the integral form
 
   D_nu(z) = e^{-z^2/4} / Gamma(1-nu) * int_0^inf t^{-nu} (t+z) e^{-t^2/2 - z t} dt
 
-(valid for nu < 1; positive integrand, no cancellation), climbing the
-recurrence D_{m+1}(z) = z D_m(z) - m D_{m-1}(z) when nu >= 1.  The
-recurrence's two seeds D_{m-1} and D_m, m = frac(nu), share that integral's
-range, decay and factor (t+z) e^{-t^2/2 - z t}, so they come from one
-two-component quadrature.  The climb raises OverflowError at its first
-value beyond double range, and the integral where 1/Gamma(1-nu) underflows.
+(valid for nu < 1; positive integrand, no cancellation), its t^{-nu},
+1/Gamma(1-nu) and Gaussian taken as one exponential so that none leaves
+double range on its own.  For nu >= 1 it climbs D_{m+1}(z) = z D_m(z) -
+m D_{m-1}(z) from D_{m-1} and D_m, m = frac(nu), whose integrals share
+range, decay and factor (t+z): one two-component quadrature gives both.
+The climb raises OverflowError at its first value beyond double range.
 """
 
 from __future__ import annotations
@@ -60,24 +60,22 @@ def _pcf_series(nu: complex, z: complex) -> complex:
 def _pcf_integral(orders, z: float) -> list[float]:
     # every order < 1, z > 0; caller guarantees both.  The orders share
     # one integral, one component each
-    rgs = [reciprocal_gamma(1.0 - nu).real for nu in orders]
-    if min(map(abs, rgs)) < np.finfo(float).tiny:
-        raise OverflowError("1/Gamma(1 - nu) underflows, so pcf_d's integral would lose its digits")
     nus = np.array(orders, dtype=float)[:, None]
+    lgs = np.array([math.lgamma(1.0 - nu) for nu in orders])[:, None]
 
     @np.errstate(divide="ignore", over="ignore")
     def f(t):
-        return t ** (-nus) * (t + z) * np.exp(-0.5 * t * t - z * t)
+        return np.exp(-nus * np.log(t) - lgs - t * (0.5 * t + z)) * (t + z)
 
     spec = QuadratureSpec(
         lower=0.0, upper=math.inf,
         exponent_at_lower=-max(orders),
         decay_rate=z,
-        rel_tol=1e-13, abs_tol=1e-250,
+        rel_tol=1e-13, abs_tol=1e-305,
     )
     res = integrate_semi_infinite(f, spec)
     damp = math.exp(-0.25 * z * z)
-    return [damp * rg * float(v.real) for rg, v in zip(rgs, res.value)]
+    return [damp * float(v.real) for v in res.value]
 
 
 def _pcf_large_real(nu: float, z: float) -> float:

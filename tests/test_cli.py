@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -97,6 +98,16 @@ class TestEval:
         with mpmath.workdps(30):
             want = float(mpmath.gamma(float(z)))
         assert abs(got - want) <= 1e-14 * want
+
+    def test_pcf_integral_route_below_order_minus_127(self):
+        # t^130.5 overflowed at the far nodes: NaN panels, a numpy
+        # RuntimeWarning and NonConvergence, where D is 1.75e-125
+        res = run_cli("eval", "D", "--nu", "-130.5", "--z", "3",
+                      env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
+        assert res.returncode == 0, res.stderr
+        with mpmath.workdps(30):
+            want = float(mpmath.pcfd(-130.5, 3.0))
+        assert abs(float(res.stdout) - want) <= 1e-12 * want
 
     def test_non_finite_value_prints(self):
         res = run_cli("eval", "erf", "--x", "nan")

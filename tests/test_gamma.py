@@ -131,11 +131,28 @@ def test_large_argument_against_mpmath():
 
 
 def test_large_negative_argument_against_mpmath():
-    # the reflection's own accuracy there, about 1e-11
     rng = random.Random(2402)
     for x in [-141.6] + [rng.uniform(-170.5, -140.0) for _ in range(40)]:
-        assert rel_err(gamma(x), _mp(mpmath.gamma, x)) < 1e-10, x
-        assert rel_err(reciprocal_gamma(x), _mp(mpmath.rgamma, x)) < 1e-10, x
+        assert rel_err(gamma(x), _mp(mpmath.gamma, x)) < 1e-14, x
+        assert rel_err(reciprocal_gamma(x), _mp(mpmath.rgamma, x)) < 1e-14, x
+
+
+def test_near_poles_against_mpmath():
+    # sin(pi x) is taken at the exact x - n: rounding pi x cost |x| eps / |x - n|
+    rng = random.Random(2501)
+    points = [-3.0 + 1e-13, -20.0 + 1e-12, -100.0 + 1e-10]
+    points += [-rng.randint(0, 20) + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-13.0, -2.0)
+               for _ in range(300)]
+    for x in points:
+        assert rel_err(gamma(x), _mp(mpmath.gamma, x)) < 1e-14, x
+        assert rel_err(reciprocal_gamma(x), _mp(mpmath.rgamma, x)) < 1e-14, x
+
+
+def test_digamma_near_poles_against_mpmath():
+    rng = random.Random(2502)
+    for _ in range(300):
+        x = -rng.randint(0, 20) + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, -2.0)
+        assert rel_err(digamma(x), _mp(mpmath.digamma, x)) < 1e-14, x
 
 
 @pytest.mark.parametrize("x", [-174.0 + 1e-10, -176.5, -178.0 + 1e-10, -180.5])
@@ -154,9 +171,21 @@ def test_reciprocal_reflection_past_gamma_range(x):
 
 def test_large_imaginary_part_underflow_and_overflow():
     # |Gamma(1/2 + 500i)| = sqrt(pi / cosh(500 pi)), about e^-785
-    assert gamma(0.5 + 500j) == 0.0
+    for z in (0.5 + 500j, -0.5 + 500j):
+        assert gamma(z) == 0.0
+        with pytest.raises(OverflowError):
+            reciprocal_gamma(z)
     with pytest.raises(OverflowError, match="double range"):
         reciprocal_gamma(0.5 + 500j)
+
+
+@pytest.mark.parametrize("z", [0.49 + 230j, 0.49 - 230j, 0.3 + 240j, -20.3 + 300j, -20.3 - 300j])
+def test_reflection_at_large_imaginary_part(z):
+    # sin(pi z) overflows from |Im z| of about 226 on, though both values are normal
+    with mpmath.workdps(30):
+        want_g, want_rg = complex(mpmath.gamma(z)), complex(mpmath.rgamma(z))
+    assert rel_err(gamma(z), want_g) < 1e-12
+    assert rel_err(reciprocal_gamma(z), want_rg) < 1e-12
 
 
 def test_reciprocal_gamma_underflows_to_subnormal_or_zero():

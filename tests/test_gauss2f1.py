@@ -7,6 +7,7 @@ implementation it lands in.
 
 import itertools
 import math
+import random
 import warnings
 
 import numpy as np
@@ -224,12 +225,34 @@ def test_live_oracle_sweep():
         assert rel_err(gauss_2f1_cm(a, b, c, w), want) < 5e-12
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 4: a real z below 1.1e-16 rounds to w = 1 - z = 1, so it "
-    "acts as z = 0 and F = 1 however large |a b z / c| is"))
 def test_tiny_argument_with_huge_parameter():
-    # (1 - z)^(1e20) at z = 1e-20 is e^-1
+    # (1 - z)^(1e20) at z = 1e-20 is e^-1; w = 1 - z would round z to 0
     assert rel_err(gauss_2f1(-1e20, 1.0, 1.0, 1e-20), math.exp(-1.0)) < 1e-10
+
+
+def test_complex_array_in_disc_matches_scalars():
+    z = np.array([0.2 + 0.3j, -0.4 + 0.1j, 1e-20, 0.5])
+    vec = gauss_2f1(0.3, 0.7, 1.1, z)
+    assert vec.shape == z.shape
+    for i, zi in enumerate(z):
+        assert vec[i] == gauss_2f1(0.3, 0.7, 1.1, complex(zi))
+
+
+def test_log_branch_with_c_near_a_pole():
+    # c - a - b = m, c = -n + delta: Gamma(c) sits near its pole.  a > 0: near
+    # a = -1 as well, F's relative sensitivity to c reaches 4e5, so the
+    # rounding of c itself costs 1e-10 there
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(2504)
+    for _ in range(300):
+        n, m = rng.randint(0, 3), rng.randint(0, 2)
+        c = -n + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, -2.0)
+        a = rng.uniform(0.1, 2.0)
+        b = c - m - a
+        w = rng.uniform(0.02, 0.45)
+        with mpmath.workdps(40):
+            want = complex(mpmath.hyp2f1(a, b, c, 1 - mpmath.mpf(w)))
+        assert rel_err(gauss_2f1_cm(a, b, c, w), want) < 1e-11, (a, b, c, w)
 
 
 def _bits(value):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import mpmath
 import pytest
@@ -63,11 +64,89 @@ def test_recurrence_beyond_double_range_raises():
         pcf_d(400.5, 5.0)
 
 
-def test_integral_route_raises_where_reciprocal_gamma_underflows():
-    # 1/Gamma(201.5) is below the smallest subnormal: multiplied by the
-    # integral (about 1e158) it would give 0 where D_-200.5(5) is about 7e-218
-    with pytest.raises(OverflowError, match="1/Gamma"):
-        pcf_d(-200.5, 5.0)
+def test_integral_route_at_order_minus_200():
+    # 1/Gamma(201.5) is below the smallest subnormal and t^200.5 overflows at
+    # the far nodes; D_-200.5(5) itself is about 5e-219
+    with mpmath.workdps(30):
+        want = float(mpmath.pcfd(-200.5, 5.0))
+    assert rel_err(pcf_d(-200.5, 5.0), want) < 1e-12
+
+
+def _peak(nu, z):
+    """The peak t_p of t^(-nu-1) e^(-t^2/2 - z t) for nu < -1, its width and
+    the log of that integrand there."""
+    nu, z = mpmath.mpf(nu), mpmath.mpf(z)
+    tp = (mpmath.sqrt(z * z - 4 * (nu + 1)) - z) / 2
+    width = 1 / mpmath.sqrt(1 + (-nu - 1) / tp ** 2)
+    return tp, width, (-nu - 1) * mpmath.log(tp) - tp * (tp / 2 + z)
+
+
+def _log_scale(nu, z):
+    # log of D_nu(z)'s prefactor e^(-z^2/4) / Gamma(-nu) times the integrand's peak
+    return _peak(nu, z)[2] - mpmath.loggamma(-nu) - mpmath.mpf(z) ** 2 / 4
+
+
+def _pcf_oracle(nu, z):
+    # D_nu(z) = e^(-z^2/4) / Gamma(-nu) int_0^inf t^(-nu-1) e^(-t^2/2 - z t) dt,
+    # nu < 0, at 30 digits over panels two widths wide about the peak;
+    # mpmath.pcfd takes about a second per point at these orders
+    tp, width, log_f = _peak(nu, z)
+    nu, z = mpmath.mpf(nu), mpmath.mpf(z)
+
+    def f(t):
+        return mpmath.exp((-nu - 1) * mpmath.log(t) - t * (t / 2 + z) - log_f)
+
+    points = [0] + [tp + k * width for k in range(-40, 41, 2) if tp + k * width > 0]
+    return float(mpmath.quad(f, points + [mpmath.inf], method="gauss-legendre")
+                 * mpmath.exp(_log_scale(nu, z)))
+
+
+def test_integral_route_at_large_negative_order():
+    # t^-nu and 1/Gamma(1 - nu) leave double range on their own below nu of
+    # about -127 and -170.6; in one exponent they do not
+    rng = random.Random(2507)
+    checked = 0
+    with warnings.catch_warnings(), mpmath.workdps(30):
+        warnings.simplefilter("error")
+        for _ in range(400):
+            nu, z = rng.uniform(-420.0, -100.0), rng.uniform(3.0, 40.0)
+            got = pcf_d(nu, z)
+            # Laplace's estimate of |D| skips the oracle far below 1e-290
+            width = _peak(nu, z)[1]
+            if _log_scale(nu, z) + mpmath.log(width * mpmath.sqrt(2 * mpmath.pi)) < math.log(1e-291):
+                continue
+            want = _pcf_oracle(nu, z)
+            if abs(want) >= 1e-290:
+                checked += 1
+                assert rel_err(got, want) < 1e-12, (nu, z)
+    assert checked >= 50
+    with mpmath.workdps(30):
+        assert rel_err(_pcf_oracle(-130.5, 3.0), float(mpmath.pcfd(-130.5, 3.0))) < 1e-15
+
+
+def test_integral_route_p99_against_mpmath():
+    # frac(nu) stays below ROADMAP item 1's near-integer defect
+    rng = random.Random(2506)
+    errs = []
+    for _ in range(600):
+        nu, z = rng.uniform(-3.0, 0.98), rng.uniform(3.0, 40.0)
+        with mpmath.workdps(30):
+            want = float(mpmath.pcfd(nu, z))
+        errs.append(rel_err(pcf_d(nu, z), want))
+    errs.sort()
+    assert errs[593] < 3e-14 and errs[-1] < 5e-14
+
+
+def test_series_route_near_integer_order_at_negative_z():
+    # both prefactors' 1/Gamma sit near a pole there
+    rng = random.Random(2503)
+    for lo, hi in ((-7.0, math.log10(2e-6)), (-10.0, -9.0)):
+        for _ in range(150):
+            nu = rng.randint(2, 5) + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(lo, hi)
+            z = rng.uniform(-20.0, -0.5)
+            with mpmath.workdps(30):
+                want = complex(mpmath.pcfd(nu, z))
+            assert rel_err(pcf_d(nu, z), want) < 1e-12, (nu, z)
 
 
 def test_recurrence_small_z():
