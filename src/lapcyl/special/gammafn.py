@@ -67,8 +67,7 @@ def _gamma_pow(z: complex, s: float) -> complex:
     right = z.real >= 0.5
     w = z if right else 1.0 - z
     base = w + _LANCZOS_G - 0.5
-    t = s if right else -s
-    scale, expo = 1.0, -t * base
+    t, scale, expo = (s, 1.0, -s * base) if right else (-s, 1.0, s * base)
     if not right:
         n = round(z.real)
         x = math.pi * (z - n)
@@ -78,8 +77,9 @@ def _gamma_pow(z: complex, s: float) -> complex:
             # pi / sin x = -sg 2 pi i e^(i sg x) to double precision, where sin x can overflow
             sg = math.copysign(1.0, x.imag)
             scale, expo = (-sg * (-1) ** n * 2j * math.pi) ** s, expo + s * sg * 1j * x
-    half = base ** (t * (w - 0.5) / 2.0) * cmath.exp(expo / 2.0)
-    out = half * (scale * (math.sqrt(2.0 * math.pi) * _lanczos_sum(w)) ** t) * half if half else 0j
+    power = base ** (t * (w - 0.5) / 2.0)
+    half = power * cmath.exp(expo / 2.0) if power else 0j
+    out = half * (scale * (math.sqrt(2.0 * math.pi) * _lanczos_sum(w)) ** t) * half
     if not cmath.isfinite(out):
         raise OverflowError(f"Gamma({z}) ** {s:g} lies past double range")
     return out

@@ -155,7 +155,7 @@ def test_digamma_near_poles_against_mpmath():
         assert rel_err(digamma(x), _mp(mpmath.digamma, x)) < 1e-14, x
 
 
-@pytest.mark.parametrize("x", [-174.0 + 1e-10, -176.5, -178.0 + 1e-10, -180.5])
+@pytest.mark.parametrize("x", [-174.0 + 1e-10, -176.5, -178.0 + 1e-10, -180.5, -1500.5])
 def test_reflection_to_subnormal_against_mpmath(x):
     # 1/Gamma(1 - x) is subnormal or 0 here: pi / sin(pi x) goes in before the
     # last product, so Gamma(x) keeps the digits its own magnitude allows
@@ -191,6 +191,7 @@ def test_reflection_at_large_imaginary_part(z):
 def test_reciprocal_gamma_underflows_to_subnormal_or_zero():
     assert reciprocal_gamma(180.0) == 0.0
     assert reciprocal_gamma(200.75) == 0.0
+    assert reciprocal_gamma(1500.5) == 0.0      # e^base alone passes double range
     rng = random.Random(2403)
     for x in [171.7, 175.0] + [rng.uniform(171.6, 178.0) for _ in range(20)]:
         got = reciprocal_gamma(x)
