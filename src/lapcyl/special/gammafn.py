@@ -67,7 +67,7 @@ def _gamma_pow(z: complex, s: float) -> complex:
     right = z.real >= 0.5
     w = z if right else 1.0 - z
     base = w + _LANCZOS_G - 0.5
-    t, scale, expo = (s, 1.0, -s * base) if right else (-s, 1.0, s * base)
+    t, scale, e = (s, 1.0, -s * base / 2.0) if right else (-s, 1.0, s * base / 2.0)
     if not right:
         n = round(z.real)
         x = math.pi * (z - n)
@@ -76,9 +76,12 @@ def _gamma_pow(z: complex, s: float) -> complex:
         else:
             # pi / sin x = -sg 2 pi i e^(i sg x) to double precision, where sin x can overflow
             sg = math.copysign(1.0, x.imag)
-            scale, expo = (-sg * (-1) ** n * 2j * math.pi) ** s, expo + s * sg * 1j * x
-    power = base ** (t * (w - 0.5) / 2.0)
-    half = power * cmath.exp(expo / 2.0) if power else 0j
+            scale, e = (-sg * (-1) ** n * 2j * math.pi) ** s, e + s * sg * 0.5j * x
+    p, lb = t * (w - 0.5) / 2.0, cmath.log(base)
+    lp = p * lb
+    # base ** p forms e^(Re p Re lb), e^(Im p Im lb) and their quotient: each, like e^e, a double
+    big = max(abs(p.real * lb.real), abs(p.imag * lb.imag), abs(lp.real), abs(e.real))
+    half = base ** p * cmath.exp(e) if big < 700.0 else cmath.exp(lp + e)
     out = half * (scale * (math.sqrt(2.0 * math.pi) * _lanczos_sum(w)) ** t) * half
     if not cmath.isfinite(out):
         raise OverflowError(f"Gamma({z}) ** {s:g} lies past double range")

@@ -170,8 +170,9 @@ def test_reciprocal_reflection_past_gamma_range(x):
 
 
 def test_large_imaginary_part_underflow_and_overflow():
-    # |Gamma(1/2 + 500i)| = sqrt(pi / cosh(500 pi)), about e^-785
-    for z in (0.5 + 500j, -0.5 + 500j):
+    # |Gamma(1/2 + 500i)| = sqrt(pi / cosh(500 pi)), about e^-785; from |Im z| of
+    # about 950 on, base ** p alone leaves double range at Re z < 1/2
+    for z in (0.5 + 500j, -0.5 + 500j, -0.5 + 1000j, -0.5 - 1000j, 0.3 + 3000j):
         assert gamma(z) == 0.0
         with pytest.raises(OverflowError):
             reciprocal_gamma(z)
@@ -186,6 +187,33 @@ def test_reflection_at_large_imaginary_part(z):
         want_g, want_rg = complex(mpmath.gamma(z)), complex(mpmath.rgamma(z))
     assert rel_err(gamma(z), want_g) < 1e-12
     assert rel_err(reciprocal_gamma(z), want_rg) < 1e-12
+
+
+def test_complex_plane_against_mpmath():
+    # a value within 4e-15 |z| (a subnormal within 1e-320), or OverflowError only
+    # where the value passes double range: base ** p forms |base|^Re p and
+    # e^(-Im p arg base) apart, and either can leave double range where the half
+    # does not.  gamma(488.1+2884.1j), about 1e-279, raised, and
+    # reciprocal_gamma(-0.5+1000j), about 6e684, returned 0
+    rng = random.Random(2503)
+    points = [488.1040610920677 + 2884.104285764374j, 1436.0 + 8300.0j, -0.5 + 1000j]
+    for _ in range(400):
+        y = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 4.0)
+        points.append(complex(rng.uniform(-2000.0, 2000.0), y))
+    for z in points:
+        for fn, exact in ((gamma, mpmath.gamma), (reciprocal_gamma, mpmath.rgamma)):
+            with mpmath.workdps(30):
+                want = exact(mpmath.mpc(z))
+            try:
+                got = fn(z)
+            except OverflowError:
+                assert abs(want) > sys.float_info.max, (fn.__name__, z)
+                continue
+            assert abs(want) <= sys.float_info.max, (fn.__name__, z)
+            if abs(want) < sys.float_info.min:
+                assert abs(got - complex(want)) <= 1e-320, (fn.__name__, z)
+            else:
+                assert rel_err(got, complex(want)) < 4e-15 * abs(z), (fn.__name__, z)
 
 
 def test_reciprocal_gamma_underflows_to_subnormal_or_zero():
