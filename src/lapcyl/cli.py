@@ -9,14 +9,14 @@ arguments outside a function's domain or range) and for grid points a
 case cannot evaluate.  Every point's validity predicate is checked, and
 the --out files are opened, before any task runs; a closed form that
 a special function cannot evaluate, an original that cannot be built
-or an integral that raises stops the run when its group runs.
-Reports are deterministic byte for byte across runs and across --jobs:
-a task is one group of points that share an integral (`point_groups`),
-evaluated whole in one process, and records keep grid order.  A row's
-`evaluations` is the integrand evaluations of its group's shared
-integral.  Wall-clock timings go to a sidecar file, never into the
-report.  The sidecar holds the total wall time and, under any --jobs,
-each case's compute time: the sum of its groups' evaluation times.
+or an integral that raises stops the run when its case runs, with the
+error `verify` raises: every point's closed forms come before any
+integral.  Reports are deterministic byte for byte across runs and
+across --jobs: a task is one whole case, one `verify` call in one
+process, and reports keep registry order.  Wall-clock timings go to a
+sidecar file, never into the report.  The sidecar holds the total wall
+time and, under any --jobs, each case's compute time: the seconds its
+`verify` call took.
 """
 
 from __future__ import annotations
@@ -33,15 +33,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from ._exceptions import InvalidParams, LapcylError
-from .catalog import (
-    build_report,
-    check_points,
-    get_case,
-    list_cases,
-    point_groups,
-    point_passes,
-    verify,
-)
+from .catalog import check_points, get_case, list_cases, point_passes, verify
 from .catalog.model import KINDS, ParamPoint
 from .special import (
     appell_f1,
@@ -114,14 +106,14 @@ def _load_grid(path):
 
 
 def _eval_task(task):
-    """One group of points that share an integral: their records and the
-    seconds they took.  Module-level, and given the case id rather than
-    the case, because pool workers resolve cases from their own registry;
-    integrand closures do not pickle."""
-    cid, pts = task
+    """One case's report and the seconds its `verify` call took.
+    Module-level, and given the case id rather than the case, because
+    pool workers resolve cases from their own registry; integrand
+    closures do not pickle."""
+    cid, pts, tol = task
     start = time.perf_counter()
-    records = verify(cid, grid=pts).records
-    return records, time.perf_counter() - start
+    report = verify(cid, grid=pts, tol=tol)
+    return report, time.perf_counter() - start
 
 
 def _checked_points(args):
@@ -138,30 +130,15 @@ def _run_verify(args, points):
     """Returns (reports in registry order, compute seconds per case id,
     total wall seconds)."""
     start = time.perf_counter()
-    tasks = []
-    layout = []
-    for cid, pts in points.items():
-        groups = point_groups(pts)
-        layout.append((cid, len(pts), groups))
-        tasks.extend((cid, tuple(pts[i] for i in idx)) for idx in groups)
+    tasks = [(cid, pts, args.tol) for cid, pts in points.items()]
     if args.jobs > 1:
-        chunk = max(1, len(tasks) // (4 * args.jobs))
         # fork starts every worker at the first submit: no more than tasks
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
-            results = iter(list(pool.map(_eval_task, tasks, chunksize=chunk)))
+            results = list(pool.map(_eval_task, tasks))
     else:
-        results = map(_eval_task, tasks)
-    reports = []
-    seconds = {}
-    for cid, n, groups in layout:
-        records = [None] * n
-        seconds[cid] = 0.0
-        for idx, (recs, secs) in zip(groups, results):
-            for i, rec in zip(idx, recs):
-                records[i] = rec
-            seconds[cid] += secs
-        reports.append(build_report(cid, records, tol=args.tol))
-    return reports, seconds, time.perf_counter() - start
+        results = list(map(_eval_task, tasks))
+    seconds = {rep.id: secs for rep, secs in results}
+    return [rep for rep, _ in results], seconds, time.perf_counter() - start
 
 
 def _point_rows(reports):

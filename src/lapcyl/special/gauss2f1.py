@@ -53,9 +53,9 @@ import math
 
 import numpy as np
 
-from .._exceptions import DomainError, NonConvergence, ParameterPole
+from .._exceptions import DomainError, ParameterPole
 from .gammafn import digamma, gamma, reciprocal_gamma
-from .hyper import _BLOCK, _Table, _gauss_rows, _reals, _sum_series
+from .hyper import _BLOCK, _Table, _finish, _gauss_rows, _reals, _sum_series
 
 _EULER_GAMMA = 0.57721566490153286061
 _INT_SNAP = 1e-12
@@ -180,14 +180,6 @@ def _region(w):
     return 0 if w == 0.0 else 1 if w < 0.5 else 2 if w <= 1.5 else 3
 
 
-def _finish(values, scalar_in):
-    if not np.isfinite(values).all():
-        raise NonConvergence("gauss_2f1 produced a non-finite value")
-    if scalar_in:
-        return complex(values.reshape(-1)[0])
-    return values
-
-
 class Gauss2F1Plan:
     """F(a, b; c; 1 - w) at fixed parameters: plan(w) for w >= 0, scalar or
     ndarray, gives what gauss_2f1_cm(a, b, c, w) gives.
@@ -214,7 +206,7 @@ class Gauss2F1Plan:
         else:
             lo, hi = 0.0, 1.0       # two regions: the mask path, which returns it empty
         vals = self._at(w1, lo, hi)
-        return _finish(vals.reshape(warr.shape) if not scalar_in else vals, scalar_in)
+        return _finish(vals.reshape(warr.shape), scalar_in, "gauss_2f1")
 
     @_once
     def _degree(self):
@@ -371,7 +363,7 @@ def gauss_2f1(a, b, c, z):
         degree = plan._degree
         vals = (_poly_f21(plan.a, plan.b, plan.c, zarr, degree) if degree is not None
                 else plan._series(zarr.reshape(-1), zmax).reshape(zarr.shape))
-        return _finish(vals, zarr.ndim == 0)
+        return _finish(vals, zarr.ndim == 0, "gauss_2f1")
     if np.any(zarr.imag != 0.0):
         raise DomainError("complex gauss_2f1 argument supported only for |z| <= 1/2")
     return plan(1.0 - np.asarray(zarr.real, dtype=float))

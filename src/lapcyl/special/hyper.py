@@ -229,6 +229,16 @@ def kummer_phi(a, b, z) -> complex:
     return value
 
 
+def _finish(values, scalar_in, name):
+    """An array-valued series' result: NonConvergence if any lane is not
+    finite, else a complex for scalar input and the array otherwise."""
+    if not np.isfinite(values).all():
+        raise NonConvergence(f"{name} produced a non-finite value")
+    if scalar_in:
+        return complex(values.reshape(-1)[0])
+    return values
+
+
 # an overflowing sum ends as a non-finite lane, reported below
 @np.errstate(over="ignore", invalid="ignore")
 def hyp_2f2(a1, a2, b1, b2, z):
@@ -247,8 +257,4 @@ def hyp_2f2(a1, a2, b1, b2, z):
         _Table(lambda k0: np.array([(a1 + k) * (a2 + k) / ((b1 + k) * (b2 + k) * (k + 1.0))
                                     for k in range(k0, k0 + rows)]), rows),
         z1, what="hyp_2f2 series")
-    if not np.isfinite(total).all():
-        raise NonConvergence("hyp_2f2 produced a non-finite value")
-    if zarr.ndim == 0:
-        return complex(total[0])
-    return total.reshape(zarr.shape)
+    return _finish(total.reshape(zarr.shape), zarr.ndim == 0, "hyp_2f2")

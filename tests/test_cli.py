@@ -287,18 +287,20 @@ class TestPoolSize:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                seen.append(chunksize)
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                seen.append(len(tasks))
                 return map(fn, tasks)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
         out = tmp_path / "r.json"
-        # C361-NG69's default grid is 4 groups
-        assert cli.main(["verify", "--case", "C361-NG69", "--jobs", "64",
-                         "--out", str(out)]) == 0
-        assert seen == [4, 1]
+        # a task is one whole case: two cases, two tasks
+        assert cli.main(["verify", "--case", "C361-NG69", "--case", "RED-ERFC-REFLECT",
+                         "--jobs", "64", "--out", str(out)]) == 0
+        assert seen == [2, 2]
         timing = json.loads((tmp_path / "r.json.timing.json").read_text())
         assert timing["jobs"] == 64
+        assert list(timing["cases"]) == ["C361-NG69", "RED-ERFC-REFLECT"]
 
 
 class TestGridFile:
@@ -378,6 +380,53 @@ class TestGridFile:
         assert res.stdout == ""
         assert ":1:" in res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_error_is_the_one_verify_raises(self, tmp_path, jobs):
+        # the first row's integral raises, the second row's closed form does:
+        # verify evaluates every closed form before any integral
+        from lapcyl import InvalidParams
+        from lapcyl.catalog import verify
+        from lapcyl.catalog.model import ParamPoint
+
+        grid = tmp_path / "grid.txt"
+        grid.write_text("C341-SINGLE -2.3 -2.3 1 1 1\n"
+                        "C341-SINGLE 0 -0.5 1 1 1000\n")
+        with pytest.raises(InvalidParams) as exc:
+            verify("C341-SINGLE", grid=[ParamPoint(orders=(-2.3, -2.3), x=1, y=1, p=1),
+                                        ParamPoint(orders=(0, -0.5), x=1, y=1, p=1000)])
+        assert "pcf_d argument magnitude 44.7" in str(exc.value)
+        res = run_cli("verify", "--case", "C341-SINGLE", "--grid", str(grid), "--jobs", jobs)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: {exc.value}\n"
+
+    def test_interleaved_cases_match_across_jobs(self, tmp_path):
+        # rows of two cases and several (orders, x, y) groups, in mixed order
+        rows = ["T41-CORRECTED 0 0.25 1 1 2",
+                "ILT-PCF-BLOCK 0 0.5 2 2 1",
+                "T41-CORRECTED 0 -0.5 0.25 0.25 1",
+                "ILT-PCF-BLOCK 0 0.25 0.5 0.5 3",
+                "T41-CORRECTED 0 0.25 1 1 0.5",
+                "ILT-PCF-BLOCK 0 0.5 2 2 0.5",
+                "T41-CORRECTED 0 -0.5 0.25 0.25 2"]
+        grid = tmp_path / "grid.txt"
+        grid.write_text("\n".join(rows) + "\n")
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"r{jobs}.json"
+            res = run_cli("verify", "--case", "T41-CORRECTED", "--case", "ILT-PCF-BLOCK",
+                          "--grid", str(grid), "--jobs", jobs, "--out", str(out))
+            assert res.returncode == 0, res.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        # cases in registry order, each case's rows in file order
+        want = [[float(tok) for tok in row.split()[1:]]
+                for cid in ("ILT-PCF-BLOCK", "T41-CORRECTED")
+                for row in rows if row.startswith(cid + " ")]
+        got = [[r["params"][k] for k in ("mu", "nu", "x", "y", "p")]
+               for r in json.loads(outs[0])]
+        assert got == want
 
     def test_image_argument_beyond_pcf_range_exits_two(self, tmp_path):
         # sqrt(2 x p) = 44.7 passes every order condition but not pcf_d's

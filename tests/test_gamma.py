@@ -240,3 +240,23 @@ def test_never_nan_across_the_real_line():
             except PoleError:
                 continue
             assert cmath.isfinite(got), (fn.__name__, x)
+
+
+def _binade_draws(rng, count, imag=0.0):
+    # Re z in (-2^k, -2^k + 1): 1 - z lands one binade above z, so forming it rounds
+    return [complex(rng.uniform(-2.0 ** k, -2.0 ** k + 1.0), rng.uniform(-imag, imag))
+            for k in range(1, 8) for _ in range(count)]
+
+
+def test_rounding_of_one_minus_z_against_mpmath():
+    # the reflection takes Gamma at w = 1 - z; rounding Re w by d cost psi(w) d,
+    # 6.9e-14 at -127.63418279395974, before e^(psi(w) d) put it back
+    rng = random.Random(2601)
+    points = [complex(-127.63418279395974)] + _binade_draws(rng, 40)
+    points += [complex(rng.uniform(-170.0, -1.0)) for _ in range(200)]
+    for bound, zs in ((4e-15, points), (3e-14, _binade_draws(rng, 43, imag=5.0))):
+        for z in zs:
+            with mpmath.workdps(40):
+                want_g, want_rg = complex(mpmath.gamma(z)), complex(mpmath.rgamma(z))
+            assert rel_err(gamma(z), want_g) < bound, z
+            assert rel_err(reciprocal_gamma(z), want_rg) < bound, z
