@@ -29,15 +29,21 @@ components; the panel values and errors leave numpy as lists.
 Refinement halves one panel per step, as QUADPACK's dqagse bisects: the
 panel with the largest max_j err_j / target_j (targets of the estimate
 that refinement starts from; ties go to the older panel).  A split whose
-halves were not evaluated earlier makes one integrand call for six
-panels: the two halves and their four quarters.  Each half keeps its
-quarters, so a later split of that half needs no call; quarters join the
-panel store only when that split comes, and those of a half never split
-are dropped.  So the same panels are split in the same order as with one
-call per split, in about half the calls.  A panel too narrow to halve
-keeps its contribution and leaves the queue.  An infinite panel error
-keeps its component's estimate infinite, never NaN, until no panel
-carries one.  Repeated runs produce bit-identical results.
+halves were not evaluated earlier makes one integrand call for the two
+halves and the quarters of the halves likely split next: all four
+quarters when the panel split has no side (a substituted first, march or
+tail panel), else the two of the half on the same side as the panel lies
+in its parent, because refinement keeps walking toward an endpoint
+singularity.  A half keeps its quarters, so its split needs no call;
+quarters join the panel store only when that split comes, and those of a
+half never split are dropped.  A half without quarters makes its own
+call if it is split.  So the same panels are split in the same order as
+with one call per split, in about half the calls on endpoint-singular
+integrands; smooth ones that refine breadth-first, and interior kinks,
+pay extra calls.  A panel too narrow to halve keeps its contribution and
+leaves the queue.  An infinite panel error keeps its component's
+estimate infinite, never NaN, until no panel carries one.  Repeated runs
+produce bit-identical results.
 
 After a numpy setup, refinement sums in Python floats and complex numbers,
 in numpy's order.  Complex magnitudes stay numpy's, whose last bits
@@ -171,7 +177,10 @@ class QuadratureResult:
     below 50 eps |value|.  evaluations counts the abscissae of the panels
     the value is built from, each once however many components the
     integrand returns; quarters evaluated for a split that never came are
-    not counted.
+    not counted.  A split looks ahead with the quarters of both halves
+    for a panel with no side and of the same-side half for a child, so
+    the count of integrand calls depends on the integrand's shape, but
+    evaluations does not.
     """
 
     value: complex
@@ -288,6 +297,7 @@ class _Workspace:
         total, toterr, weight = total.tolist(), toterr.tolist(), weight.tolist()
         frozen_err = [0.0] * len(total)     # errors of the panels too narrow to split
         ahead = {}      # panel index -> its halves' values and errors, not yet stored
+        children = len(panels)      # from here on, splits store (left, right) pairs
         splits = 0
         while True:
             # numpy's |v| decides a converged flag, but a component clearly
@@ -319,13 +329,17 @@ class _Workspace:
             if index in ahead:
                 (v1, v2), (e1, e2) = ahead.pop(index)
             else:
-                # the halves and their quarters in one call; each half
-                # keeps its quarters for its own split, if that comes
-                q1, q3 = 0.5 * (lo + mid), 0.5 * (mid + hi)
-                vals, errs = self.evaluate(g, (lo, mid, lo, q1, mid, q3),
-                                           (mid, hi, q1, mid, q3, hi))
-                ahead[first] = vals[2:4], errs[2:4]
-                ahead[first + 1] = vals[4:], errs[4:]
+                # the halves and, in the same call, the quarters of the
+                # halves likely split next: both for a panel with no side,
+                # else the half on the panel's own side, since refinement
+                # walks on toward the endpoint it was heading for
+                sides = (0, 1) if index < children else ((index - children) % 2,)
+                edge = (lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi)
+                vals, errs = self.evaluate(
+                    g, (lo, mid) + tuple(edge[2 * s + k] for s in sides for k in (0, 1)),
+                    (mid, hi) + tuple(edge[2 * s + k] for s in sides for k in (1, 2)))
+                for i, s in enumerate(sides):
+                    ahead[first + s] = vals[2 + 2 * i:4 + 2 * i], errs[2 + 2 * i:4 + 2 * i]
                 (v1, v2), (e1, e2) = vals[:2], errs[:2]
             self.store(g, (lo, mid), (mid, hi), (v1, v2), (e1, e2))
             for i, child in enumerate((e1, e2), first):

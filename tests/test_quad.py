@@ -517,9 +517,11 @@ def test_marching_stops_relative_to_target():
 
 def test_split_children_arrive_in_one_call():
     # each refinement step halves one panel.  A split whose halves were
-    # not evaluated earlier costs one call of six panels: the two adjacent
-    # halves, then their four quarters, which a later split of either
-    # half takes without a call
+    # not evaluated earlier makes one call: the two adjacent halves, then
+    # quarters that a later split of a half takes without a call.  The
+    # first split of a substituted panel quarters both halves; a child's
+    # split quarters only its half on the side the child lies in its
+    # parent, where refinement towards an endpoint goes next
     calls = []
 
     def f(t):
@@ -531,9 +533,9 @@ def test_split_children_arrive_in_one_call():
     assert rel_err(res.value, math.sin(60.0) / 60.0) < 1e-10
     assert [t.size for t in calls[:2]] == [15, 15]
     assert len(calls) > 5
+    sizes = []
     for t in calls[2:]:
-        assert t.size == 90
-        panels = t.reshape(6, 15)
+        panels = t.reshape(-1, 15)
         centres, widths = panels[:, 7], np.ptp(panels, axis=1)
         # halves, then quarters, each group adjacent and of equal width
         # (the right-hand substitution runs from t = 1 down)
@@ -542,9 +544,24 @@ def test_split_children_arrive_in_one_call():
             assert (group[:-1].max(axis=1) < group[1:].min(axis=1)).all()
         assert np.allclose(widths[:2], widths[0], rtol=1e-9, atol=0.0)
         assert np.allclose(widths[2:], 0.5 * widths[0], rtol=1e-9, atol=0.0)
-        # quarters 1-2 halve the first half, quarters 3-4 the second
-        assert np.allclose(centres[2:].reshape(2, 2).mean(axis=1), centres[:2],
-                           rtol=1e-12, atol=0.0)
+        # the panel split, and its index among the panels of its width:
+        # even for the lower child of its parent, odd for the upper
+        halves = np.sort(centres[:2])
+        width = 2.0 * (halves[1] - halves[0])
+        index = round((halves[0] - 0.25 * width) / width)
+        if math.isclose(width, 0.5):
+            # a substituted panel: quarters 1-2 halve the first half,
+            # quarters 3-4 the second
+            sizes.append(t.size)
+            assert t.size == 90
+            assert np.allclose(centres[2:].reshape(2, 2).mean(axis=1), centres[:2],
+                               rtol=1e-12, atol=0.0)
+        else:
+            # a child: the quarters halve its half on its own side
+            assert t.size == 60
+            assert math.isclose(centres[2:].mean(), halves[index % 2], rel_tol=1e-12)
+    # each substituted panel is split once
+    assert sizes == [90, 90]
     assert all(t.max() < 0.5 or t.min() > 0.5 for t in calls)
     # every call stores its halves; some later splits stored quarters
     assert 15 * (2 * len(calls) - 2) < res.evaluations <= sum(t.size for t in calls)
@@ -580,6 +597,9 @@ def test_quarters_save_calls_and_each_panel_is_evaluated_once(monkeypatch):
         g(0.5 * (lo + hi) + 0.5 * (hi - lo) * _NODES)
         assert runs[calls.pop().tobytes()] == 1
     assert res.evaluations == 15 * len(panels)
+    # each split quarters only the half refinement walks into next, so the
+    # quarters of the last split are all that is evaluated and not stored
+    assert sum(t.size for t in calls) <= res.evaluations + 2 * 15
 
 
 def test_march_evaluates_in_blocks():
