@@ -335,9 +335,9 @@ class _Workspace:
                 # walks on toward the endpoint it was heading for
                 sides = (0, 1) if index < children else ((index - children) % 2,)
                 edge = (lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi)
-                vals, errs = self.evaluate(
-                    g, (lo, mid) + tuple(edge[2 * s + k] for s in sides for k in (0, 1)),
-                    (mid, hi) + tuple(edge[2 * s + k] for s in sides for k in (1, 2)))
+                cut = [j for s in sides for j in (2 * s, 2 * s + 1)]
+                vals, errs = self.evaluate(g, (lo, mid) + tuple(edge[j] for j in cut),
+                                           (mid, hi) + tuple(edge[j + 1] for j in cut))
                 for i, s in enumerate(sides):
                     ahead[first + s] = vals[2 + 2 * i:4 + 2 * i], errs[2 + 2 * i:4 + 2 * i]
                 (v1, v2), (e1, e2) = vals[:2], errs[:2]
