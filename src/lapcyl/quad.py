@@ -3,11 +3,14 @@
 The building block is the nested 7/15 pair: the 15-point Kronrod value is
 the estimate, |K15 - G7| the (deliberately conservative) panel error.
 
-Endpoint singularities t^lambda with -1 < lambda < 0 are removed by the
-power substitution t = a + (m-a) u^{1/(1+lambda)} on the half interval
-next to the endpoint (identity map for lambda >= 0, where the
-substitution would only de-smooth the integrand).  Gauss-Kronrod nodes
-are strictly interior, so the integrand is never evaluated at an endpoint.
+An endpoint power t^lambda, lambda > -1, is removed by the substitution
+t = a + (m-a) u^q, q = ceil(1+lambda)/(1+lambda), on the half interval
+next to the endpoint.  The integrand times the Jacobian then leads with
+the integer power u^(ceil(1+lambda)-1); unmapped, each split towards the
+branch point would gain only 2^-(1+lambda) (QUADPACK's dqaws problem).
+q is 1/(1+lambda) on (-1, 0] and 1 at an integer lambda, so an integer
+power is left unmapped.  Gauss-Kronrod nodes are strictly interior, so
+the integrand is never evaluated at an endpoint.
 
 Integrands are called with a float64 array of n abscissae, the 15 nodes
 of each of several panels, and must return array values (complex or
@@ -137,7 +140,9 @@ class QuadratureSpec:
     """Description of one integral: range, endpoint exponents, tolerances.
 
     exponent_at_lower/upper: the leading power lambda of the integrand at
-    that endpoint (integrand ~ |t - endpoint|^lambda); must be > -1.
+    that endpoint (integrand ~ |t - endpoint|^lambda); finite and > -1.
+    A non-integer lambda is mapped away, at either sign; an integer one
+    is left as it is.
     decay_rate: e^{-ct} scale of the tail for semi-infinite ranges (panel
     width is its reciprocal); finite and >= 0, where 0 means "no hint".
     """
@@ -155,10 +160,12 @@ class QuadratureSpec:
             raise DomainError("lower endpoint must be finite")
         if not self.lower < self.upper:
             raise DomainError(f"need lower < upper, got [{self.lower}, {self.upper}]")
-        if not self.exponent_at_lower > -1.0:
-            raise DomainError(f"exponent_at_lower must be > -1, got {self.exponent_at_lower}")
-        if not self.exponent_at_upper > -1.0:
-            raise DomainError(f"exponent_at_upper must be > -1, got {self.exponent_at_upper}")
+        if not -1.0 < self.exponent_at_lower < math.inf:
+            raise DomainError(
+                f"exponent_at_lower must be > -1 and finite, got {self.exponent_at_lower}")
+        if not -1.0 < self.exponent_at_upper < math.inf:
+            raise DomainError(
+                f"exponent_at_upper must be > -1 and finite, got {self.exponent_at_upper}")
         if not 0.0 <= self.decay_rate < math.inf:
             raise DomainError(f"decay_rate must be finite and >= 0, got {self.decay_rate}")
         if not self.rel_tol >= 1e-13:
@@ -357,8 +364,12 @@ class _Workspace:
 
 
 def _endpoint_sub(fw, a, b, width, lam, at_lower):
-    """Map u in (0,1) to t = a + width u^q (at_lower) or b - width u^q, clustering there."""
-    q = 1.0 / (1.0 + lam) if lam < 0.0 else 1.0
+    """Map u in (0,1) to t = a + width u^q (at_lower) or b - width u^q, clustering there.
+
+    q = ceil(1+lam)/(1+lam) turns the leading power |t - endpoint|^lam
+    times the Jacobian into u^(ceil(1+lam)-1), an integer power; q is 1,
+    the identity, at an integer lam."""
+    q = math.ceil(1.0 + lam) / (1.0 + lam)
 
     def g(u):
         d = width * u ** q

@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lapcyl.quad as quad
 import lapcyl.special.pcf as pcf_module
 from lapcyl.special import pcf_d, erfc, gamma, reciprocal_gamma
 from lapcyl import DomainError
@@ -201,6 +202,25 @@ def test_integral_route_makes_one_quadrature(monkeypatch, nu, z):
     monkeypatch.setattr(pcf_module, "integrate_semi_infinite", counted)
     pcf_d(nu, z)
     assert len(calls) == 1
+
+
+def test_integral_route_maps_its_positive_endpoint_power(monkeypatch):
+    # at nu < 0 the integrand carries t^(-nu), a positive non-integer power
+    # at t = 0, which the endpoint map makes an integer one: 11 integrand
+    # calls where bisection towards the branch point took 16
+    calls = []
+    evaluate = quad._Workspace.evaluate
+
+    def counted(self, g, lo, hi):
+        calls.append(len(lo))
+        return evaluate(self, g, lo, hi)
+
+    monkeypatch.setattr(quad._Workspace, "evaluate", counted)
+    got = pcf_d(-0.75, 5.5)
+    with mpmath.workdps(30):
+        want = float(mpmath.pcfd(-0.75, 5.5))
+    assert rel_err(got, want) < 1e-14
+    assert len(calls) <= 11
 
 
 def test_reflection_combinations():
