@@ -72,9 +72,6 @@ def test_spec_validation():
         with pytest.raises(DomainError):
             QuadratureSpec(lower=0.0, upper=math.inf, exponent_at_upper=bad)
     with pytest.raises(DomainError):
-        integrate_finite(lambda t: t * t,
-                         QuadratureSpec(lower=0.0, upper=1.0, exponent_at_lower=math.inf))
-    with pytest.raises(DomainError):
         QuadratureSpec(lower=0.0, upper=1.0, rel_tol=1e-14)
     with pytest.raises(DomainError):
         QuadratureSpec(lower=-math.inf, upper=1.0)
