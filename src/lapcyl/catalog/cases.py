@@ -149,16 +149,17 @@ def _add(case: IdentityCase):
 # geometries, or as one Gaussian-damped 2F2
 # ----------------------------------------------------------------------
 
-def _term_sum(terms, cm_of):
-    """The sum of c t^A d^B Y^G F(cm) over the terms, from the first, as a
-    function of (t, d, Y); F is 2F1(a, b; c'; 1 - cm), or 1 where a term's
-    (a, b, c') is None.  Each 2F1 plan is built here, once per piece, and
-    cm = cm_of(t, d, Y) is formed only if some term has one."""
+def _term_sum(terms, geometry, cm_of):
+    """The piece's integrand: the sum, from the first term, of c t^A d^B Y^G
+    F(cm) at (d, Y) = geometry(t, d_lo, d_hi); F is 2F1(a, b; c'; 1 - cm),
+    or 1 where a term's (a, b, c') is None.  Each 2F1 plan is built once per
+    piece, and cm = cm_of(t, d, Y) is formed only if some term has one."""
     planned = [(c, A, B, G, None if abc is None else Gauss2F1Plan(*abc))
                for c, A, B, G, abc in terms]
     uses_cm = any(abc is not None for *_, abc in terms)
 
-    def total(t, d, yd):
+    def total(t, d_lo, d_hi):
+        d, yd = geometry(t, d_lo, d_hi)
         cm = cm_of(t, d, yd) if uses_cm else None
         out = None
         for c, A, B, G, F in planned:
@@ -176,11 +177,8 @@ def _lo_piece(pt, terms):
     conservative when both parameters are positive.  A term with no 2F1
     contributes its plain B to the hint at x."""
     x, y = pt.x, pt.y
-    total = _term_sum(terms, lambda t, d, yd: x * y / (d * yd))
-
-    def f(t, d_lo, d_hi):
-        return total(t, d_hi, y + t)
-
+    f = _term_sum(terms, lambda t, d_lo, d_hi: (d_hi, y + t),
+                  lambda t, d, yd: x * y / (d * yd))
     return Piece(f, _spec(0.0, x, lam_lo=min(A for _, A, _, _, _ in terms),
                           lam_up=min(B if abc is None else B + min(0.0, abc[0], abc[1])
                                      for _, _, B, _, abc in terms)))
@@ -192,11 +190,8 @@ def _hi_piece(pt, terms):
     branch when c'-a-b < 0 (a log factor at 0, which refinement absorbs).
     A term with no 2F1 contributes its plain B to the hint at x."""
     y = pt.y
-    total = _term_sum(terms, lambda t, d, yd: d * (y + t) / (t * yd))
-
-    def f(t, d_lo, d_hi):
-        return total(t, d_lo, y + d_lo)  # y + d_lo equals y - x + t exactly
-
+    f = _term_sum(terms, lambda t, d_lo, d_hi: (d_lo, y + d_lo),  # y - x + t, exactly
+                  lambda t, d, yd: d * (y + t) / (t * yd))
     return Piece(f, _spec(pt.x, math.inf, lam_lo=min(
         B if abc is None else B + min(0.0, abc[2] - abc[0] - abc[1])
         for _, _, B, _, abc in terms)))
@@ -207,11 +202,8 @@ def _pos_piece(pt, terms):
     argument 1 - cm is 0 at t = 0 and tends to 1 only as t -> inf, and d
     and Y stay positive, so the one hint is min A at 0."""
     x, y = pt.x, pt.y
-    total = _term_sum(terms, lambda t, d, yd: x * y / (d * yd))
-
-    def f(t, d_lo, d_hi):
-        return total(t, x + t, y + t)
-
+    f = _term_sum(terms, lambda t, d_lo, d_hi: (x + t, y + t),
+                  lambda t, d, yd: x * y / (d * yd))
     return Piece(f, _spec(0.0, math.inf, lam_lo=min(A for _, A, _, _, _ in terms)))
 
 

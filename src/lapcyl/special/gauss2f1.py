@@ -49,6 +49,7 @@ parameter or argument raises DomainError.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -59,21 +60,6 @@ from .hyper import _BLOCK, _Table, _finish, _gauss_rows, _reals, _sum_series
 
 _EULER_GAMMA = 0.57721566490153286061
 _INT_SNAP = 1e-12
-
-
-class _once:
-    """A plan attribute computed on first access and stored on the plan,
-    where it shadows this descriptor: functools.cached_property without
-    the lock that it takes on every first access before Python 3.12, a
-    measurable cost on one-shot calls."""
-
-    def __init__(self, compute):
-        self._compute = compute
-        self._name = compute.__name__
-
-    def __get__(self, plan, owner):
-        value = plan.__dict__[self._name] = self._compute(plan)
-        return value
 
 
 def _params(a, b, c):
@@ -208,15 +194,15 @@ class Gauss2F1Plan:
         vals = self._at(w1, lo, hi)
         return _finish(vals.reshape(warr.shape), scalar_in, "gauss_2f1")
 
-    @_once
+    @functools.cached_property
     def _degree(self):
         return _terminating_degree(self.a, self.b, self.c)
 
-    @_once
+    @functools.cached_property
     def _m(self):
         return _near_int(self.c - self.a - self.b)
 
-    @_once
+    @functools.cached_property
     def _gauss_sum(self):
         a, b, c = self.a, self.b, self.c
         d = c - a - b
@@ -226,11 +212,11 @@ class Gauss2F1Plan:
             )
         return gamma(c) * gamma(d) * reciprocal_gamma(c - a) * reciprocal_gamma(c - b)
 
-    @_once
+    @functools.cached_property
     def _series(self):
         return _maclaurin(self.a, self.b, self.c)
 
-    @_once
+    @functools.cached_property
     def _generic(self):
         """A&S 15.3.6's exponent, prefactors and series, noninteger c-a-b."""
         a, b, c = self.a, self.b, self.c
@@ -240,7 +226,7 @@ class Gauss2F1Plan:
         return (d, p1, _maclaurin(a, b, a + b - c + 1.0),
                 p2, _maclaurin(c - a, c - b, d + 1.0))
 
-    @_once
+    @functools.cached_property
     def _log(self):
         """A&S 15.3.11's series tables and prefactors, c = a + b + m, m >= 0."""
         a, b, c, m = self.a, self.b, self.c, self._m
@@ -252,12 +238,12 @@ class Gauss2F1Plan:
                  if m else None)
         return ratios, _digamma_table(a, b, m), p_ser, p_fin
 
-    @_once
+    @functools.cached_property
     def _euler(self):
         a, b, c = self.a, self.b, self.c
         return c - a - b, Gauss2F1Plan(c - a, c - b, c)
 
-    @_once
+    @functools.cached_property
     def _pfaff(self):
         a, b, c = self.a, self.b, self.c
         aa, bb = (a, b) if a.real <= b.real else (b, a)

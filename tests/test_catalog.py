@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from lapcyl import InvalidParams
+from lapcyl import InvalidParams, quad
 from lapcyl.catalog import (
     IdentityCase,
     ParamPoint,
@@ -591,6 +591,23 @@ class TestCaseVerdicts:
             not math.isnan(e) for e in errors]
         assert rep.verdict == "fail"
         assert math.isnan(rep.max_rel_error)
+
+    def test_group_that_does_not_converge_fails_its_rows(self, monkeypatch):
+        # the group's integral raises NonConvergence, whose partial result
+        # the rows report; pcf_d stays on its series route at these orders,
+        # so the closed forms need no quadrature of their own
+        monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 6)
+        grid = get_case("T31-DIFF-HALF").default_grid
+        group = [grid[i] for i in point_groups(grid)[0]]
+        assert [(pt.orders, pt.x, pt.y, pt.p) for pt in group] == [
+            ((-1.5, -1.5), 0.5, 0.5, p) for p in (0.5, 1.0, 3.0)]
+        rep = verify("T31-DIFF-HALF", grid=group)
+        assert rep.verdict == "fail"
+        for rec in rep.records:
+            # within tolerance: a row fails only for want of a converged integral
+            assert rec.rel_error <= rep.tol
+            assert not rec.converged
+            assert rec.evaluations == 780
 
 
 class TestSharedIntegrals:

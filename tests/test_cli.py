@@ -2,10 +2,12 @@
 
 Every invocation goes through `python -m lapcyl.cli` so the argument
 parsing, exit codes, and report bytes are exercised exactly as a user
-sees them.  Three checks are the exception.  The pool-size check and the
+sees them.  Four checks are the exception.  The pool-size check and the
 check that an unwritable --out stops the run before any task call
 `main` in-process, with a fake executor or task, so that they start no
-worker and can see which tasks ran.  The check of which cases
+worker and can see which tasks ran.  The exit status of a group whose
+integral does not converge calls `main` in-process, with a quadrature
+budget cut too short.  The check of which cases
 overlapping --case globs select calls `_select_cases`, so that it runs
 none of them.
 """
@@ -64,6 +66,7 @@ class TestEval:
         (["2f1", "--a", "1", "--b", "1", "--c", "2", "--z", "2"], "DomainError"),
         (["gamma", "--z", "200"], "OverflowError"),
         (["phi", "--a", "1", "--b", "1", "--z", "710"], "OverflowError"),
+        (["phi", "--a", "1", "--b", "1", "--z", "1200"], "OverflowError"),
         (["gamma", "--z=-inf"], "DomainError"),
         (["2f1", "--a", "nan", "--b", "1", "--c", "2", "--z", "0.3"], "DomainError"),
         (["2f1", "--a", "0.5", "--b", "1", "--c", "2", "--z", "nan"], "DomainError"),
@@ -351,6 +354,19 @@ class TestGridFile:
         res = run_cli("verify", "--case", "ILT-PCF-BLOCK", "--grid", str(grid))
         assert res.returncode == 2
         assert "requires nu > 0" in res.stderr
+
+    def test_group_that_does_not_converge_exits_one(self, tmp_path, monkeypatch):
+        # a NonConvergence of the group's integral is a failing row (exit
+        # 1), not an invalid point (exit 2)
+        from lapcyl import cli, quad
+
+        monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 6)
+        grid = tmp_path / "grid.txt"
+        grid.write_text("".join(f"T31-DIFF-HALF -1.5 -1.5 0.5 0.5 {p}\n" for p in (0.5, 1, 3)))
+        out = tmp_path / "r.json"
+        assert cli.main(["verify", "--case", "T31-DIFF-HALF", "--grid", str(grid),
+                         "--out", str(out)]) == 1
+        assert [row["verdict"] for row in json.loads(out.read_text())] == ["fail"] * 3
 
     @pytest.mark.parametrize("row, reason", [
         ("S51-INT -1 -1 0.5 0.5 1", "invalid grid point for S51-INT: requires p = 0"),

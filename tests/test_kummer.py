@@ -1,6 +1,7 @@
 """Kummer Phi (confluent 1F1) and the 2F2 series."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -129,11 +130,15 @@ def test_nonconvergence_with_tiny_budget(monkeypatch):
 def test_phi_overflow_raises():
     # Phi(1;1;z) = e^z leaves double range just below z = 710
     assert rel_err(kummer_phi(1.0, 1.0, 709.0), math.exp(709.0)) < 1e-12
-    for a, b, z in [(1.0, 1.0, 710.0), (0.25, -1.7, 840.0), (2.5, 2.2, 890.0)]:
+    for a, b, z in [(1.0, 1.0, 710.0), (1.0, 1.0, 720.0), (1.0, 1.0, 1200.0),
+                    (0.25, -1.7, 840.0), (2.5, 2.2, 890.0)]:
         with pytest.raises(OverflowError):
             kummer_phi(a, b, z)
-    val, scale = phi_scaled(1.0, 1.0, 710.0)
-    assert rel_err(math.log(val.real) + scale, 710.0) < 1e-14
+    for z in (710.0, 720.0, 1200.0):
+        val, scale = phi_scaled(1.0, 1.0, z)
+        assert rel_err(math.log(val.real) + scale, z) < 1e-14
+        # up to 720 the product value * e^scale overflows; at 1200 e^scale does
+        assert (scale > math.log(sys.float_info.max)) == (z == 1200.0)
 
 
 def test_2f2_near_top_of_double_range():

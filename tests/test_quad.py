@@ -73,6 +73,10 @@ def test_spec_validation():
             QuadratureSpec(lower=0.0, upper=math.inf, exponent_at_upper=bad)
     with pytest.raises(DomainError):
         QuadratureSpec(lower=0.0, upper=1.0, rel_tol=1e-14)
+    # nan > 0 is False
+    for tol in (0.0, -1e-15, math.nan):
+        with pytest.raises(DomainError, match="abs_tol must be positive"):
+            QuadratureSpec(lower=0.0, upper=1.0, abs_tol=tol)
     with pytest.raises(DomainError):
         QuadratureSpec(lower=-math.inf, upper=1.0)
     # nan < 0 is False, and an infinite rate makes the first panel zero wide
@@ -245,6 +249,30 @@ def test_nonconvergence_carries_partial(monkeypatch):
     assert partial is not None
     assert not partial.converged
     assert partial.evaluations > 0
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_failed_march_carries_no_estimate(monkeypatch, m):
+    # 1/(1+t)^2 decays far slower than the declared rate: panels of width
+    # 1/100 never reach a negligible tail within a budget of 8
+    monkeypatch.setattr(quad, "_MAX_MARCH", 8)
+    spec = QuadratureSpec(lower=0.0, upper=math.inf, decay_rate=100.0)
+
+    def f(t):
+        y = 1.0 / (1.0 + t) ** 2
+        return y if m == 1 else np.stack([y, 2.0 * y])
+
+    with pytest.raises(NonConvergence, match="within 8 panels") as exc:
+        integrate_semi_infinite(f, spec)
+    partial = exc.value.result
+    # the first panel and one march block of 8
+    assert partial.evaluations == 135
+    if m == 1:
+        assert (partial.value, partial.error_estimate, partial.converged) == (0.0, math.inf, False)
+    else:
+        assert partial.value.tolist() == [0.0, 0.0]
+        assert partial.error_estimate.tolist() == [math.inf, math.inf]
+        assert partial.converged.tolist() == [False, False]
 
 
 @pytest.mark.parametrize("m", [1, 3])
