@@ -190,7 +190,7 @@ def _hi_piece(pt, terms):
     branch when c'-a-b < 0 (a log factor at 0, which refinement absorbs).
     A term with no 2F1 contributes its plain B to the hint at x."""
     y = pt.y
-    f = _term_sum(terms, lambda t, d_lo, d_hi: (d_lo, y + d_lo),  # y - x + t, exactly
+    f = _term_sum(terms, lambda t, d_lo, d_hi: (d_lo, y + d_lo),  # Y = y - x + t exactly
                   lambda t, d, yd: d * (y + t) / (t * yd))
     return Piece(f, _spec(pt.x, math.inf, lam_lo=min(
         B if abc is None else B + min(0.0, abc[2] - abc[0] - abc[1])

@@ -579,7 +579,8 @@ class TestTermOriginals:
 
 class TestCaseVerdicts:
     """A case verdict and its max_rel_error agree with the per-point
-    verdicts in either order of the points."""
+    verdicts in either order of the points, and a point whose group
+    integral did not converge fails."""
 
     @pytest.mark.parametrize("errors", [(1e-13, math.nan), (math.nan, 1e-13)])
     def test_nan_point_fails_its_case(self, errors):
