@@ -4,11 +4,12 @@ The engine owns the e^{-pt} kernel: case integrands never include it,
 so one original serves every p.  A Laplace pair reads p as its
 transform variable; a direct integral's p is the kernel its identity
 states (1 for the erf representations, 0 for the others).  The points
-that share (orders, x, y) form a group: its original is built once and
-integrated as one vector-valued integral whose component j is the
-original times e^{-p_j t}, so each node evaluates the original once
-for the whole group, and each component keeps its own error target.
-Every point of the group reports that shared integral's evaluations.
+that share (orders, x, y) form a group, and verify alone forms them:
+its original is built once and integrated as one vector-valued
+integral whose component j is the original times e^{-p_j t}, so each
+node evaluates the original once for the whole group, and each
+component keeps its own error target.  Every point of the group
+reports that shared integral's evaluations; the report counts them once.
 For semi-infinite supports the smallest p of the group is added to the
 piece's own decay rate so the marching quadrature knows where the mass
 dies.
@@ -33,17 +34,14 @@ import numpy as np
 from .._exceptions import InvalidParams, LapcylError, NonConvergence
 from ..quad import integrate_finite, integrate_semi_infinite
 from .cases import REGISTRY
-from .model import IdentityCase, ParamPoint, PointRecord, VerificationReport
+from .model import IdentityCase, PointRecord, VerificationReport
 
 __all__ = [
     "get_case",
     "list_cases",
     "check_points",
-    "evaluate_point",
-    "point_groups",
     "point_passes",
     "verify",
-    "build_report",
 ]
 
 _FLOOR = 1e-300
@@ -100,16 +98,6 @@ def _integrate_pieces(pieces, ps):
     return total, evaluations, converged, err_est
 
 
-def point_groups(points):
-    """Indices of the points that share one integral, grouped by
-    (orders, x, y), since no original depends on p; groups in order of
-    their first point, indices in grid order."""
-    groups = {}
-    for i, pt in enumerate(points):
-        groups.setdefault((pt.orders, pt.x, pt.y), []).append(i)
-    return [tuple(idx) for idx in groups.values()]
-
-
 def _rel_error(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), _FLOOR)
 
@@ -140,46 +128,23 @@ def _closed_forms(case: IdentityCase, points):
     return lhs, rhs
 
 
-def evaluate_point(case_id: str, params: ParamPoint) -> PointRecord:
-    """One grid point end to end: a group of one."""
-    return verify(case_id, grid=(params,)).records[0]
-
-
 def point_passes(record: PointRecord, tol: float) -> bool:
     """The per-point verdict: within tolerance and a converged quadrature."""
     return record.rel_error <= tol and record.converged
-
-
-def build_report(case_id: str, records, tol=None) -> VerificationReport:
-    """Assemble a report from already-computed point records.
-
-    The case passes when every point does, and is skipped with none;
-    max_rel_error is NaN when any point's error is, or there is none.
-    Records of one group (see point_groups) carry their shared
-    integral's evaluations, counted once here.
-    """
-    case = get_case(case_id)
-    tol = case.tol if tol is None else float(tol)
-    records = tuple(records)
-    errors = [r.rel_error for r in records]
-    max_rel = math.nan if any(map(math.isnan, errors)) else max(errors, default=math.nan)
-    ok = all(point_passes(r, tol) for r in records)
-    groups = point_groups([r.params for r in records])
-    return VerificationReport(
-        id=case.id, kind=case.kind, records=records,
-        max_rel_error=max_rel, tol=tol,
-        verdict="skipped" if not records else "pass" if ok else "fail",
-        evaluations=sum(records[idx[0]].evaluations for idx in groups),
-    )
 
 
 def verify(case_id: str, grid=None, tol=None) -> VerificationReport:
     """Run a case over a grid (its default when grid is None).
 
     Every point passes check_points and has both closed forms evaluated
-    before any integral; then each group of point_groups is evaluated
-    with one shared integral; an error raised while its original is
-    built, or inside it, is InvalidParams.  Records keep grid order.
+    before any integral.  Then the points that share (orders, x, y), in
+    order of their first point, are evaluated with one shared integral,
+    since no original depends on p; an error raised while its original
+    is built, or inside it, is InvalidParams.  Records keep grid order,
+    and each carries its group's evaluations, which the report counts
+    once.  The case passes when every point does, and is skipped with
+    none; max_rel_error is NaN when any point's error is, or there is
+    none.
     """
     case = get_case(case_id)
     points = case.default_grid if grid is None else tuple(grid)
@@ -187,8 +152,12 @@ def verify(case_id: str, grid=None, tol=None) -> VerificationReport:
     lhs, rhs = _closed_forms(case, points)
     evaluations = [0] * len(points)
     converged = [True] * len(points)
+    total = 0
     if case.original is not None:
-        for idx in point_groups(points):
+        groups = {}
+        for i, pt in enumerate(points):
+            groups.setdefault((pt.orders, pt.x, pt.y), []).append(i)
+        for idx in groups.values():
             pt = points[idx[0]]
             try:
                 values, evals, conv, _ = _integrate_pieces(case.original(pt),
@@ -196,9 +165,20 @@ def verify(case_id: str, grid=None, tol=None) -> VerificationReport:
             except (LapcylError, ArithmeticError) as exc:
                 raise InvalidParams(f"cannot integrate {case.id} at orders={pt.orders}, "
                                     f"x={pt.x}, y={pt.y}: {type(exc).__name__}: {exc}") from None
+            total += evals
             for i, value, c in zip(idx, values.tolist(), conv.tolist()):
                 rhs[i], evaluations[i], converged[i] = value, evals, c
-    records = [PointRecord(params=pt, lhs=left, rhs=right, rel_error=_rel_error(left, right),
-                           evaluations=e, converged=c)
-               for pt, left, right, e, c in zip(points, lhs, rhs, evaluations, converged)]
-    return build_report(case.id, records, tol=tol)
+    records = tuple(
+        PointRecord(params=pt, lhs=left, rhs=right, rel_error=_rel_error(left, right),
+                    evaluations=e, converged=c)
+        for pt, left, right, e, c in zip(points, lhs, rhs, evaluations, converged))
+    tol = case.tol if tol is None else float(tol)
+    errors = [r.rel_error for r in records]
+    max_rel = math.nan if any(map(math.isnan, errors)) else max(errors, default=math.nan)
+    ok = all(point_passes(r, tol) for r in records)
+    return VerificationReport(
+        id=case.id, kind=case.kind, records=records,
+        max_rel_error=max_rel, tol=tol,
+        verdict="skipped" if not records else "pass" if ok else "fail",
+        evaluations=total,
+    )

@@ -99,9 +99,9 @@ class IdentityCase:
 @dataclass(frozen=True)
 class PointRecord:
     """One grid point's outcome.  evaluations counts the abscissae at
-    which the integral its group shares (see engine.point_groups)
-    evaluated its integrand, so every record of a group carries the same
-    count."""
+    which the integral its group shares (the points of engine.verify's
+    grid with its (orders, x, y)) evaluated its integrand, so every
+    record of a group carries the same count."""
 
     params: ParamPoint
     lhs: complex

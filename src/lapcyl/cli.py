@@ -61,8 +61,6 @@ def _select_cases(args):
     ids = [row[0] for row in list_cases()]
     if args.all:
         return ids
-    if not args.case:
-        raise ConfigError("select cases with --case or pass --all")
     for pat in args.case:
         if not any(fnmatch.fnmatchcase(cid, pat) for cid in ids):
             raise ConfigError(f"no case matches {pat!r}")
@@ -79,7 +77,7 @@ def _load_grid(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read grid file {path}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -298,9 +296,10 @@ def build_parser():
     p_list.set_defaults(func=cmd_list)
 
     p_verify = sub.add_parser("verify", help="run the verification harness")
-    p_verify.add_argument("--case", action="append", metavar="GLOB",
-                          help="case id or glob; repeatable")
-    p_verify.add_argument("--all", action="store_true", help="select every case")
+    select = p_verify.add_mutually_exclusive_group(required=True)
+    select.add_argument("--case", action="append", metavar="GLOB",
+                        help="case id or glob; repeatable")
+    select.add_argument("--all", action="store_true", help="select every case")
     p_verify.add_argument("--tol", type=_positive(float), default=None,
                           help="override the per-case tolerance")
     p_verify.add_argument("--grid", metavar="PATH", default=None,

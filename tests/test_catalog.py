@@ -16,13 +16,9 @@ from lapcyl import InvalidParams, quad
 from lapcyl.catalog import (
     IdentityCase,
     ParamPoint,
-    PointRecord,
-    build_report,
     check_points,
-    evaluate_point,
     get_case,
     list_cases,
-    point_groups,
     point_passes,
     verify,
 )
@@ -189,25 +185,25 @@ class TestValidity:
     def test_out_of_range_order_rejected(self):
         pt = ParamPoint(orders=(0.5, 1.5), x=1.0, y=1.0, p=1.0)
         with pytest.raises(InvalidParams, match="T31-DIFF-HALF"):
-            evaluate_point("T31-DIFF-HALF", pt)
+            verify("T31-DIFF-HALF", grid=(pt,))
 
     def test_image_argument_beyond_pcf_range_rejected(self):
         # sqrt(2 x p) = 44.7 is outside pcf_d's |z| <= 40
         pt = ParamPoint(orders=(-0.5, -0.5), x=2.0, y=2.0, p=500.0)
         with pytest.raises(InvalidParams, match="above the supported range"):
-            evaluate_point("T31-DIFF-HALF", pt)
+            verify("T31-DIFF-HALF", grid=(pt,))
         with pytest.raises(InvalidParams, match="above the supported range"):
             verify("T31-DIFF-HALF", grid=[get_case("T31-DIFF-HALF").default_grid[0], pt])
 
     def test_gauss_sum_without_frozen_target_rejected(self):
         pt = ParamPoint(orders=(0.1, 0.2), x=1.5, y=1.0, p=1.0)
         with pytest.raises(InvalidParams, match="frozen target"):
-            evaluate_point("RED-GAUSS-SUM", pt)
+            verify("RED-GAUSS-SUM", grid=(pt,))
 
     def test_half_kind_kummer_window(self):
         pt = ParamPoint(orders=(0.5,), x=1.0, y=1.0, p=1.0)
         with pytest.raises(InvalidParams, match="-1 < nu < 0"):
-            evaluate_point("ILT-KUM-BLOCK-12", pt)
+            verify("ILT-KUM-BLOCK-12", grid=(pt,))
 
     def test_empty_grid_is_skipped(self):
         rep = verify("RED-ERFC-REFLECT", grid=())
@@ -344,7 +340,7 @@ class TestSpotChecks:
 
     def test_point_record_fields(self):
         pt = get_case("C361-ERFC-SINGLE").default_grid[0]
-        rec = evaluate_point("C361-ERFC-SINGLE", pt)
+        rec = verify("C361-ERFC-SINGLE", grid=(pt,)).records[0]
         assert rec.converged
         expect = abs(rec.lhs - rec.rhs) / max(abs(rec.lhs), abs(rec.rhs), 1e-300)
         assert rec.rel_error == expect
@@ -352,7 +348,7 @@ class TestSpotChecks:
 
     def test_eval_sides_agree(self):
         pt = get_case("C361-ERFC-SINGLE").default_grid[1]
-        rec = evaluate_point("C361-ERFC-SINGLE", pt)
+        rec = verify("C361-ERFC-SINGLE", grid=(pt,)).records[0]
         assert abs(rec.lhs - rec.rhs) <= 1e-9 * abs(rec.lhs)
 
 
@@ -540,6 +536,19 @@ def _one_line_originals(cid, pt):
     return [t36]
 
 
+def _groups(points):
+    """Indices of the points that share one integral, by (orders, x, y):
+    groups in order of their first point, indices in grid order."""
+    groups = {}
+    for i, pt in enumerate(points):
+        groups.setdefault((pt.orders, pt.x, pt.y), []).append(i)
+    return list(groups.values())
+
+
+def _first_group(points):
+    return [points[i] for i in _groups(points)[0]]
+
+
 def _nodes(rng, lower, upper):
     """Seeded nodes inside (lower, upper), dense toward both ends."""
     if math.isinf(upper):
@@ -583,11 +592,17 @@ class TestCaseVerdicts:
     integral did not converge fails."""
 
     @pytest.mark.parametrize("errors", [(1e-13, math.nan), (math.nan, 1e-13)])
-    def test_nan_point_fails_its_case(self, errors):
-        pt = get_case("RED-ERFC-REFLECT").default_grid[0]
-        records = [PointRecord(params=pt, lhs=1.0, rhs=1.0, rel_error=e,
-                               evaluations=0, converged=True) for e in errors]
-        rep = build_report("RED-ERFC-REFLECT", records)
+    def test_nan_point_fails_its_case(self, monkeypatch, errors):
+        # one closed form reads NaN at one of the two points
+        case = get_case("RED-ERFC-REFLECT")
+        grid = case.default_grid[:2]
+        rhs = {pt: 1.0 + e for pt, e in zip(grid, errors)}
+        monkeypatch.setitem(REGISTRY, case.id, dataclasses.replace(
+            case, image=lambda pt: 1.0, closed_rhs=rhs.__getitem__))
+        rep = verify(case.id, grid=grid)
+        assert [r.params for r in rep.records] == list(grid)
+        assert [math.isnan(r.rel_error) for r in rep.records] == [
+            math.isnan(e) for e in errors]
         assert [point_passes(r, rep.tol) for r in rep.records] == [
             not math.isnan(e) for e in errors]
         assert rep.verdict == "fail"
@@ -598,8 +613,7 @@ class TestCaseVerdicts:
         # the rows report; pcf_d stays on its series route at these orders,
         # so the closed forms need no quadrature of their own
         monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 6)
-        grid = get_case("T31-DIFF-HALF").default_grid
-        group = [grid[i] for i in point_groups(grid)[0]]
+        group = _first_group(get_case("T31-DIFF-HALF").default_grid)
         assert [(pt.orders, pt.x, pt.y, pt.p) for pt in group] == [
             ((-1.5, -1.5), 0.5, 0.5, p) for p in (0.5, 1.0, 3.0)]
         rep = verify("T31-DIFF-HALF", grid=group)
@@ -620,7 +634,7 @@ class TestSharedIntegrals:
         rep = verify(cid)
         assert [r.params for r in rep.records] == list(get_case(cid).default_grid)
         for rec in rep.records:
-            one = evaluate_point(cid, rec.params)
+            one = verify(cid, grid=(rec.params,)).records[0]
             assert one.lhs == rec.lhs
             assert abs(one.rhs - rec.rhs) <= rep.tol / 100.0 * abs(one.rhs), rec.params
 
@@ -637,7 +651,7 @@ class TestSharedIntegrals:
     def test_report_counts_each_shared_integral_once(self):
         case = get_case("T41-CORRECTED")
         rep = verify(case.id)
-        groups = point_groups(case.default_grid)
+        groups = _groups(case.default_grid)
         assert len(groups) == 9 and all(len(idx) == 3 for idx in groups)
         shared = []
         for idx in groups:
@@ -654,7 +668,10 @@ class TestSharedIntegrals:
         mixed = grid[::2] + grid[1::2]
         rep = verify("T41-CORRECTED", grid=mixed)
         assert [r.params for r in rep.records] == list(mixed)
-        assert point_groups(mixed)[0] == (0, 1, 14)
+        assert _groups(mixed)[0] == [0, 1, 14]
+        # the split group still shares one integral, counted once
+        assert len({rep.records[i].evaluations for i in (0, 1, 14)}) == 1
+        assert rep.evaluations == verify("T41-CORRECTED").evaluations
 
 
 class TestOneKernel:
@@ -711,8 +728,7 @@ class TestPlansPerPiece:
                 return super().__call__(w)
 
         monkeypatch.setattr(cases, "Gauss2F1Plan", Counting)
-        grid = get_case(cid).default_grid
-        group = [grid[i] for i in point_groups(grid)[0]]
+        group = _first_group(get_case(cid).default_grid)
         rep = verify(cid, grid=group)
         assert rep.verdict == "pass"
         assert len(built) == terms

@@ -177,6 +177,13 @@ class TestVerifyExitCodes:
         res = run_cli("verify")
         assert res.returncode == 2
 
+    def test_all_with_case_exits_two(self):
+        # --all and --case exclude each other: a usage error, running nothing
+        res = run_cli("verify", "--all", "--case", "NOT-A-CASE")
+        assert res.returncode == 2
+        assert "not allowed with argument --all" in res.stderr
+        assert res.stdout == ""
+
     def test_bad_jobs_exits_two(self):
         res = run_cli("verify", "--case", "RED-*", "--jobs", "0")
         assert res.returncode == 2
@@ -337,11 +344,22 @@ class TestGridFile:
         assert len(json.loads(res.stdout)) == 4
 
     def test_malformed_row_exits_two(self, tmp_path):
-        grid = tmp_path / "grid.txt"
-        grid.write_text("ILT-PCF-BLOCK 0 0.5 1.5\n")
-        res = run_cli("verify", "--case", "ILT-PCF-BLOCK", "--grid", str(grid))
-        assert res.returncode == 2
-        assert ":1:" in res.stderr
+        # file bytes (None: no such file) and the message each must give
+        inputs = [
+            (b"ILT-PCF-BLOCK 0 0.5 1.5\n", ":1: expected `id mu nu x y p`, got 4 fields"),
+            (b"ILT-PCF-BLOCK 0 0.5 1.5 1.5 two\n", ":1: non-numeric parameter"),
+            (None, "error: cannot read grid file"),
+            (b"T41-CORRECTED 0 0.25 1 1 1\n\xff\xfe bad\n", "error: cannot read grid file"),
+        ]
+        for n, (data, message) in enumerate(inputs):
+            grid = tmp_path / f"grid{n}.txt"
+            if data is not None:
+                grid.write_bytes(data)
+            cid = (data or b"ILT-PCF-BLOCK").split()[0].decode()
+            res = run_cli("verify", "--case", cid, "--grid", str(grid))
+            assert res.returncode == 2, (data, res.stderr)
+            assert message in res.stderr, (data, res.stderr)
+            assert "Traceback" not in res.stderr, data
 
     def test_unknown_id_in_grid_exits_two(self, tmp_path):
         grid = tmp_path / "grid.txt"

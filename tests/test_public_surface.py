@@ -1,10 +1,15 @@
-"""The public names of the package.
+"""The public names of the package, and the README's API sketch.
 
 Pinned so that adding or removing a public name is a deliberate change
-to this list, not a side effect.
+to this list, not a side effect; the sketch runs, so that it names no
+name the package no longer has.
 """
 
+import contextlib
 import importlib
+import io
+import pathlib
+import re
 
 import pytest
 
@@ -26,8 +31,7 @@ SURFACE = {
     "lapcyl.catalog": [
         "IdentityCase", "ParamPoint", "Piece", "PointRecord",
         "VerificationReport",
-        "build_report", "check_points", "evaluate_point", "get_case",
-        "list_cases", "point_groups", "point_passes", "verify",
+        "check_points", "get_case", "list_cases", "point_passes", "verify",
     ],
 }
 
@@ -38,3 +42,14 @@ def test_public_names_are_pinned_and_resolve(module):
     assert mod.__all__ == SURFACE[module]
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_readme_api_sketch_runs():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    sketches = re.findall(r"^```python\n(.*?)^```$", readme.read_text(encoding="utf-8"),
+                          re.DOTALL | re.MULTILINE)
+    assert len(sketches) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(sketches[0], "README.md", "exec"), {})
+    assert out.getvalue().startswith("pass ")
