@@ -26,7 +26,6 @@ from .special import (
     hyp_2f2,
     gauss_2f1,
     gauss_2f1_cm,
-    gauss_2f1_at_one,
     pcf_d,
     appell_f1,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "hyp_2f2",
     "gauss_2f1",
     "gauss_2f1_cm",
-    "gauss_2f1_at_one",
     "pcf_d",
     "appell_f1",
     "QuadratureSpec",

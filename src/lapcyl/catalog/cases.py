@@ -63,7 +63,6 @@ from ..special import (
     erfc,
     gamma,
     gauss_2f1,
-    gauss_2f1_at_one,
     gauss_2f1_cm,
     hyp_2f2,
     kummer_phi,
@@ -1274,7 +1273,7 @@ _GAUSS_SUM_TARGETS = {
 
 def _red_gauss_sum_lhs(pt):
     a, b = pt.orders
-    return gauss_2f1_at_one(a, b, pt.x)
+    return gauss_2f1(a, b, pt.x, 1.0)
 
 
 def _red_gauss_sum_rhs(pt):

@@ -32,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from .._exceptions import InvalidParams, LapcylError, NonConvergence
-from ..quad import integrate_finite, integrate_semi_infinite
+from ..quad import QuadratureResult, integrate_finite, integrate_semi_infinite
 from .cases import REGISTRY
 from .model import IdentityCase, PointRecord, VerificationReport
 
@@ -63,10 +63,10 @@ def _integrate_pieces(pieces, ps):
     """Sum of the pieces' integrals against e^{-p_j t}, for each p_j of ps.
 
     Each piece is one vector-valued integral, component j its original
-    times e^{-p_j t}, so the original runs once per node for every p;
-    value, converged and error_estimate are arrays over ps.  Returns
-    (value, evaluations, converged, error_estimate); the estimate is the
-    sum of the per-piece quadrature estimates.
+    times e^{-p_j t}, so the original runs once per node for every p.
+    Returns one QuadratureResult summed over the pieces: value, converged
+    and error_estimate are arrays over ps, and the estimate is the sum of
+    the per-piece quadrature estimates.
     """
     total = 0.0 + 0.0j
     evaluations = 0
@@ -95,7 +95,7 @@ def _integrate_pieces(pieces, ps):
         evaluations += res.evaluations
         converged = converged & res.converged
         err_est = err_est + res.error_estimate
-    return total, evaluations, converged, err_est
+    return QuadratureResult(total, err_est, evaluations, converged)
 
 
 def _rel_error(lhs: complex, rhs: complex) -> float:
@@ -136,17 +136,24 @@ def point_passes(record: PointRecord, tol: float) -> bool:
 def verify(case_id: str, grid=None, tol=None) -> VerificationReport:
     """Run a case over a grid (its default when grid is None).
 
-    Every point passes check_points and has both closed forms evaluated
-    before any integral.  Then the points that share (orders, x, y), in
-    order of their first point, are evaluated with one shared integral,
-    since no original depends on p; an error raised while its original
-    is built, or inside it, is InvalidParams.  Records keep grid order,
-    and each carries its group's evaluations, which the report counts
-    once.  The case passes when every point does, and is skipped with
-    none; max_rel_error is NaN when any point's error is, or there is
-    none.
+    A tol that is not a number > 0 (inf is one) is InvalidParams before
+    anything is evaluated; None takes the case's own.  Every point passes
+    check_points and has both closed forms evaluated before any integral.
+    Then the points that share (orders, x, y), in order of their first
+    point, are evaluated with one shared integral, since no original
+    depends on p; an error raised while its original is built, or inside
+    it, is InvalidParams.  Records keep grid order, and each carries its
+    group's evaluations, which the report counts once.  The case passes
+    when every point does, and is skipped with none; max_rel_error is NaN
+    when any point's error is, or there is none.
     """
     case = get_case(case_id)
+    try:
+        limit = case.tol if tol is None else float(tol)
+    except (TypeError, ValueError):
+        limit = math.nan
+    if not limit > 0.0:
+        raise InvalidParams(f"tol must be a number > 0, got {tol!r}")
     points = case.default_grid if grid is None else tuple(grid)
     check_points(case.id, points)
     lhs, rhs = _closed_forms(case, points)
@@ -160,25 +167,23 @@ def verify(case_id: str, grid=None, tol=None) -> VerificationReport:
         for idx in groups.values():
             pt = points[idx[0]]
             try:
-                values, evals, conv, _ = _integrate_pieces(case.original(pt),
-                                                           [points[i].p for i in idx])
+                res = _integrate_pieces(case.original(pt), [points[i].p for i in idx])
             except (LapcylError, ArithmeticError) as exc:
                 raise InvalidParams(f"cannot integrate {case.id} at orders={pt.orders}, "
                                     f"x={pt.x}, y={pt.y}: {type(exc).__name__}: {exc}") from None
-            total += evals
-            for i, value, c in zip(idx, values.tolist(), conv.tolist()):
-                rhs[i], evaluations[i], converged[i] = value, evals, c
+            total += res.evaluations
+            for i, value, c in zip(idx, res.value.tolist(), res.converged.tolist()):
+                rhs[i], evaluations[i], converged[i] = value, res.evaluations, c
     records = tuple(
         PointRecord(params=pt, lhs=left, rhs=right, rel_error=_rel_error(left, right),
                     evaluations=e, converged=c)
         for pt, left, right, e, c in zip(points, lhs, rhs, evaluations, converged))
-    tol = case.tol if tol is None else float(tol)
     errors = [r.rel_error for r in records]
     max_rel = math.nan if any(map(math.isnan, errors)) else max(errors, default=math.nan)
-    ok = all(point_passes(r, tol) for r in records)
+    ok = all(point_passes(r, limit) for r in records)
     return VerificationReport(
         id=case.id, kind=case.kind, records=records,
-        max_rel_error=max_rel, tol=tol,
+        max_rel_error=max_rel, tol=limit,
         verdict="skipped" if not records else "pass" if ok else "fail",
         evaluations=total,
     )

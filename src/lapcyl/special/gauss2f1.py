@@ -41,9 +41,13 @@ integral, builds the plan once.  A plan's values do not depend on the
 calls before: each is the same scalar expression, formed once.
 
 Terminating cases (a or b a nonpositive integer) are evaluated as plain
-polynomials for any w, before everything else.  c at a nonpositive integer
-raises ParameterPole unless the series terminates first.  A non-finite
-parameter or argument raises DomainError.
+polynomials for any w, before everything else.  One plan method, _at_z,
+chooses between that polynomial and the Maclaurin sum, in z itself: the
+plan calls it for a terminating series and for 1/2 <= w <= 3/2, and
+gauss_2f1 for |z| <= 1/2.  c at a nonpositive integer raises
+ParameterPole from the plan, before any series table is formed, unless
+the series terminates first.  A non-finite parameter or argument raises
+DomainError.
 """
 
 from __future__ import annotations
@@ -127,12 +131,7 @@ def _maclaurin(a, b, c):
                                          for k in range(k0, k0 + _BLOCK)]))
 
     def series(z, zmax):
-        try:
-            return _sum_series(ratios, z, rows=_gauss_rows(zmax), what="gauss_2f1 series")
-        except ZeroDivisionError:
-            raise ParameterPole(
-                f"gauss_2f1 lower parameter {c} is a nonpositive integer"
-            ) from None
+        return _sum_series(ratios, z, rows=_gauss_rows(zmax), what="gauss_2f1 series")
 
     return series
 
@@ -249,6 +248,13 @@ class Gauss2F1Plan:
         aa, bb = (a, b) if a.real <= b.real else (b, a)
         return aa, Gauss2F1Plan(aa, c - bb, c)
 
+    def _at_z(self, z, zmax):
+        """F at z itself, a 1-D ndarray with |z| <= zmax: the polynomial for
+        any z when the series terminates, else the Maclaurin sum, zmax <= 1/2."""
+        if self._degree is not None:
+            return _poly_f21(self.a, self.b, self.c, z, self._degree)
+        return self._series(z, zmax)
+
     def _connect_generic(self, w, hi):
         """A&S 15.3.6 for noninteger c-a-b, argument complement w in (0, hi]."""
         d, p1, series1, p2, series2 = self._generic
@@ -285,10 +291,9 @@ class Gauss2F1Plan:
         whose smallest and largest lanes are lo and hi.  Each region is an
         interval of w, so when lo and hi lie in one, the whole array is that
         region's, with no mask; otherwise each region's lanes go on alone."""
-        degree = self._degree
-        if degree is not None:
-            return _poly_f21(self.a, self.b, self.c, 1.0 - w, degree)
         region = _region(lo)
+        if self._degree is not None or region == _region(hi) == 2:
+            return self._at_z(1.0 - w, max(1.0 - lo, hi - 1.0))
         if region != _region(hi):
             out = np.empty(w.shape, dtype=complex)
             for mask in (w == 0.0, (w >= 0.5) & (w <= 1.5), (w > 0.0) & (w < 0.5), w > 1.5):
@@ -298,8 +303,6 @@ class Gauss2F1Plan:
             return out
         if region == 0:
             return np.full(w.shape, self._gauss_sum, dtype=complex)
-        if region == 2:
-            return self._series(1.0 - w, max(1.0 - lo, hi - 1.0))
         if region == 3:
             aa, inner = self._pfaff
             return np.exp(-aa * np.log(w)) * inner._at(1.0 / w, 1.0 / hi, 1.0 / lo)
@@ -311,15 +314,6 @@ class Gauss2F1Plan:
         # Euler transformation flips c-a-b to -mi >= 1
         d, inner = self._euler
         return np.exp(d * np.log(w)) * inner._at(w, lo, hi)
-
-
-def gauss_2f1_at_one(a, b, c) -> complex:
-    """F(a,b;c;1) by the Gauss summation theorem.
-
-    Terminating cases go through the Chu-Vandermonde polynomial; otherwise
-    Re(c-a-b) > 0 is required for the limit to exist.
-    """
-    return Gauss2F1Plan(a, b, c)(0.0)
 
 
 def gauss_2f1_cm(a, b, c, one_minus_z):
@@ -336,8 +330,8 @@ def gauss_2f1_cm(a, b, c, one_minus_z):
 def gauss_2f1(a, b, c, z):
     """Gauss hypergeometric F(a,b;c;z) for real z <= 1 (scalar or ndarray).
 
-    Where every |z| <= 1/2, real or complex, the Maclaurin series is summed
-    in z itself; everywhere else the argument must be real and goes to the
+    Where every |z| <= 1/2, real or complex, F is summed in z itself (the
+    plan's _at_z); everywhere else the argument must be real and goes to the
     plan as w = 1 - z.  z > 1 raises DomainError, z = 1 requires
     Re(c-a-b) > 0 unless the series terminates.
     """
@@ -345,10 +339,8 @@ def gauss_2f1(a, b, c, z):
     zarr = np.asarray(z)
     zmax = float(np.abs(zarr).max(initial=0.0))
     if zmax <= 0.5:
-        # the Maclaurin sum in z itself: w = 1 - z would round a z below 1.1e-16 to 0
-        degree = plan._degree
-        vals = (_poly_f21(plan.a, plan.b, plan.c, zarr, degree) if degree is not None
-                else plan._series(zarr.reshape(-1), zmax).reshape(zarr.shape))
+        # F in z itself: w = 1 - z would round a z below 1.1e-16 to 0
+        vals = plan._at_z(zarr.reshape(-1), zmax).reshape(zarr.shape)
         return _finish(vals, zarr.ndim == 0, "gauss_2f1")
     if np.any(zarr.imag != 0.0):
         raise DomainError("complex gauss_2f1 argument supported only for |z| <= 1/2")

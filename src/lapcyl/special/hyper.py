@@ -14,9 +14,9 @@ part (_reals).  A sum's first step takes as many terms as its largest
 argument predicts, so most sums take one step; each later step runs to
 the end of its table block, and no step outgrows about _STEP_ELEMS rows
 times lanes.  2F1 tables have _BLOCK rows formed in Python scalar
-arithmetic, so a pole in the term ratio raises ZeroDivisionError; 2F2
-and Phi, which check for poles up front, form blocks of the predicted
-length, Phi's in numpy (complex ones in Python arithmetic, as numpy's
+arithmetic, for parameters whose plan has already ruled out a pole;
+2F2 and Phi, which check for poles up front too, form blocks of the
+predicted length, Phi's in numpy (complex ones in Python arithmetic, as numpy's
 complex ufuncs round differently).  In a step,
 np.multiply.accumulate turns the ratios into terms and np.add.accumulate
 gives the running sums: the ufuncs that np.cumprod and np.cumsum wrap,

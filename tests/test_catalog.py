@@ -205,6 +205,21 @@ class TestValidity:
         with pytest.raises(InvalidParams, match="-1 < nu < 0"):
             verify("ILT-KUM-BLOCK-12", grid=(pt,))
 
+    @pytest.mark.parametrize("tol", ["abc", math.nan, 0.0, -1.0])
+    def test_bad_tol_rejected_before_any_evaluation(self, monkeypatch, tol):
+        calls = []
+        case = get_case("T31-DIFF-HALF")
+        monkeypatch.setitem(REGISTRY, case.id, dataclasses.replace(
+            case, image=lambda pt: calls.append("closed form")))
+        monkeypatch.setattr(quad._Workspace, "evaluate", lambda *args: calls.append("integrand"))
+        with pytest.raises(InvalidParams, match="tol must be a number > 0"):
+            verify(case.id, tol=tol)
+        assert calls == []
+
+    def test_infinite_tol_accepted(self):
+        rep = verify("RED-ERFC-REFLECT", tol=math.inf)
+        assert rep.tol == math.inf and rep.verdict == "pass"
+
     def test_empty_grid_is_skipped(self):
         rep = verify("RED-ERFC-REFLECT", grid=())
         assert rep.verdict == "skipped"
@@ -302,10 +317,10 @@ class TestQuadratureHonesty:
             dataclasses.replace(pc, spec=dataclasses.replace(pc.spec, rel_tol=1e-13))
             for pc in case.original(pt)))
         ps = [pt.p for pt in group]
-        v1, _, conv1, est1 = _integrate_pieces(case.original(mid), ps)
-        v2, _, conv2, _ = _integrate_pieces(tight.original(mid), ps)
-        assert all(conv1) and all(conv2)
-        for a, b, est in zip(v1, v2, est1):
+        base = _integrate_pieces(case.original(mid), ps)
+        tighter = _integrate_pieces(tight.original(mid), ps)
+        assert all(base.converged) and all(tighter.converged)
+        for a, b, est in zip(base.value, tighter.value, base.error_estimate):
             assert est > 0.0
             assert abs(a - b) <= est
 
@@ -659,7 +674,8 @@ class TestSharedIntegrals:
             assert len(counts) == 1
             shared.append(counts.pop())
         group = [case.default_grid[i] for i in groups[0]]
-        assert shared[0] == _integrate_pieces(case.original(group[0]), [pt.p for pt in group])[1]
+        assert shared[0] == _integrate_pieces(case.original(group[0]),
+                                              [pt.p for pt in group]).evaluations
         assert rep.evaluations == sum(shared)
         assert rep.evaluations < sum(r.evaluations for r in rep.records)
 

@@ -5,6 +5,7 @@ Frozen expecteds come from 25-digit evaluations of the defining series
 implementation it lands in.
 """
 
+import cmath
 import itertools
 import math
 import random
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lapcyl.special import Gauss2F1Plan, gauss_2f1, gauss_2f1_cm, gauss_2f1_at_one
+from lapcyl.special import Gauss2F1Plan, gauss_2f1, gauss_2f1_cm
 from lapcyl import DomainError, NonConvergence, ParameterPole
 
 
@@ -73,21 +74,21 @@ def test_elementary_closed_forms():
 
 
 def test_at_one():
-    assert rel_err(gauss_2f1_at_one(-0.5, 0.5, 1.5), math.pi / 4.0) < 1e-13
-    assert rel_err(gauss_2f1_at_one(0.25, 0.25, 1.0), 1.180340599016096226) < 1e-13
-    assert rel_err(gauss_2f1_at_one(0.3, 0.4, 2.2), 1.0900606947992392411) < 1e-13
+    assert rel_err(gauss_2f1_cm(-0.5, 0.5, 1.5, 0.0), math.pi / 4.0) < 1e-13
+    assert rel_err(gauss_2f1_cm(0.25, 0.25, 1.0, 0.0), 1.180340599016096226) < 1e-13
+    assert rel_err(gauss_2f1_cm(0.3, 0.4, 2.2, 0.0), 1.0900606947992392411) < 1e-13
     assert rel_err(gauss_2f1(-0.5, 0.5, 1.5, 1.0), math.pi / 4.0) < 1e-13
 
 
 def test_at_one_divergent():
     # c - a - b < 0 and nonterminating: no finite value
     with pytest.raises(DomainError):
-        gauss_2f1_at_one(0.7, 1.3, 1.5)
+        gauss_2f1_cm(0.7, 1.3, 1.5, 0.0)
 
 
 def test_at_one_terminating_wins():
     # negative integer a terminates even when c-a-b < 0
-    got = gauss_2f1_at_one(-2.0, 3.0, 1.5)
+    got = gauss_2f1_cm(-2.0, 3.0, 1.5, 0.0)
     # Chu-Vandermonde: (c-a)_n / (c)_n at n=2: (4.5*5.5)/(1.5*2.5) ... direct sum
     want = 1.0 + (-2.0) * 3.0 / 1.5 + ((-2.0) * (-1.0) * 3.0 * 4.0) / (1.5 * 2.5 * 2.0)
     assert rel_err(got, want) < 1e-14
@@ -99,14 +100,14 @@ def test_at_one_overflowing_polynomial_raises_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonConvergence):
-            gauss_2f1_at_one(-600.0, -600.0, 0.5)
+            gauss_2f1_cm(-600.0, -600.0, 0.5, 0.0)
 
 
 def test_complement_entry_near_one():
     # w = 1-z passed exactly; z itself would round away the distance
     for w in (1e-14, 1e-10, 1e-6):
         got = gauss_2f1_cm(0.25, 0.55, 1.3, w)
-        limit = gauss_2f1_at_one(0.25, 0.55, 1.3)
+        limit = gauss_2f1_cm(0.25, 0.55, 1.3, 0.0)
         assert rel_err(got, limit) < 1e-3  # O(w^{1/2}) approach; exact value below
     got = gauss_2f1_cm(0.25, 0.55, 1.3, 1e-10)
     # frozen: 25-digit continuation at z = 1 - 1e-10
@@ -137,7 +138,7 @@ TERMINATING_OR_POLE = [
      1.0 + (-2.0) * 0.7 / (-3.0) * (0.2 + 0.1j)
      + ((-2.0) * (-1.0) * 0.7 * 1.7) / ((-3.0) * (-2.0) * 2.0) * (0.2 + 0.1j) ** 2),
     (gauss_2f1_cm, 0.7, 1.15785),
-    (lambda a, b, c, _: gauss_2f1_at_one(a, b, c), None, 1.665),
+    (lambda a, b, c, _: gauss_2f1_cm(a, b, c, 0.0), None, 1.665),
 ]
 
 
@@ -174,7 +175,7 @@ def test_non_finite_complement_is_a_domain_error(w):
 ])
 def test_non_finite_parameter_is_a_domain_error(a, b, c):
     for call in (lambda: gauss_2f1(a, b, c, 0.3), lambda: gauss_2f1_cm(a, b, c, 0.7),
-                 lambda: gauss_2f1_at_one(a, b, c)):
+                 lambda: gauss_2f1_cm(a, b, c, 0.0)):
         with pytest.raises(DomainError, match="finite parameters"):
             call()
 
@@ -255,6 +256,40 @@ def test_log_branch_with_c_near_a_pole():
         assert rel_err(gauss_2f1_cm(a, b, c, w), want) < 1e-11, (a, b, c, w)
 
 
+def _complex_draw(rng, lo, hi):
+    return complex(rng.uniform(lo, hi), rng.uniform(-1.0, 1.0))
+
+
+# each route's argument: w = 1 - z for the plan's regions, z in the disc
+COMPLEX_PARAMETER_ROUTES = {
+    "connection": lambda rng: 10.0 ** rng.uniform(-10.0, math.log10(0.49)),
+    "maclaurin": lambda rng: rng.uniform(0.5, 1.5),
+    "pfaff": lambda rng: 10.0 ** rng.uniform(math.log10(1.51), 3.0),
+    "disc": lambda rng: cmath.rect(0.5 * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi)),
+}
+
+
+@pytest.mark.parametrize("route, m", [
+    *((route, None) for route in COMPLEX_PARAMETER_ROUTES),
+    *(("connection", m) for m in (-1, 0, 1, 2)),
+])
+def test_complex_parameters_against_mpmath(route, m):
+    # c - a - b = m puts the connection region on the log branch (m < 0
+    # through Euler); otherwise c - a - b is off the real axis
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(f"{route}{m}")
+    for _ in range(40):
+        a, b = _complex_draw(rng, -2.0, 2.0), _complex_draw(rng, -2.0, 2.0)
+        c = _complex_draw(rng, 0.5, 3.0) if m is None else a + b + m
+        arg = COMPLEX_PARAMETER_ROUTES[route](rng)
+        with mpmath.workdps(40):
+            if route == "disc":
+                got, want = gauss_2f1(a, b, c, arg), mpmath.hyp2f1(a, b, c, arg)
+            else:
+                got, want = gauss_2f1_cm(a, b, c, arg), mpmath.hyp2f1(a, b, c, 1 - mpmath.mpf(arg))
+        assert rel_err(got, complex(want)) < 1e-12, (a, b, c, arg)
+
+
 def _bits(value):
     return np.asarray(value).tobytes()
 
@@ -282,7 +317,7 @@ def test_plan_matches_one_shot_bit_for_bit(a, b, c, w):
         for wi in w:
             assert _bits(plan(float(wi))) == _bits(gauss_2f1_cm(a, b, c, float(wi)))
     if w[0] == 0.0:
-        assert plan(0.0) == gauss_2f1_at_one(a, b, c)
+        assert plan(0.0) == gauss_2f1(a, b, c, 1.0)
 
 
 @pytest.mark.parametrize("a, b, c, long_w, short_w", [

@@ -18,11 +18,16 @@ SURFACE = {
         "LapcylError", "DomainError", "PoleError", "ParameterPole",
         "NonConvergence", "InvalidParams",
         "gamma", "reciprocal_gamma", "digamma", "erf", "erfc", "kummer_phi",
-        "hyp_2f2", "gauss_2f1", "gauss_2f1_cm", "gauss_2f1_at_one", "pcf_d",
+        "hyp_2f2", "gauss_2f1", "gauss_2f1_cm", "pcf_d",
         "appell_f1",
         "QuadratureSpec", "QuadratureResult", "integrate_finite",
         "integrate_semi_infinite",
         "__version__",
+    ],
+    "lapcyl.special": [
+        "gamma", "reciprocal_gamma", "digamma", "is_nonpositive_integer",
+        "erf", "erfc", "kummer_phi", "phi_scaled", "hyp_2f2",
+        "gauss_2f1", "gauss_2f1_cm", "Gauss2F1Plan", "pcf_d", "appell_f1",
     ],
     "lapcyl.quad": [
         "QuadratureSpec", "QuadratureResult", "integrate_finite",

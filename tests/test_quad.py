@@ -85,6 +85,20 @@ def test_spec_validation():
             QuadratureSpec(lower=0.0, upper=math.inf, decay_rate=rate)
 
 
+def test_each_driver_rejects_the_other_range():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return np.exp(-t)
+
+    with pytest.raises(ValueError, match="finite upper endpoint"):
+        integrate_finite(f, QuadratureSpec(lower=0.0, upper=math.inf))
+    with pytest.raises(ValueError, match="upper = inf"):
+        integrate_semi_infinite(f, QuadratureSpec(lower=0.0, upper=1.0))
+    assert calls == []
+
+
 def test_smooth_finite():
     spec = QuadratureSpec(lower=0.0, upper=math.pi)
     res = integrate_finite(lambda t: np.sin(t), spec)
@@ -404,7 +418,7 @@ def test_scalar_bookkeeping_matches_array_bookkeeping(monkeypatch, m, floor):
 def laplace(pieces, p):
     """The Laplace transform of a piecewise original, through the
     catalog engine's kernel path (a group of one p)."""
-    return _integrate_pieces(pieces, (p,))[0][0]
+    return _integrate_pieces(pieces, (p,)).value[0]
 
 
 def test_laplace_power():
